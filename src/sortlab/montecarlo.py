@@ -4,6 +4,8 @@ Each (n, p) cell runs `trials` independent repetitions of drawing a
 geometric array and counting operations with the configured counter,
 then reduces the counts to mean, standard deviation (population
 convention, dividing by the trial count), and coefficient of variation.
+The trials of a cell are stacked into (trials, n) batches and counted by
+one batched kernel call per batch.
 
 Determinism contract: cell seeds derive from the master seed and the
 p-grid index, trial seeds from the cell seed and the trial index, and
@@ -17,7 +19,9 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .algorithms import count_inversions, exchange_selection_sort, textbook_selection_sort
+import numpy as np
+
+from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
 from .distributions import RandomSource, geometric, mix64, sample_array
 
 __all__ = [
@@ -31,6 +35,17 @@ __all__ = [
 
 COUNTER_MODES = ("exchange_interchanges", "textbook_interchanges", "inversions")
 SAMPLER_METHODS = ("inverse", "loop")
+
+#: Most array values one kernel call holds.  A cell's trials run in blocks
+#: of at most this many values (at least one trial each), so memory stays
+#: bounded whatever the trial count.
+BLOCK_VALUES = 1 << 18
+
+_KERNELS = {
+    "exchange_interchanges": exchange_sort_batch,
+    "textbook_interchanges": textbook_sort_batch,
+    "inversions": count_inversions_batch,
+}
 
 
 @dataclass(frozen=True)
@@ -115,22 +130,22 @@ class RunningMoments:
         return math.sqrt(max(self._m2, 0.0) / self.count)
 
 
-def _count_for_trial(arr, counter_mode: str) -> int:
-    if counter_mode == "exchange_interchanges":
-        return exchange_selection_sort(arr)[1].interchanges
-    if counter_mode == "textbook_interchanges":
-        return textbook_selection_sort(arr)[1].interchanges
-    return count_inversions(arr)
-
-
 def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary:
     """Run all trials of one grid cell and reduce them in trial order."""
     model = geometric(p)
+    kernel = _KERNELS[config.counter_mode]
+    per_block = max(1, BLOCK_VALUES // config.n)
     moments = RunningMoments()
-    for trial_index in range(config.trials):
-        trial_src = RandomSource(mix64(cell_seed, trial_index))
-        arr = sample_array(trial_src, model, config.n, method=config.sampler_method)
-        moments.add(float(_count_for_trial(arr, config.counter_mode)))
+
+    def trial_array(trial_index: int):
+        src = RandomSource(mix64(cell_seed, trial_index))
+        return sample_array(src, model, config.n, method=config.sampler_method)
+
+    for start in range(0, config.trials, per_block):
+        stop = min(start + per_block, config.trials)
+        counts = kernel(np.stack([trial_array(t) for t in range(start, stop)]))[1]
+        for count in counts.tolist():
+            moments.add(float(count))
     mean_c = moments.mean
     sd_c = moments.population_sd
     return TrialSummary(

@@ -433,7 +433,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # RuntimeError: a numerical routine did not converge.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,25 +1,39 @@
-"""Instrumented sorts: correctness, exact counter semantics, fast-path parity."""
+"""Instrumented sorts: correctness, exact counter semantics, batch-kernel parity."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sortlab.algorithms import (
     OpCounters,
     _exchange_sort_list,
-    _exchange_sort_ndarray,
     _textbook_sort_list,
-    _textbook_sort_ndarray,
     count_inversions,
+    count_inversions_batch,
     exchange_selection_sort,
+    exchange_sort_batch,
     textbook_selection_sort,
+    textbook_sort_batch,
 )
 
 # Small nonnegative ints force ties, the regime that separates the two sorts.
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
+
+# (trials, n) batches of the same tied values, one trial per row.
+tied_batches = arrays(
+    np.int64,
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40)),
+    elements=st.integers(min_value=0, max_value=6),
+)
+
+
+def one_row(items) -> np.ndarray:
+    return np.array(items, dtype=np.int64).reshape(1, -1)
 
 
 def brute_force_inversions(seq) -> int:
@@ -78,7 +92,7 @@ class TestExchangeSelectionSort:
     @given(tied_lists)
     def test_ndarray_fast_path_matches_literal_loop(self, items):
         _, swaps_list = _exchange_sort_list(items)
-        _, swaps_arr = _exchange_sort_ndarray(np.array(items, dtype=np.int64))
+        _, (swaps_arr,) = exchange_sort_batch(one_row(items))
         assert swaps_arr == swaps_list
 
     def test_fast_path_parity_on_seeded_batch(self):
@@ -87,7 +101,7 @@ class TestExchangeSelectionSort:
             n = int(rng.integers(0, 80))
             arr = rng.integers(0, 8, size=n)
             _, swaps_list = _exchange_sort_list(arr.tolist())
-            _, swaps_arr = _exchange_sort_ndarray(arr.astype(np.int64))
+            _, (swaps_arr,) = exchange_sort_batch(one_row(arr))
             assert swaps_arr == swaps_list
 
     def test_floats_supported(self):
@@ -115,7 +129,7 @@ class TestTextbookSelectionSort:
     @given(tied_lists)
     def test_ndarray_fast_path_matches_literal_loop(self, items):
         _, swaps_list = _textbook_sort_list(items)
-        _, swaps_arr = _textbook_sort_ndarray(np.array(items, dtype=np.int64))
+        _, (swaps_arr,) = textbook_sort_batch(one_row(items))
         assert swaps_arr == swaps_list
 
     @given(tied_lists)
@@ -158,3 +172,121 @@ class TestCountInversions:
     def test_reversed_is_maximal(self):
         n = 30
         assert count_inversions(list(range(n, 0, -1))) == n * (n - 1) // 2
+
+
+def literal_counts(batch: np.ndarray) -> dict:
+    """Per-row counts of each kernel's mode from the literal list loops."""
+    rows = batch.tolist()
+    return {
+        exchange_sort_batch: [_exchange_sort_list(row)[1] for row in rows],
+        textbook_sort_batch: [_textbook_sort_list(row)[1] for row in rows],
+        count_inversions_batch: [brute_force_inversions(row) for row in rows],
+    }
+
+
+KERNELS = (exchange_sort_batch, textbook_sort_batch, count_inversions_batch)
+
+
+class TestBatchKernels:
+    @given(tied_batches)
+    @settings(max_examples=150)
+    def test_each_row_matches_literal_loop(self, batch):
+        original = batch.copy()
+        for kernel, want in literal_counts(batch).items():
+            out, counts = kernel(batch)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == want, kernel.__name__
+            assert out.dtype == batch.dtype
+            assert np.array_equal(out, np.sort(batch, axis=1)), kernel.__name__
+        assert np.array_equal(batch, original)
+
+    def test_float_batch(self):
+        rng = np.random.default_rng(17)
+        batch = rng.choice([-1.5, 0.25, 0.25, 2.0, 3.75], size=(5, 33))
+        for kernel, want in literal_counts(batch).items():
+            out, counts = kernel(batch)
+            assert counts.tolist() == want, kernel.__name__
+            assert np.array_equal(out, np.sort(batch, axis=1)), kernel.__name__
+
+    def test_single_element_and_all_equal_rows(self):
+        for kernel in KERNELS:
+            out, counts = kernel(np.array([[7], [3]]))
+            assert out.tolist() == [[7], [3]]
+            assert counts.tolist() == [0, 0]
+            out, counts = kernel(np.full((3, 25), 4))
+            assert out.tolist() == np.full((3, 25), 4).tolist()
+            assert counts.tolist() == [0, 0, 0]
+
+    def test_values_beyond_int32_are_not_narrowed(self):
+        # Wrapped to int32, 2**32 + 1 would read 1 and 2**31 a negative value.
+        big = 2**31
+        batch = np.array([[2**32 + 1, 2, big, big - 1, 5, 2**40], [big, 0, big + 3, 1, big, 9]])
+        for kernel, want in literal_counts(batch).items():
+            out, counts = kernel(batch)
+            assert counts.tolist() == want, kernel.__name__
+            assert out.dtype == np.int64
+            assert out.tolist() == np.sort(batch, axis=1).tolist(), kernel.__name__
+
+    def test_negative_values(self):
+        batch = np.array([[3, -2, 0, -2, 5, -7], [-1, -1, -3, 4, 2, -3]])
+        for kernel, want in literal_counts(batch).items():
+            assert kernel(batch)[1].tolist() == want, kernel.__name__
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_rejects_non_batch(self, kernel):
+        with pytest.raises(ValueError):
+            kernel(np.arange(5))
+        with pytest.raises(ValueError):
+            kernel(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "counter", [exchange_selection_sort, textbook_selection_sort, count_inversions]
+    )
+    def test_per_array_functions_reject_2d(self, counter):
+        with pytest.raises(ValueError):
+            counter(np.zeros((2, 3)))
+
+
+class TestSwapInversionIdentity:
+    """Exchange swaps never exceed inversions; they are equal on distinct inputs.
+
+    A swap at (i, j) happens when a[i], the running minimum of a[i..j-1],
+    exceeds a[j].  It repairs the pair (i, j) and the pairs (k, j) for every
+    k in (i, j) with a[k] equal to a[i], so it removes 1 + #{k in (i, j) :
+    a[k] = a[i]} inversions.
+    """
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_equal_on_every_permutation(self, n):
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+        swaps = exchange_sort_batch(perms)[1]
+        assert swaps.tolist() == [brute_force_inversions(p) for p in perms.tolist()]
+
+    def test_equal_on_long_reversed_rows(self):
+        # Pass 0 alone swaps n - 1 times, more than a narrow per-pass tally holds.
+        n = 300
+        batch = np.array([np.arange(n)[::-1], np.arange(n)[::-1] * 7 - 1000])
+        for kernel in (exchange_sort_batch, count_inversions_batch):
+            assert kernel(batch)[1].tolist() == [n * (n - 1) // 2] * 2, kernel.__name__
+
+    @given(tied_lists)
+    def test_swaps_plus_tie_repairs_equal_inversions(self, items):
+        a = list(items)
+        swaps = repaired = 0
+        for i in range(len(a) - 1):
+            for j in range(i + 1, len(a)):
+                if a[i] > a[j]:
+                    repaired += 1 + sum(1 for k in range(i + 1, j) if a[k] == a[i])
+                    a[i], a[j] = a[j], a[i]
+                    swaps += 1
+        inversions = brute_force_inversions(items)
+        assert repaired == inversions
+        assert swaps == exchange_selection_sort(items)[1].interchanges <= inversions
+
+    def test_fewer_swaps_than_inversions_on_tied_arrays(self):
+        rng = np.random.default_rng(99)
+        batch = rng.geometric(0.3, size=(50, 200)) - 1
+        swaps = exchange_sort_batch(batch)[1]
+        inversions = count_inversions_batch(batch)[1]
+        assert np.all(swaps <= inversions)
+        assert swaps.sum() < inversions.sum()

@@ -201,6 +201,14 @@ class TestSampleArray:
         with pytest.raises(ValueError):
             sample_array(RandomSource(8), geometric(0.4), 10, method="bogus")
 
+    def test_samplers_share_distribution_not_values(self):
+        # Both samplers draw geometric(p) (test_goodness_of_fit), but they map
+        # the uniform stream differently, so one seed gives different arrays.
+        inverse = sample_array(RandomSource(5), geometric(0.3), 10, method="inverse")
+        loop = sample_array(RandomSource(5), geometric(0.3), 10, method="loop")
+        assert inverse[:3].tolist() == [4, 4, 2]
+        assert loop[:3].tolist() == [3, 0, 2]
+
     def test_deterministic(self):
         a = sample_array(RandomSource(8), geometric(0.4), 50)
         b = sample_array(RandomSource(8), geometric(0.4), 50)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sortlab import montecarlo
 from sortlab.distributions import mix64
 from sortlab.montecarlo import (
     ExperimentConfig,
@@ -147,6 +148,30 @@ class TestRunCell:
         a, b = cells["inverse"], cells["loop"]
         band = 5.0 * (a.sd_c + b.sd_c) / math.sqrt(40)
         assert abs(a.mean_c - b.mean_c) < band
+
+
+    @pytest.mark.parametrize(
+        "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
+    )
+    @pytest.mark.parametrize("block_values", [3 * 30, 1])
+    def test_blocked_cell_matches_unblocked(self, monkeypatch, mode, block_values):
+        config = ExperimentConfig(
+            n=30, trials=10, p_values=(0.3,), counter_mode=mode, master_seed=5
+        )
+        whole = run_cell(config, 0.3, mix64(5, 0))
+        kernel = montecarlo._KERNELS[mode]
+        rows = []
+
+        def spy(batch):
+            rows.append(batch.shape[0])
+            return kernel(batch)
+
+        monkeypatch.setitem(montecarlo._KERNELS, mode, spy)
+        # 10 trials in blocks of 3 (3+3+3+1), or one trial per block when n
+        # alone exceeds the block.
+        monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
+        assert run_cell(config, 0.3, mix64(5, 0)) == whole
+        assert rows == ([3, 3, 3, 1] if block_values > 1 else [1] * 10)
 
 
 class TestRunExperiment:

@@ -357,6 +357,15 @@ class TestCliFit:
     def test_missing_input_flags_exit_2(self, capsys):
         assert main(["fit", "--degree", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["fit", "--use-fixture", "--degree", "3"], ["select", "--use-fixture"]]
+    )
+    def test_nonconvergence_exits_1(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr("sortlab.special._MAX_ITER", 0)  # every continued fraction gives up
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: incomplete beta continued fraction failed to converge")
+
 
 class TestCliSelect:
     def test_default_alpha_is_cap_limited(self, capsys):

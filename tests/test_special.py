@@ -2,7 +2,7 @@
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sortlab.special import f_sig, regularized_incomplete_beta, student_t_two_sided_sig
@@ -49,11 +49,23 @@ class TestRegularizedIncompleteBeta:
         st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=80)
+    @example(a=0.3125, b=1.0, x=1e-15)
     def test_symmetry_identity(self, a, b, x):
+        # Snap x so that 1 - x is exact: otherwise both sides are evaluated
+        # at different points, which near x = 0 with a < 1 differs by far
+        # more than the tolerance (x = 1e-15, a = 0.3125: 5e-9).
+        x = 1.0 - (1.0 - x)
         left = regularized_incomplete_beta(a, b, x)
         right = 1.0 - regularized_incomplete_beta(b, a, 1.0 - x)
         assert left == pytest.approx(right, abs=1e-9)
         assert 0.0 <= left <= 1.0
+
+    @pytest.mark.parametrize("a", [0.3125, 1.0, 2.5, 7.0])
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-30, 1e-16, 1e-15, 1e-8])
+    def test_tiny_x_closed_form(self, a, x):
+        # I_x(a, 1) = x^a: covers the tiny and subnormal x that the snap in
+        # test_symmetry_identity rounds away.
+        assert regularized_incomplete_beta(a, 1.0, x) == pytest.approx(x**a, rel=1e-12)
 
     def test_monotone_in_x(self):
         values = [regularized_incomplete_beta(3.0, 4.5, x / 20) for x in range(21)]
