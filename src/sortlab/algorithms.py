@@ -11,11 +11,14 @@ Two selection-sort variants are provided, with exact operation tallies:
 
 Each counter has one ndarray kernel that runs a whole (trials, n) batch,
 one trial per row, in a single sweep: :func:`exchange_sort_batch`,
-:func:`textbook_sort_batch` and :func:`count_inversions_batch`.  The
-per-array functions send a 1-d ndarray through the kernel as a one-row
-batch.  List input to the two sorts runs their literal loops, which the
-tests use as the reference; :func:`count_inversions` converts any input
-to an ndarray.
+:func:`textbook_sort_batch` and :func:`count_inversions_batch`.  Each
+exchange pass takes the running minimum of the unsorted suffix by a
+log-depth (Hillis-Steele) scan of whole-array ``np.minimum`` calls that
+alternate between two scratch buffers, on the smallest integer dtype that
+holds the batch exactly (uint8 for geometric draws).  The per-array
+functions send a 1-d ndarray through the kernel as a one-row batch.  List
+input to the two sorts runs their literal loops, which the tests use as
+the reference; :func:`count_inversions` converts any input to an ndarray.
 
 Neither variant is stable.  All operations are pure: the input sequence
 is never mutated, and calls are safe from concurrent workers.
@@ -81,12 +84,16 @@ def _one_trial(kernel, arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _narrow_dtype(batch: np.ndarray) -> np.dtype:
-    # int32 halves the memory every pass sweeps; exact only when all values fit.
+    # The smallest integer type numpy picks for the batch min and max: uint8
+    # for geometric draws, so each SIMD min/max covers 8x the int64 lanes.
+    # Kept only when it is an integer type no wider than the input, so the
+    # cast is exact (negatives mixed with values >= 2**63 promote to float64).
     if batch.dtype.kind not in "iu" or batch.size == 0:
         return batch.dtype
-    info = np.iinfo(np.int32)
-    fits = info.min <= batch.min() and batch.max() <= info.max
-    return np.dtype(np.int32) if fits else batch.dtype
+    narrow = np.result_type(np.min_scalar_type(batch.min()), np.min_scalar_type(batch.max()))
+    if narrow.kind in "iu" and narrow.itemsize <= batch.dtype.itemsize:
+        return narrow
+    return batch.dtype
 
 
 def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -97,16 +104,28 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_batch(batch)
     trials, n = batch.shape
-    # (n, trials) layout: each pass is four whole-array ufunc calls over
-    # the suffix rows i.., with the trials contiguous.
+    # (n, trials) layout: every step of a pass is one whole-array ufunc call
+    # over the suffix rows i.., with the trials contiguous.
     a = np.array(batch.T, dtype=_narrow_dtype(batch), order="C")
+    # The scan alternates between two buffers (by step parity): a step written
+    # in place would make numpy copy its overlapping input to a temporary first.
+    scratch = np.empty((2,) + a.shape, dtype=a.dtype)
     swaps = np.zeros(trials, dtype=np.int64)
     for i in range(n - 1):
         # Pass i swaps exactly where the running minimum of a[i:] strictly
         # drops, and the swapped slot receives the previous running minimum;
         # slots that do not swap already hold at least that value.
         s = a[i:]
-        r = np.minimum.accumulate(s, axis=0)
+        m = n - i
+        # Running minimum r by a Hillis-Steele scan: after the step with
+        # shift k, r[j] = min(s[max(0, j - 2k + 1) .. j]), so ceil(log2 m)
+        # contiguous np.minimum calls replace one strided scalar loop per column.
+        r, k = s, 1
+        while k < m:
+            out = scratch[k.bit_length() % 2, :m]
+            np.minimum(r[k:], r[:-k], out=out[k:])
+            out[:k] = r[:k]
+            r, k = out, 2 * k
         swaps += (r[1:] != r[:-1]).sum(axis=0, dtype=np.int32)  # < n per pass
         np.maximum(s[1:], r[:-1], out=s[1:])
         s[0] = r[-1]

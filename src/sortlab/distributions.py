@@ -190,10 +190,19 @@ def sample_geometric_inverse(src: RandomSource, param: GeometricParam) -> int:
     return geometric_from_uniform(src.uniform(), param.p)
 
 
+#: Most uniforms the loop sampler draws in one block, which bounds its
+#: memory (a few tens of MB) however small p is.
+LOOP_BLOCK = 1 << 20
+
+
 def _geometric_array_inverse(src: RandomSource, p: float, n: int) -> np.ndarray:
     if p >= 1.0:
         src.uniforms(n)  # keep stream consumption identical to p < 1
         return np.zeros(n, dtype=np.int64)
+    # The largest uniform is 1 - 2**-53, so no draw exceeds this bound; past
+    # the int64 range (p below about 4e-18) the cast below would wrap.
+    if math.log(2.0**-53) / math.log1p(-p) >= 2.0**63:
+        raise ValueError(f"p={p!r} is too small: geometric draws would overflow int64")
     u = src.uniforms(n)
     return np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
 
@@ -201,21 +210,22 @@ def _geometric_array_inverse(src: RandomSource, p: float, n: int) -> np.ndarray:
 def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
     """Vectorized equivalent of n successive failure-counting draws.
 
-    Draws uniform blocks until n successes appear; the gaps between
+    Draws uniform blocks of at most :data:`LOOP_BLOCK` until n successes
+    appear, keeping only the success positions; the gaps between
     consecutive successes are exactly the values the scalar loop would
     produce from the same stream.  May consume uniforms past the n-th
     success (the surplus is discarded).
     """
-    masks = []
-    successes = 0
+    positions = []
+    successes = drawn = 0
     while successes < n:
         need = n - successes
-        block = max(64, int(need / p * 1.1) + 16)
-        m = src.uniforms(block) < p
-        masks.append(m)
-        successes += int(m.sum())
-    positions = np.flatnonzero(np.concatenate(masks))[:n]
-    return np.diff(positions, prepend=-1).astype(np.int64) - 1
+        block = min(LOOP_BLOCK, max(64, int(need / p * 1.1) + 16))
+        hits = np.flatnonzero(src.uniforms(block) < p)[:need] + drawn
+        positions.append(hits)
+        successes += hits.size
+        drawn += block
+    return np.diff(np.concatenate(positions), prepend=-1).astype(np.int64) - 1
 
 
 def sample_array(

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from sortlab.algorithms import (
     OpCounters,
     _exchange_sort_list,
+    _narrow_dtype,
     _textbook_sort_list,
     count_inversions,
     count_inversions_batch,
@@ -24,10 +25,11 @@ from sortlab.algorithms import (
 # Small nonnegative ints force ties, the regime that separates the two sorts.
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
 
-# (trials, n) batches of the same tied values, one trial per row.
+# (trials, n) batches of the same tied values, one trial per row.  n up to 70
+# takes the exchange kernel's log-depth scan across several powers of two.
 tied_batches = arrays(
     np.int64,
-    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=40)),
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=70)),
     elements=st.integers(min_value=0, max_value=6),
 )
 
@@ -245,6 +247,54 @@ class TestBatchKernels:
     def test_per_array_functions_reject_2d(self, counter):
         with pytest.raises(ValueError):
             counter(np.zeros((2, 3)))
+
+
+def assert_exchange_matches_literal_loop(batch: np.ndarray) -> None:
+    out, counts = exchange_sort_batch(batch)
+    literal = [_exchange_sort_list(row) for row in batch.tolist()]
+    assert counts.tolist() == [swaps for _, swaps in literal]
+    assert out.tolist() == [row for row, _ in literal]
+    assert out.dtype == batch.dtype
+
+
+class TestExchangeKernelScanAndNarrowing:
+    """The running-minimum scan and the dtype the exchange kernel runs on."""
+
+    @pytest.mark.parametrize(
+        "n", sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)})
+    )
+    def test_scan_boundaries_match_literal_loop(self, n):
+        # A suffix of length m takes ceil(log2 m) scan steps; m = 2**k +- 1
+        # are the lengths where the step count changes.
+        rng = np.random.default_rng(n)
+        for trials in range(1, 6):
+            assert_exchange_matches_literal_loop(rng.integers(0, 7, size=(trials, n)))
+
+    @pytest.mark.parametrize(
+        "rows,dtype,narrow",
+        [
+            ([list(range(255, -1, -1)), list(range(0, 256, 2)) * 2], np.int64, np.uint8),
+            ([list(range(256, -1, -1)), list(range(0, 257))], np.int64, np.uint16),
+            ([list(range(255, -1, -1))], np.uint8, np.uint8),
+            ([[-3, -1, -128, -1, -7], [-1, -2, -3, -128, -128]], np.int64, np.int8),
+            # A nonnegative max reads as unsigned, so a sign takes int16.
+            ([[3, -1, 0, 127, -1, 5], [7, 6, 5, -1, -1, 0]], np.int64, np.int16),
+            ([[3, -128, 0, 255, -1, 5], [-128, 6, -128, 1, 0, 0]], np.int32, np.int16),
+            ([[3, -129, 0, 127, -1, 5], [-129, 6, -128, 255, 0, 0]], np.int64, np.int16),
+            # As float64 (what -1 and 2**63 - 1 promote to), 2**63 - 1 and
+            # 2**63 - 2 would merge and the row give 3 swaps instead of 5.
+            ([[-1, 2**63 - 1, 5, 2**63 - 2, 0]], np.int64, np.int64),
+            # int64 would hold these too, but it is wider than the input.
+            ([[-1, 2**31 - 1, 5, 2**31 - 2, 0]], np.int32, np.int32),
+            ([[2**64 - 1, 2**63, 3, 2**63 + 1, 0], [2**63, 1, 2**63, 0, 7]], np.uint64, np.uint64),
+            ([[2**63 - 1, 4, 2**62, 0, 9]], np.int64, np.uint64),
+            ([[0.5, -1.25, 3.0, -1.25, 0.0]], np.float64, np.float64),
+        ],
+    )
+    def test_narrowing_is_exact(self, rows, dtype, narrow):
+        batch = np.array(rows, dtype=dtype)
+        assert _narrow_dtype(batch) == narrow
+        assert_exchange_matches_literal_loop(batch)
 
 
 class TestSwapInversionIdentity:

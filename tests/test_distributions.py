@@ -1,6 +1,7 @@
 """Seeded random source, substream mixing, and geometric samplers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortlab.distributions import (
+    LOOP_BLOCK,
     ContinuousUniform,
     Geometric,
     GeometricParam,
@@ -157,6 +159,48 @@ class TestSamplerAgreement:
         src = RandomSource(seed)
         scalar = [sample_geometric_inverse(src, param) for _ in range(30)]
         assert bulk.tolist() == scalar
+
+    @pytest.mark.parametrize(
+        "p,n,seed,want",
+        [
+            (0.5, 12, 1, [2, 1, 0, 1, 1, 2, 1, 0, 0, 0, 0, 0]),
+            (0.01, 10, 2, [86, 10, 43, 346, 63, 276, 82, 260, 13, 18]),
+            (1e-3, 8, 3, [1432, 203, 614, 1044, 256, 798, 382, 665]),
+            # need/p exceeds LOOP_BLOCK here, so the draws span many capped blocks.
+            (1e-5, 20, 4, [43458, 52708, 10959, 150042, 24996, 201391, 10203, 89813,
+                           69868, 358, 93536, 173439, 121422, 166694, 8381, 47513,
+                           11535, 3374, 37705, 18228]),
+        ],
+    )
+    def test_bulk_loop_pinned_values(self, p, n, seed, want):
+        # uniforms(a) then uniforms(b) reads the same stream as uniforms(a + b),
+        # so the block size must not change any value.
+        assert _geometric_array_loop(RandomSource(seed), p, n).tolist() == want
+
+    def test_bulk_loop_memory_is_bounded(self):
+        # One block of need/p * 1.1 uniforms would hold over 500 MB here.
+        tracemalloc.start()
+        try:
+            draws = _geometric_array_loop(RandomSource(7), 1e-6, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.shape == (20,) and int(draws.min()) >= 0
+        assert peak < 5 * 8 * LOOP_BLOCK
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
+    def test_bulk_inverse_rejects_p_that_overflows_int64(self, p):
+        src = RandomSource(1)
+        with pytest.raises(ValueError, match="too small"):
+            _geometric_array_inverse(src, p, 5)
+        with pytest.raises(ValueError, match="too small"):
+            sample_array(src, geometric(p), 5)
+
+    def test_bulk_inverse_samples_tiny_p_within_int64(self):
+        draws = _geometric_array_inverse(RandomSource(1), 1e-12, 1000)
+        assert draws.dtype == np.int64
+        assert int(draws.min()) >= 0
+        assert 1e11 < float(draws.mean()) < 1e13
 
     def test_p_one_always_zero(self):
         assert _geometric_array_loop(RandomSource(1), 1.0, 5).tolist() == [0] * 5

@@ -255,6 +255,22 @@ class TestCliSimulate:
         assert rc == 2
         assert "p must be in (0,1]" in capsys.readouterr().err
 
+    def test_p_too_small_for_int64_exits_1_without_csv(self, tmp_path, capsys):
+        out = tmp_path / "tiny.csv"
+        rc = main(["simulate", "--n", "20", "--trials", "3", "--p", "1e-300",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "error: p=1e-300 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_tiny_p_within_int64_still_samples(self, tmp_path):
+        out = tmp_path / "tiny.csv"
+        rc = main(["simulate", "--n", "20", "--trials", "3", "--p", "1e-12",
+                   "--seed", "1", "--out", str(out), "--no-timestamp"])
+        assert rc == 0
+        summaries, _ = read_summaries_csv(out)
+        assert summaries[0].p == 1e-12 and summaries[0].mean_c > 0
+
     def test_p_above_one_exits_2(self, capsys):
         rc = main(["simulate", "--p", "1.1", "--seed", "1"])
         assert rc == 2
