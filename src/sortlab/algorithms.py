@@ -11,14 +11,14 @@ Two selection-sort variants are provided, with exact operation tallies:
 
 Each counter has one ndarray kernel that runs a whole (trials, n) batch,
 one trial per row, in a single sweep: :func:`exchange_sort_batch`,
-:func:`textbook_sort_batch` and :func:`count_inversions_batch`.  Each
-exchange pass takes the running minimum of the unsorted suffix by a
-log-depth (Hillis-Steele) scan of whole-array ``np.minimum`` calls that
-alternate between two scratch buffers, on the smallest integer dtype that
-holds the batch exactly (uint8 for geometric draws).  The per-array
-functions send a 1-d ndarray through the kernel as a one-row batch.  List
-input to the two sorts runs their literal loops, which the tests use as
-the reference; :func:`count_inversions` converts any input to an ndarray.
+:func:`textbook_sort_batch` and :func:`count_inversions_batch`.  The
+exchange kernel does not simulate the passes: it counts the interchanges
+from the identity proved in its docstring (swaps are the inversions whose
+left element is the first occurrence of its value), by one stable sort
+and one bitset sweep per row.  The per-array functions send a 1-d ndarray
+through the kernel as a one-row batch.  List input to the two sorts runs
+their literal loops, which the tests use as the reference;
+:func:`count_inversions` converts any input to an ndarray.
 
 Neither variant is stable.  All operations are pure: the input sequence
 is never mutated, and calls are safe from concurrent workers.
@@ -85,7 +85,7 @@ def _one_trial(kernel, arr: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _narrow_dtype(batch: np.ndarray) -> np.dtype:
     # The smallest integer type numpy picks for the batch min and max: uint8
-    # for geometric draws, so each SIMD min/max covers 8x the int64 lanes.
+    # for geometric draws, whose stable argsort numpy runs as a radix sort.
     # Kept only when it is an integer type no wider than the input, so the
     # cast is exact (negatives mixed with values >= 2**63 promote to float64).
     if batch.dtype.kind not in "iu" or batch.size == 0:
@@ -96,40 +96,74 @@ def _narrow_dtype(batch: np.ndarray) -> np.dtype:
     return batch.dtype
 
 
+_ALL_BITS = ~np.uint64(0)
+
+
 def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run the swap-eager double loop on every row of a (trials, n) batch.
+    """Sort every row of a (trials, n) batch, counting the interchanges of
+    the swap-eager double loop (``for i < j: if a[i] > a[j]: swap``).
 
     Returns the sorted rows and each row's interchange count (int64), in
-    row order; the input is left untouched.
+    row order; the input is left untouched.  The literal loop,
+    :func:`_exchange_sort_list`, is the test oracle.
+
+    The count comes from an identity rather than from running the loop:
+    the loop swaps exactly once for each pair i < j with a[i] > a[j] in
+    which a[i] is the first occurrence of its value in the input, that is
+
+        swaps = sum over k of #{distinct values in a[:k] greater than a[k]}.
+
+    Proof sketch.  Pass i leaves a[i] holding the running minimum of the
+    suffix a[i:]; it swaps where that minimum strictly drops, rotating the
+    values at those record positions by one.  For a threshold t let
+    B_t = [a < t].  The records with value < t are the last ones, from the
+    first 1 of B_t in the suffix on, so in B_t the pass only moves that
+    first 1 to position i.  Each B_t thus evolves on its own: at pass i its
+    first 1 in the suffix is at q_t, the (i+1)-th position of the input
+    with a < t.  The records of pass i are the distinct q_t (t = +inf gives
+    position i), and q_t does not increase with t, so pass i swaps once for
+    each distinct value w where q_w exists and differs from q_t at the next
+    larger threshold t (the next distinct value, or +inf).  It differs
+    exactly when f_w, the first position of value w, is among the first
+    i+1 positions with a <= w, i.e. for #{k < f_w : a[k] < w} <= i <
+    #{k : a[k] < w}.  Summed over the passes, value w gives
+    #{k > f_w : a[k] < w} swaps.
+
+    Each row is ranked densely by a sort on :func:`_narrow_dtype` keys;
+    then, 64 ranks per machine word, an or-scan along the row gives the
+    set of ranks seen up to position k, and a popcount of its part above
+    the rank of a[k] gives the k-th term.  Cost per row: one sort plus O(n * ceil(D/64))
+    word operations, where D is the row's number of distinct values.
     """
     _check_batch(batch)
     trials, n = batch.shape
-    # (n, trials) layout: every step of a pass is one whole-array ufunc call
-    # over the suffix rows i.., with the trials contiguous.
-    a = np.array(batch.T, dtype=_narrow_dtype(batch), order="C")
-    # The scan alternates between two buffers (by step parity): a step written
-    # in place would make numpy copy its overlapping input to a temporary first.
-    scratch = np.empty((2,) + a.shape, dtype=a.dtype)
     swaps = np.zeros(trials, dtype=np.int64)
-    for i in range(n - 1):
-        # Pass i swaps exactly where the running minimum of a[i:] strictly
-        # drops, and the swapped slot receives the previous running minimum;
-        # slots that do not swap already hold at least that value.
-        s = a[i:]
-        m = n - i
-        # Running minimum r by a Hillis-Steele scan: after the step with
-        # shift k, r[j] = min(s[max(0, j - 2k + 1) .. j]), so ceil(log2 m)
-        # contiguous np.minimum calls replace one strided scalar loop per column.
-        r, k = s, 1
-        while k < m:
-            out = scratch[k.bit_length() % 2, :m]
-            np.minimum(r[k:], r[:-k], out=out[k:])
-            out[:k] = r[:k]
-            r, k = out, 2 * k
-        swaps += (r[1:] != r[:-1]).sum(axis=0, dtype=np.int32)  # < n per pass
-        np.maximum(s[1:], r[:-1], out=s[1:])
-        s[0] = r[-1]
-    return a.T.astype(batch.dtype, copy=False), swaps
+    if n < 2 or trials == 0:
+        return batch.copy(), swaps
+    keys = batch.astype(_narrow_dtype(batch), copy=False)
+    # Any order of ties gives the same ranks; "stable" is a radix sort on
+    # 8- and 16-bit keys.
+    flat = np.argsort(keys, axis=1, kind="stable")
+    # Flat indices of each row's sorted order (faster than take_along_axis
+    # and put_along_axis, which build a broadcast index per call).
+    flat += np.arange(0, trials * n, n)[:, np.newaxis]
+    keys = keys.ravel()[flat]
+    sorted_ranks = np.zeros((trials, n), dtype=np.int32)
+    np.cumsum(keys[:, 1:] != keys[:, :-1], axis=1, out=sorted_ranks[:, 1:])
+    ranks = np.empty((trials, n), dtype=np.int32)
+    ranks.ravel()[flat] = sorted_ranks
+    del flat, sorted_ranks  # freed before the loop, which holds the peak memory
+    for base in range(0, int(ranks.max()) + 1, 64):
+        # Bit b of a word stands for rank base + b; shifts of 64 give 0.
+        # ge[k] holds the ranks >= ranks[k], gt[k] those > ranks[k].
+        r = ranks - base
+        ge = np.left_shift(_ALL_BITS, np.clip(r, 0, 64).astype(np.uint64))
+        gt = np.clip(r + 1, 0, 64, out=r).astype(np.uint64)
+        np.left_shift(_ALL_BITS, gt, out=gt)
+        # seen[k] holds the ranks of a[:k+1]; that of a[k] is not in gt[k].
+        seen = np.bitwise_or.accumulate(np.bitwise_xor(ge, gt, out=ge), axis=1, out=ge)
+        swaps += np.bitwise_count(np.bitwise_and(seen, gt, out=seen)).sum(axis=1, dtype=np.int64)
+    return keys.astype(batch.dtype, copy=False), swaps
 
 
 def exchange_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:

@@ -194,6 +194,10 @@ def sample_geometric_inverse(src: RandomSource, param: GeometricParam) -> int:
 #: memory (a few tens of MB) however small p is.
 LOOP_BLOCK = 1 << 20
 
+#: Most uniforms the loop sampler expects to draw for one array (n/p):
+#: about 3 s at ~3.5e8 uniforms/s.  Past it the loop sampler refuses.
+LOOP_MAX_UNIFORMS = 1 << 30
+
 
 def _geometric_array_inverse(src: RandomSource, p: float, n: int) -> np.ndarray:
     if p >= 1.0:
@@ -214,8 +218,15 @@ def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
     appear, keeping only the success positions; the gaps between
     consecutive successes are exactly the values the scalar loop would
     produce from the same stream.  May consume uniforms past the n-th
-    success (the surplus is discarded).
+    success (the surplus is discarded).  Refuses, before drawing, when the
+    expected number of uniforms n/p exceeds :data:`LOOP_MAX_UNIFORMS`.
     """
+    if n / p > LOOP_MAX_UNIFORMS:
+        raise ValueError(
+            f"p={p!r} is too small for the loop sampler at n={n}: it would draw about "
+            f"{n / p:.3g} uniforms (limit {LOOP_MAX_UNIFORMS}); use the inverse sampler "
+            "(--sampler inverse)"
+        )
     positions = []
     successes = drawn = 0
     while successes < n:

@@ -26,7 +26,7 @@ from sortlab.algorithms import (
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
 
 # (trials, n) batches of the same tied values, one trial per row.  n up to 70
-# takes the exchange kernel's log-depth scan across several powers of two.
+# keeps the literal loops quick.
 tied_batches = arrays(
     np.int64,
     st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=70)),
@@ -255,17 +255,23 @@ def assert_exchange_matches_literal_loop(batch: np.ndarray) -> None:
     assert counts.tolist() == [swaps for _, swaps in literal]
     assert out.tolist() == [row for row, _ in literal]
     assert out.dtype == batch.dtype
+    assert out.shape == batch.shape and counts.shape == (batch.shape[0],)
+
+
+def row_with_distinct_values(rng, n: int, distinct: int) -> np.ndarray:
+    """n values holding exactly `distinct` different ones, in random order."""
+    values = rng.permutation(distinct) * 3 - 50
+    return rng.permutation(np.concatenate([values, rng.choice(values, n - distinct)]))
 
 
 class TestExchangeKernelScanAndNarrowing:
-    """The running-minimum scan and the dtype the exchange kernel runs on."""
+    """Row lengths, rank-word boundaries and the dtype the exchange kernel sorts on."""
 
     @pytest.mark.parametrize(
         "n", sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)})
     )
     def test_scan_boundaries_match_literal_loop(self, n):
-        # A suffix of length m takes ceil(log2 m) scan steps; m = 2**k +- 1
-        # are the lengths where the step count changes.
+        # Row lengths around each power of two up to 129, with 1-5 tied rows.
         rng = np.random.default_rng(n)
         for trials in range(1, 6):
             assert_exchange_matches_literal_loop(rng.integers(0, 7, size=(trials, n)))
@@ -296,6 +302,27 @@ class TestExchangeKernelScanAndNarrowing:
         assert _narrow_dtype(batch) == narrow
         assert_exchange_matches_literal_loop(batch)
 
+    @pytest.mark.parametrize("length", range(8))
+    def test_every_row_over_three_values(self, length):
+        batch = np.array(list(itertools.product(range(3), repeat=length)), dtype=np.int64)
+        assert_exchange_matches_literal_loop(batch)
+
+    def test_rank_word_boundaries(self):
+        # Ranks are packed 64 to a word: these rows need 1, 2 or 3 words, and
+        # the single-valued row none beyond the first, in one batch.
+        rng = np.random.default_rng(64)
+        counts = (63, 64, 65, 127, 128, 129)
+        batch = np.array([row_with_distinct_values(rng, 200, d) for d in counts] + [[7] * 200])
+        assert [len(set(row)) for row in batch.tolist()] == [*counts, 1]
+        assert_exchange_matches_literal_loop(batch)
+        assert_exchange_matches_literal_loop(batch[::-1].copy())
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (3, 1), (1, 1)])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    def test_degenerate_shapes(self, shape, dtype):
+        batch = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+        assert_exchange_matches_literal_loop(batch)
+
 
 class TestSwapInversionIdentity:
     """Exchange swaps never exceed inversions; they are equal on distinct inputs.
@@ -313,7 +340,7 @@ class TestSwapInversionIdentity:
         assert swaps.tolist() == [brute_force_inversions(p) for p in perms.tolist()]
 
     def test_equal_on_long_reversed_rows(self):
-        # Pass 0 alone swaps n - 1 times, more than a narrow per-pass tally holds.
+        # 300 distinct values take five 64-rank words per row.
         n = 300
         batch = np.array([np.arange(n)[::-1], np.arange(n)[::-1] * 7 - 1000])
         for kernel in (exchange_sort_batch, count_inversions_batch):
@@ -332,6 +359,21 @@ class TestSwapInversionIdentity:
         inversions = brute_force_inversions(items)
         assert repaired == inversions
         assert swaps == exchange_selection_sort(items)[1].interchanges <= inversions
+
+    @given(st.lists(st.integers(min_value=-3, max_value=4) | st.sampled_from([0.5, -2.5]), max_size=40))
+    def test_swaps_are_first_occurrence_inversions(self, items):
+        # swaps = sum over k of #{distinct values in a[:k] greater than a[k]}:
+        # each distinct value in a[:k] has one first occurrence before k.
+        distinct_greater = sum(len({v for v in items[:k] if v > x}) for k, x in enumerate(items))
+        first_occurrence_pairs = sum(
+            1
+            for i, x in enumerate(items)
+            if x not in items[:i]
+            for y in items[i + 1 :]
+            if x > y
+        )
+        assert distinct_greater == first_occurrence_pairs == _exchange_sort_list(items)[1]
+        assert exchange_sort_batch(np.array([items], dtype=float))[1].tolist() == [distinct_greater]
 
     def test_fewer_swaps_than_inversions_on_tied_arrays(self):
         rng = np.random.default_rng(99)

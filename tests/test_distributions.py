@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from sortlab.distributions import (
     LOOP_BLOCK,
+    LOOP_MAX_UNIFORMS,
     ContinuousUniform,
     Geometric,
     GeometricParam,
@@ -187,6 +188,15 @@ class TestSamplerAgreement:
             tracemalloc.stop()
         assert draws.shape == (20,) and int(draws.min()) >= 0
         assert peak < 5 * 8 * LOOP_BLOCK
+
+    @pytest.mark.parametrize("p,n", [(1e-9, 5), (1e-300, 1), (20 / LOOP_MAX_UNIFORMS / 1.001, 20)])
+    def test_bulk_loop_refuses_work_past_limit_before_drawing(self, p, n):
+        src = RandomSource(3)
+        with pytest.raises(ValueError, match="too small for the loop sampler.*--sampler inverse"):
+            _geometric_array_loop(src, p, n)
+        with pytest.raises(ValueError, match="too small for the loop sampler"):
+            sample_array(src, geometric(p), n, method="loop")
+        assert src.uniform() == RandomSource(3).uniform()
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
     def test_bulk_inverse_rejects_p_that_overflows_int64(self, p):

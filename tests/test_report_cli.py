@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -261,6 +262,17 @@ class TestCliSimulate:
                    "--seed", "1", "--out", str(out)])
         assert rc == 1
         assert "error: p=1e-300 is too small" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loop_sampler_refuses_tiny_p_quickly_without_csv(self, tmp_path, capsys):
+        # Unbounded, the loop sampler would draw about 5e9 uniforms here (over 10 s).
+        out = tmp_path / "loop.csv"
+        start = time.monotonic()
+        rc = main(["simulate", "--n", "5", "--trials", "1", "--p", "1e-9", "--sampler", "loop",
+                   "--seed", "1", "--out", str(out)])
+        assert time.monotonic() - start < 5.0
+        assert rc == 1
+        assert "use the inverse sampler (--sampler inverse)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_tiny_p_within_int64_still_samples(self, tmp_path):
