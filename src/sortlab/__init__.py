@@ -27,7 +27,7 @@ from .distributions import (
     sample_array,
 )
 from .model_select import EmpiricalOVerdict, SelectionPolicy, render_verdict, select_degree
-from .montecarlo import ExperimentConfig, RunningMoments, TrialSummary, run_cell, run_experiment
+from .montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
 from .polyfit import (
     DataPoint,
     PolyModel,
@@ -52,7 +52,6 @@ __all__ = [
     "RandomSource",
     "RankDeficientError",
     "RegressionReport",
-    "RunningMoments",
     "SelectionPolicy",
     "TheoryPrediction",
     "TrialSummary",

@@ -16,9 +16,11 @@ exchange kernel does not simulate the passes: it counts the interchanges
 from the identity proved in its docstring (swaps are the inversions whose
 left element is the first occurrence of its value), by one stable sort
 and one bitset sweep per row.  The per-array functions send a 1-d ndarray
-through the kernel as a one-row batch.  List input to the two sorts runs
-their literal loops, which the tests use as the reference;
-:func:`count_inversions` converts any input to an ndarray.
+through the kernel as a one-row batch.  Any other input is converted by
+``np.asarray`` first (to an object array where numpy would change a
+value), and a list comes back as a list, so every counter has one code
+path.  The literal loops live in the tests, as the oracles the kernels
+must match count for count.
 
 Neither variant is stable.  All operations are pure: the input sequence
 is never mutated, and calls are safe from concurrent workers.
@@ -58,29 +60,29 @@ class OpCounters:
             )
 
 
-def _exchange_sort_list(seq) -> tuple[list, int]:
-    # Literal double loop: i < j, swap on strict a[i] > a[j].
-    a = list(seq)
-    n = len(a)
-    swaps = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if a[i] > a[j]:
-                a[i], a[j] = a[j], a[i]
-                swaps += 1
-    return a, swaps
-
-
 def _check_batch(batch: np.ndarray) -> None:
     if batch.ndim != 2:
         raise ValueError(f"expected a 2-d (trials, n) batch, got shape {batch.shape}")
 
 
-def _one_trial(kernel, arr: np.ndarray) -> tuple[np.ndarray, int]:
+def _one_trial(kernel, seq: Sequence | np.ndarray) -> tuple[np.ndarray, int]:
+    arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {arr.shape}")
+    # numpy rounds a mix of ints past int64 to float64, and turns numbers
+    # next to a string into strings; such input is compared as objects.
+    if not isinstance(seq, np.ndarray) and arr.tolist() != list(seq):
+        arr = np.array(seq, dtype=object)
     out, counts = kernel(arr[np.newaxis])
     return out[0], int(counts[0])
+
+
+def _sort_one(kernel, seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
+    # An ndarray comes back as an ndarray, anything else as a list.
+    out, swaps = _one_trial(kernel, seq)
+    n = len(out)
+    counters = OpCounters(comparisons=n * (n - 1) // 2, interchanges=swaps)
+    return (out if isinstance(seq, np.ndarray) else out.tolist()), counters
 
 
 def _narrow_dtype(batch: np.ndarray) -> np.dtype:
@@ -104,8 +106,8 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the swap-eager double loop (``for i < j: if a[i] > a[j]: swap``).
 
     Returns the sorted rows and each row's interchange count (int64), in
-    row order; the input is left untouched.  The literal loop,
-    :func:`_exchange_sort_list`, is the test oracle.
+    row order; the input is left untouched.  The literal loop is the test
+    oracle.
 
     The count comes from an identity rather than from running the loop:
     the loop swaps exactly once for each pair i < j with a[i] > a[j] in
@@ -173,27 +175,7 @@ def exchange_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarr
     n(n-1)/2; ties are never swapped (strict > test).  ndarray input
     comes back as an ndarray, anything else as a list.
     """
-    if isinstance(seq, np.ndarray):
-        out, swaps = _one_trial(exchange_sort_batch, seq)
-    else:
-        out, swaps = _exchange_sort_list(seq)
-    n = len(out)
-    return out, OpCounters(comparisons=n * (n - 1) // 2, interchanges=swaps)
-
-
-def _textbook_sort_list(seq) -> tuple[list, int]:
-    a = list(seq)
-    n = len(a)
-    swaps = 0
-    for i in range(n - 1):
-        m = i
-        for j in range(i + 1, n):
-            if a[j] < a[m]:
-                m = j
-        if m != i:
-            a[i], a[m] = a[m], a[i]
-            swaps += 1
-    return a, swaps
+    return _sort_one(exchange_sort_batch, seq)
 
 
 def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,15 +201,12 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
     """Sort by minimum-of-suffix selection, one swap per pass at most.
 
-    Comparisons are always n(n-1)/2; the swap is skipped when the
-    minimum is already in place, so interchanges <= n-1.
+    Returns a sorted copy plus counters.  Comparisons are always
+    n(n-1)/2; the swap is skipped when the minimum is already in place,
+    so interchanges <= n-1.  ndarray input comes back as an ndarray,
+    anything else as a list.
     """
-    if isinstance(seq, np.ndarray):
-        out, swaps = _one_trial(textbook_sort_batch, seq)
-    else:
-        out, swaps = _textbook_sort_list(seq)
-    n = len(out)
-    return out, OpCounters(comparisons=n * (n - 1) // 2, interchanges=swaps)
+    return _sort_one(textbook_sort_batch, seq)
 
 
 def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +220,7 @@ def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_batch(batch)
     trials, n = batch.shape
     counts = np.zeros(trials, dtype=np.int64)
-    if n < 2:
+    if n < 2 or trials == 0:
         return batch.copy(), counts
     size = 1 << (n - 1).bit_length()
     # Trailing copies of the batch maximum add no inversions (ties count 0).
@@ -268,4 +247,4 @@ def count_inversions(seq: Sequence | np.ndarray) -> int:
     :func:`count_inversions_batch` as a one-row batch.  The input is left
     untouched.
     """
-    return _one_trial(count_inversions_batch, np.asarray(seq))[1]
+    return _one_trial(count_inversions_batch, seq)[1]

@@ -27,13 +27,9 @@ __all__ = [
     "InputModel",
     "RandomSource",
     "geometric",
-    "geometric_from_uniform",
     "geometric_pmf",
     "mix64",
     "sample_array",
-    "sample_geometric_inverse",
-    "sample_geometric_loop",
-    "sample_uniform",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -70,7 +66,7 @@ class RandomSource:
     stream: one raw output per deviate.
 
     Single-stream, stateful, not meant to be shared across concurrent
-    workers; derive one source per worker via :meth:`substream`.
+    workers; give each worker its own source, seeded by :func:`mix64`.
     """
 
     algorithm_id = ALGORITHM_ID
@@ -99,10 +95,6 @@ class RandomSource:
             return np.empty(0, dtype=np.float64)
         raw = self._bitgen.random_raw(k)
         return (raw >> np.uint64(11)) * 2.0**-53
-
-    def substream(self, index: int) -> "RandomSource":
-        """Independent source number `index` derived from this seed."""
-        return RandomSource(mix64(self.master_seed, index))
 
 
 @dataclass(frozen=True)
@@ -154,40 +146,6 @@ def geometric_pmf(param: GeometricParam, r: int) -> float:
     if r < 0 or r != int(r):
         raise ValueError(f"r must be a nonnegative integer, got {r!r}")
     return param.p * (1.0 - param.p) ** int(r)
-
-
-def sample_uniform(src: RandomSource) -> float:
-    """One uniform deviate in [0, 1), advancing the source."""
-    return src.uniform()
-
-
-def sample_geometric_loop(src: RandomSource, param: GeometricParam) -> int:
-    """One geometric(p) variate by counting failures until a success.
-
-    Consumes one uniform per Bernoulli trial (u < p is a success), so it
-    terminates almost surely for any p > 0.  This is the reference
-    sampler; :func:`sample_geometric_inverse` is the O(1) equivalent.
-    """
-    r = 0
-    while src.uniform() >= param.p:
-        r += 1
-    return r
-
-
-def geometric_from_uniform(u: float, p: float) -> int:
-    """Inverse-CDF map of one uniform deviate to a geometric variate.
-
-    floor(log(1-u) / log(1-p)); u < p lands in the first cell (r = 0)
-    and p = 1 is guarded to 0.
-    """
-    if p >= 1.0:
-        return 0
-    return int(math.log1p(-u) / math.log1p(-p))
-
-
-def sample_geometric_inverse(src: RandomSource, param: GeometricParam) -> int:
-    """One geometric(p) variate via the inverse CDF; one uniform per draw."""
-    return geometric_from_uniform(src.uniform(), param.p)
 
 
 #: Most uniforms the loop sampler draws in one block, which bounds its

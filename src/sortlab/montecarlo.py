@@ -5,7 +5,10 @@ geometric array and counting operations with the configured counter,
 then reduces the counts to mean, standard deviation (population
 convention, dividing by the trial count), and coefficient of variation.
 The trials of a cell are stacked into (trials, n) batches and counted by
-one batched kernel call per batch.
+one batched kernel call per batch.  The moments come from the exact
+integer sums of the counts and of their squares: the mean and the
+variance are each rounded once from those sums, and the sd is the
+correctly rounded square root of that variance.
 
 Determinism contract: cell seeds derive from the master seed and the
 p-grid index, trial seeds from the cell seed and the trial index, and
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +31,6 @@ from .distributions import RandomSource, geometric, mix64, sample_array
 __all__ = [
     "COUNTER_MODES",
     "ExperimentConfig",
-    "RunningMoments",
     "TrialSummary",
     "run_cell",
     "run_experiment",
@@ -99,43 +102,13 @@ class TrialSummary:
             raise ValueError(f"sd_c must be >= 0, got {self.sd_c}")
 
 
-class RunningMoments:
-    """Streaming mean and second central moment (Welford's update).
-
-    Single-pass and shift-free, so the sd does not suffer the
-    sum-of-squares minus squared-mean cancellation at large counts.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        delta = value - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (value - self._mean)
-
-    @property
-    def mean(self) -> float:
-        if self.count == 0:
-            raise ValueError("no values added")
-        return self._mean
-
-    @property
-    def population_sd(self) -> float:
-        if self.count == 0:
-            raise ValueError("no values added")
-        return math.sqrt(max(self._m2, 0.0) / self.count)
-
-
 def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary:
     """Run all trials of one grid cell and reduce them in trial order."""
     model = geometric(p)
     kernel = _KERNELS[config.counter_mode]
     per_block = max(1, BLOCK_VALUES // config.n)
-    moments = RunningMoments()
+    # Python ints: a count squared passes int64 once counts pass ~3.04e9.
+    total = squares = 0
 
     def trial_array(trial_index: int):
         src = RandomSource(mix64(cell_seed, trial_index))
@@ -145,13 +118,15 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
         stop = min(start + per_block, config.trials)
         counts = kernel(np.stack([trial_array(t) for t in range(start, stop)]))[1]
         for count in counts.tolist():
-            moments.add(float(count))
-    mean_c = moments.mean
-    sd_c = moments.population_sd
+            total += count
+            squares += count * count
+    trials = config.trials
+    mean_c = total / trials  # int / int is correctly rounded
+    sd_c = math.sqrt(Fraction(trials * squares - total * total, trials * trials))
     return TrialSummary(
         p=p,
         n=config.n,
-        trials=config.trials,
+        trials=trials,
         mean_c=mean_c,
         sd_c=sd_c,
         cv_c=sd_c / mean_c if mean_c > 0.0 else None,

@@ -9,14 +9,18 @@ closed form is p/(2-p), giving interchange probability (1-p)/(2-p).
 The expected count n(n-1)/2 * P[a(i) > a(j)] is, by linearity, the
 exact expectation of the inversion count of the unsorted array
 (:func:`sortlab.algorithms.count_inversions`).  It is *not* the
-expectation of the exchange-sort swap count, which depends on the joint
-order structure; reports keep the two quantities side by side.
+expectation of the exchange-sort swap count: the swap-eager loop swaps
+only for the inversions (i, j) in which a(i) is the first occurrence of
+its value, that is sum over k of #{distinct values in a[:k] greater than
+a(k)} (the identity proved in
+:func:`sortlab.algorithms.exchange_sort_batch`).  The two agree on
+distinct input and differ by the tie repairs otherwise; reports keep
+them side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .distributions import ContinuousUniform, Geometric, InputModel
 
@@ -26,10 +30,7 @@ __all__ = [
     "interchange_probability",
     "predict",
     "tie_probability",
-    "tie_probability_series",
 ]
-
-_MAX_SERIES_TERMS = 10**6
 
 
 def tie_probability(model: InputModel) -> float:
@@ -40,31 +41,6 @@ def tie_probability(model: InputModel) -> float:
         # closed form of sum_r p^2 (1-p)^(2r) = p^2 / (1 - (1-p)^2)
         return model.p / (2.0 - model.p)
     raise TypeError(f"unknown input model: {model!r}")
-
-
-def tie_probability_series(pmf: Callable[[int], float], tol: float) -> float:
-    """P[a(i) = a(j)] = sum_r pmf(r)^2, truncated to accuracy `tol`.
-
-    The remainder after r = R is at most (1 - sum_{r<=R} pmf(r))^2, so
-    summation stops once that bound drops below `tol` (for the geometric
-    pmf the bound is the exact (1-p)^(2R+2) tail envelope).  Raises if
-    one million terms do not reach it, which signals a pmf whose mass
-    does not concentrate.
-    """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    total_mass = 0.0
-    total_sq = 0.0
-    for r in range(_MAX_SERIES_TERMS):
-        f = pmf(r)
-        total_mass += f
-        total_sq += f * f
-        remainder = max(0.0, 1.0 - total_mass)
-        if remainder * remainder < tol:
-            return total_sq
-    raise RuntimeError(
-        f"tie-probability series did not converge to tol={tol} within {_MAX_SERIES_TERMS} terms"
-    )
 
 
 def interchange_probability(model: InputModel) -> float:

@@ -1,0 +1,82 @@
+"""Literal reference implementations the fast code is tested against.
+
+Each function here is the plain, obviously-correct form of something the
+package computes in bulk: the two selection sorts as their double loops,
+the inversion count by brute force over all pairs, and the geometric
+samplers one variate at a time.  The batched kernels and the bulk
+samplers must agree with them exactly, count for count and draw for draw.
+"""
+
+from __future__ import annotations
+
+import math
+
+from sortlab.distributions import GeometricParam, RandomSource
+
+
+def exchange_sort_list(seq) -> tuple[list, int]:
+    """Swap-eager double loop: for i < j, swap on strict a[i] > a[j]."""
+    a = list(seq)
+    n = len(a)
+    swaps = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            if a[i] > a[j]:
+                a[i], a[j] = a[j], a[i]
+                swaps += 1
+    return a, swaps
+
+
+def textbook_sort_list(seq) -> tuple[list, int]:
+    """Minimum-of-suffix selection: one swap per pass, skipped when in place."""
+    a = list(seq)
+    n = len(a)
+    swaps = 0
+    for i in range(n - 1):
+        m = i
+        for j in range(i + 1, n):
+            if a[j] < a[m]:
+                m = j
+        if m != i:
+            a[i], a[m] = a[m], a[i]
+            swaps += 1
+    return a, swaps
+
+
+def brute_force_inversions(seq) -> int:
+    """Number of pairs i < j with a[i] > a[j], by checking every pair."""
+    items = list(seq)
+    return sum(
+        1
+        for i in range(len(items))
+        for j in range(i + 1, len(items))
+        if items[i] > items[j]
+    )
+
+
+def sample_geometric_loop(src: RandomSource, param: GeometricParam) -> int:
+    """One geometric(p) variate by counting failures until a success.
+
+    Consumes one uniform per Bernoulli trial (u < p is a success), so it
+    terminates almost surely for any p > 0.
+    """
+    r = 0
+    while src.uniform() >= param.p:
+        r += 1
+    return r
+
+
+def geometric_from_uniform(u: float, p: float) -> int:
+    """Inverse-CDF map of one uniform deviate to a geometric variate.
+
+    floor(log(1-u) / log(1-p)); u < p lands in the first cell (r = 0)
+    and p = 1 is guarded to 0.
+    """
+    if p >= 1.0:
+        return 0
+    return int(math.log1p(-u) / math.log1p(-p))
+
+
+def sample_geometric_inverse(src: RandomSource, param: GeometricParam) -> int:
+    """One geometric(p) variate via the inverse CDF; one uniform per draw."""
+    return geometric_from_uniform(src.uniform(), param.p)

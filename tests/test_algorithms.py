@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from oracles import brute_force_inversions, exchange_sort_list, textbook_sort_list
 from sortlab.algorithms import (
     OpCounters,
-    _exchange_sort_list,
     _narrow_dtype,
-    _textbook_sort_list,
     count_inversions,
     count_inversions_batch,
     exchange_selection_sort,
@@ -36,16 +35,6 @@ tied_batches = arrays(
 
 def one_row(items) -> np.ndarray:
     return np.array(items, dtype=np.int64).reshape(1, -1)
-
-
-def brute_force_inversions(seq) -> int:
-    items = list(seq)
-    return sum(
-        1
-        for i in range(len(items))
-        for j in range(i + 1, len(items))
-        if items[i] > items[j]
-    )
 
 
 class TestOpCounters:
@@ -93,16 +82,19 @@ class TestExchangeSelectionSort:
 
     @given(tied_lists)
     def test_ndarray_fast_path_matches_literal_loop(self, items):
-        _, swaps_list = _exchange_sort_list(items)
+        want, swaps_list = exchange_sort_list(items)
         _, (swaps_arr,) = exchange_sort_batch(one_row(items))
         assert swaps_arr == swaps_list
+        # List input runs through the same kernel and comes back as a list.
+        result, counters = exchange_selection_sort(items)
+        assert result == want and counters.interchanges == swaps_list
 
     def test_fast_path_parity_on_seeded_batch(self):
         rng = np.random.default_rng(321)
         for _ in range(300):
             n = int(rng.integers(0, 80))
             arr = rng.integers(0, 8, size=n)
-            _, swaps_list = _exchange_sort_list(arr.tolist())
+            _, swaps_list = exchange_sort_list(arr.tolist())
             _, (swaps_arr,) = exchange_sort_batch(one_row(arr))
             assert swaps_arr == swaps_list
 
@@ -130,9 +122,11 @@ class TestTextbookSelectionSort:
 
     @given(tied_lists)
     def test_ndarray_fast_path_matches_literal_loop(self, items):
-        _, swaps_list = _textbook_sort_list(items)
+        want, swaps_list = textbook_sort_list(items)
         _, (swaps_arr,) = textbook_sort_batch(one_row(items))
         assert swaps_arr == swaps_list
+        result, counters = textbook_selection_sort(items)
+        assert result == want and counters.interchanges == swaps_list
 
     @given(tied_lists)
     def test_never_swaps_more_than_exchange_on_reversed_runs(self, items):
@@ -141,6 +135,30 @@ class TestTextbookSelectionSort:
         _, tb = textbook_selection_sort(items)
         assert tb.interchanges <= max(len(items) - 1, 0)
         assert ex.comparisons == tb.comparisons
+
+
+@pytest.mark.parametrize(
+    "sort,oracle",
+    [(exchange_selection_sort, exchange_sort_list), (textbook_selection_sort, textbook_sort_list)],
+)
+@pytest.mark.parametrize(
+    "items",
+    [
+        [],
+        # numpy would round these to float64, where 2**63 + 1 equals 2**63.
+        [2**63 + 1, 5, 2**63, 0, 2**63 + 1],
+        [2**64 + 7, -1, 2**63, 2**64 + 7, 3],
+        [2**53 + 1, 0.5, 2**53, 2],
+        [1, 0.5, 2, 0.5, -3],
+        ["pear", "apple", "fig", "apple"],
+    ],
+)
+def test_list_input_matches_literal_loop(sort, oracle, items):
+    want, swaps = oracle(items)
+    result, counters = sort(items)
+    assert isinstance(result, list)
+    assert result == want
+    assert counters == OpCounters(len(items) * (len(items) - 1) // 2, swaps)
 
 
 class TestCountInversions:
@@ -180,8 +198,8 @@ def literal_counts(batch: np.ndarray) -> dict:
     """Per-row counts of each kernel's mode from the literal list loops."""
     rows = batch.tolist()
     return {
-        exchange_sort_batch: [_exchange_sort_list(row)[1] for row in rows],
-        textbook_sort_batch: [_textbook_sort_list(row)[1] for row in rows],
+        exchange_sort_batch: [exchange_sort_list(row)[1] for row in rows],
+        textbook_sort_batch: [textbook_sort_list(row)[1] for row in rows],
         count_inversions_batch: [brute_force_inversions(row) for row in rows],
     }
 
@@ -251,7 +269,7 @@ class TestBatchKernels:
 
 def assert_exchange_matches_literal_loop(batch: np.ndarray) -> None:
     out, counts = exchange_sort_batch(batch)
-    literal = [_exchange_sort_list(row) for row in batch.tolist()]
+    literal = [exchange_sort_list(row) for row in batch.tolist()]
     assert counts.tolist() == [swaps for _, swaps in literal]
     assert out.tolist() == [row for row, _ in literal]
     assert out.dtype == batch.dtype
@@ -320,8 +338,14 @@ class TestExchangeKernelScanAndNarrowing:
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (3, 1), (1, 1)])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
     def test_degenerate_shapes(self, shape, dtype):
+        # All three kernels, not only the exchange one, take empty batches.
         batch = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
         assert_exchange_matches_literal_loop(batch)
+        for kernel, want in literal_counts(batch).items():
+            out, counts = kernel(batch)
+            assert counts.dtype == np.int64 and counts.tolist() == want, kernel.__name__
+            assert out.dtype == batch.dtype and out.shape == batch.shape, kernel.__name__
+            assert out.tolist() == [sorted(row) for row in batch.tolist()], kernel.__name__
 
 
 class TestSwapInversionIdentity:
@@ -372,7 +396,7 @@ class TestSwapInversionIdentity:
             for y in items[i + 1 :]
             if x > y
         )
-        assert distinct_greater == first_occurrence_pairs == _exchange_sort_list(items)[1]
+        assert distinct_greater == first_occurrence_pairs == exchange_sort_list(items)[1]
         assert exchange_sort_batch(np.array([items], dtype=float))[1].tolist() == [distinct_greater]
 
     def test_fewer_swaps_than_inversions_on_tied_arrays(self):

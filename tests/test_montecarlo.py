@@ -1,21 +1,14 @@
-"""Trial harness: streaming moments, cell seeding, determinism, parallel parity."""
+"""Trial harness: exact moments, cell seeding, determinism, parallel parity."""
 
 import math
+from fractions import Fraction
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from oracles import brute_force_inversions, exchange_sort_list, textbook_sort_list
 from sortlab import montecarlo
-from sortlab.distributions import mix64
-from sortlab.montecarlo import (
-    ExperimentConfig,
-    RunningMoments,
-    TrialSummary,
-    run_cell,
-    run_experiment,
-)
+from sortlab.distributions import RandomSource, geometric, mix64, sample_array
+from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
 
 
 class TestExperimentConfig:
@@ -58,49 +51,70 @@ class TestTrialSummary:
             TrialSummary(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=-0.1, cv_c=None)
 
 
-class TestRunningMoments:
-    def test_empty_rejected(self):
-        moments = RunningMoments()
-        with pytest.raises(ValueError):
-            moments.mean
-        with pytest.raises(ValueError):
-            moments.population_sd
+ORACLES = {
+    "exchange_interchanges": lambda row: exchange_sort_list(row)[1],
+    "textbook_interchanges": lambda row: textbook_sort_list(row)[1],
+    "inversions": brute_force_inversions,
+}
 
-    def test_single_value(self):
-        moments = RunningMoments()
-        moments.add(4.5)
-        assert moments.mean == 4.5
-        assert moments.population_sd == 0.0
 
-    @given(
-        st.lists(
-            st.floats(min_value=-1e5, max_value=1e5, allow_nan=False),
-            min_size=1,
-            max_size=200,
+def exact_moments(counts) -> tuple[float, float]:
+    """Population mean and variance, each rounded once from exact rational
+    sums, as (mean, correctly rounded square root of the variance)."""
+    t = len(counts)
+    mean = Fraction(sum(counts), t)
+    variance = Fraction(sum(c * c for c in counts), t) - mean * mean
+    return float(mean), math.sqrt(variance)
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    # The first row is the grid of the CSVs in tests/golden/.
+    @pytest.mark.parametrize("n,trials,seed", [(50, 20, 42), (23, 7, 0)])
+    def test_moments_are_rounded_once_from_literal_counts(self, mode, n, trials, seed):
+        config = ExperimentConfig(
+            n=n,
+            trials=trials,
+            p_values=tuple(round(0.1 * i, 1) for i in range(1, 10)),
+            counter_mode=mode,
+            master_seed=seed,
         )
-    )
-    @settings(max_examples=100)
-    def test_matches_two_pass(self, values):
-        moments = RunningMoments()
-        for v in values:
-            moments.add(v)
-        arr = np.array(values)
-        direct_mean = float(arr.mean())
-        direct_sd = float(arr.std())
-        scale = max(abs(direct_mean), 1.0)
-        assert abs(moments.mean - direct_mean) <= 1e-9 * scale
-        assert abs(moments.population_sd - direct_sd) <= 1e-9 * max(direct_sd, 1.0)
+        for index, p in enumerate(config.p_values):
+            cell_seed = mix64(config.master_seed, index)
+            arrays = [
+                sample_array(RandomSource(mix64(cell_seed, t)), geometric(p), n)
+                for t in range(trials)
+            ]
+            counts = [ORACLES[mode](a.tolist()) for a in arrays]
+            mean, sd = exact_moments(counts)
+            summary = run_cell(config, p, cell_seed)
+            assert (summary.mean_c, summary.sd_c) == (mean, sd), (mode, p)
+            assert summary.cv_c == sd / mean
 
-    def test_cancellation_regime(self):
-        # Large offset, small spread: the naive ss/T - mean^2 form loses
-        # half the digits here; the streaming form must not.
-        rng = np.random.default_rng(5)
-        values = 30590.0 + rng.uniform(0.0, 1.0, size=100)
-        moments = RunningMoments()
-        for v in values:
-            moments.add(float(v))
-        assert moments.mean == pytest.approx(float(values.mean()), rel=1e-12)
-        assert moments.population_sd == pytest.approx(float(values.std()), rel=1e-9)
+    @pytest.mark.parametrize(
+        "base,step",
+        [
+            # c^2 passes 2**63 from here on: an int64 sum of squares would wrap.
+            (3_040_000_000, 1_234_567),
+            # Past 2**53 a float sum cannot even hold one count exactly.
+            (4 * 10**18, 1),
+        ],
+    )
+    def test_moments_stay_exact_for_huge_counts(self, monkeypatch, base, step):
+        returned = []
+
+        def huge_counts(batch):
+            counts = base + step * (batch.sum(axis=1) % 1000)
+            returned.extend(counts.tolist())
+            return batch, counts
+
+        monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", huge_counts)
+        config = ExperimentConfig(n=40, trials=25, p_values=(0.3,), master_seed=8)
+        summary = run_cell(config, 0.3, mix64(8, 0))
+        assert len(returned) == 25 and len(set(returned)) > 1
+        mean, sd = exact_moments(returned)
+        assert (summary.mean_c, summary.sd_c, summary.cv_c) == (mean, sd, sd / mean)
+        assert sd > 0.0
 
 
 class TestRunCell:

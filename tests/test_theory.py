@@ -7,20 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sortlab.distributions import (
-    ContinuousUniform,
-    GeometricParam,
-    RandomSource,
-    geometric,
-    geometric_pmf,
-)
+from sortlab.distributions import ContinuousUniform, RandomSource, geometric
 from sortlab.theory import (
     TheoryPrediction,
     expected_interchanges,
     interchange_probability,
     predict,
     tie_probability,
-    tie_probability_series,
 )
 
 
@@ -38,12 +31,6 @@ class TestTieProbability:
         closed = tie_probability(geometric(p))
         assert abs(closed - p / (2.0 - p)) < 1e-15
         assert abs(closed - truncated_tie_series(p)) <= 1e-12
-
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
-    def test_module_series_helper_agrees(self, p):
-        param = GeometricParam(p)
-        series = tie_probability_series(lambda r: geometric_pmf(param, r), 1e-14)
-        assert abs(series - p / (2.0 - p)) <= 1e-12
 
     def test_pair_enumeration_oracle(self):
         # P[X=Y] for iid geometrics, summed over the joint support directly.
