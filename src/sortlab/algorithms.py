@@ -15,7 +15,11 @@ one trial per row, in a single sweep: :func:`exchange_sort_batch`,
 exchange kernel does not simulate the passes: it counts the interchanges
 from the identity proved in its docstring (swaps are the inversions whose
 left element is the first occurrence of its value), by one stable sort
-and one bitset sweep per row.  The per-array functions send a 1-d ndarray
+and one bitset sweep per row.  The textbook kernel runs the passes of
+each value together, as its docstring proves they can be: one sort of
+each row, then one vectorised step per distinct value (D steps, D the
+most distinct values in a row) doing O(N log N) element work in all, for
+N values in the batch.  The per-array functions send a 1-d ndarray
 through the kernel as a one-row batch.  Any other input is converted by
 ``np.asarray`` first (to an object array where numpy would change a
 value), and a list comes back as a list, so every counter has one code
@@ -182,20 +186,113 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Run minimum-of-suffix selection on every row of a (trials, n) batch.
 
     Returns the sorted rows and each row's interchange count (int64), in
-    row order; the input is left untouched.
+    row order; the input is left untouched.  The literal loop
+    (``for i: m = first minimum of a[i:]; swap a[i], a[m] if m != i``) is
+    the test oracle.
+
+    The passes are run one value block at a time, not one by one.  For a
+    value v of a row let s = #{values < v} and c = #{values = v}.  Passes
+    s, ..., s+c-1 are v's passes: before pass s the slots below s hold the
+    values below v, and v is the minimum of the suffix until its c copies
+    are placed.
+
+    Proof sketch.  Let p_1 < ... < p_c be the positions of v when pass s
+    begins; p_1 >= s, so p_{k+1} >= s+k.  By induction on k, pass s+k finds
+    its first minimum at p_{k+1}: the earlier passes of the block moved v's
+    only into slots below s+k and wrote other values only into p_1..p_k.
+    So the block is c transpositions (s+k, p_{k+1}) known when it begins,
+    and it swaps c - L times, L being the number of k with p_{k+1} = s+k
+    (the run of v's that starts at slot s).  An element other than v at
+    slot s+k goes to p_{k+1}; when that is itself a slot of the block,
+    s+j with j > k, pass s+j carries it on to p_{j+1}, and so on until it
+    lands at or beyond slot s+c, where it stays.  Nothing else moves.
+
+    The blocks of every row's d-th smallest distinct value form step d, so
+    there are D steps, D being the largest number of distinct values in a
+    row.  One sort of each row on :func:`_narrow_dtype` keys gives the
+    blocks' slots.  Each step sorts the current positions of its elements,
+    follows the chains above by pointer doubling (one round per doubling of
+    the longest chain) and moves the displaced elements.  Cost: the row
+    sort plus O(N log N) element work over the D steps, N = trials * n.
     """
     _check_batch(batch)
     trials, n = batch.shape
-    a = batch.copy()
-    rows = np.arange(trials)
     swaps = np.zeros(trials, dtype=np.int64)
-    for i in range(n - 1):
-        m = i + np.argmin(a[:, i:], axis=1)  # argmin takes the first minimum, like the loop
-        swaps += m != i
-        low = a[rows, m]
-        a[rows, m] = a[:, i]
-        a[:, i] = low
-    return a, swaps
+    if n < 2 or trials == 0:
+        return batch.copy(), swaps
+    size = trials * n
+    index = np.int32 if size < 2**31 else np.int64
+    keys = batch.astype(_narrow_dtype(batch), copy=False)
+    # Positions are flat (row * n + column).  flat[t] is the input position
+    # of the element that ends in slot t; "stable" is a radix sort on 8- and
+    # 16-bit keys, and any order of ties gives the same blocks.
+    flat = np.argsort(keys, axis=1, kind="stable").astype(index)
+    flat += np.arange(0, size, n, dtype=index)[:, np.newaxis]
+    flat = flat.ravel()
+    keys = keys.ravel()[flat]
+    starts = np.empty(size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    starts[::n] = True  # so that ranks restart at 0 in every row
+    # One block per (row, value), in row-major order; rank = the value's
+    # index among its row's distinct values.  Ordered by (rank, row) and
+    # expanded to one entry per element, the blocks of rank d end at
+    # bounds[d].
+    first = np.flatnonzero(starts).astype(index)
+    del starts
+    lens = np.diff(first, append=index(size))
+    row_first = np.flatnonzero(first % n == 0).astype(index)
+    rank = np.arange(len(first), dtype=index)
+    rank -= np.repeat(row_first, np.diff(row_first, append=index(len(first))))
+    order = np.argsort(rank.astype(_narrow_dtype(rank), copy=False), kind="stable")
+    rank = rank[order]
+    first = first[order]
+    lens = lens[order]
+    del order
+    ends = np.cumsum(lens, dtype=index)
+    bounds = ends[np.flatnonzero(rank[1:] != rank[:-1])].tolist() + [size]
+    del rank
+    # Element j of the expanded arrays belongs to the block that fills
+    # slots[j]; end[j] is the first slot past that block.
+    end = np.repeat(first + lens, lens)
+    first += lens - ends
+    slots = np.repeat(first, lens)
+    del first, lens, ends
+    ident = np.arange(size, dtype=index)
+    slots += ident
+    # where[j]: current position of element j; who[q]: element at position q.
+    where = flat[slots]
+    del flat
+    who = np.empty(size, dtype=index)
+    who[where] = ident
+    del ident
+    local = np.arange(max(np.diff(bounds, prepend=0)), dtype=index)
+    g0 = 0
+    for g1 in bounds:
+        # Later steps read neither these entries of `where` nor these slots
+        # of `who`, so pos is sorted in place: after the loop, where[g0:g1]
+        # holds the blocks' p_1 < ... < p_c, and the count compares it with
+        # their slots.
+        pos = where[g0:g1]
+        pos.sort()
+        s = slots[g0:g1]
+        # jump[k] = index of slot pos[k] when pos[k] is inside the block,
+        # else k: the chain ends there.
+        jump = np.where(pos < end[g0:g1], pos - s, 0)
+        jump += local[: g1 - g0]
+        while True:
+            nxt = jump[jump]
+            if not (nxt != jump).any():
+                break
+            jump = nxt
+        occupant = who[s]
+        moved = occupant >= g1  # elements of later steps
+        elements = occupant[moved]
+        dest = pos[jump[moved]]
+        where[elements] = dest
+        who[dest] = elements
+        g0 = g1
+    swaps += np.bincount(slots[where != slots] // n, minlength=trials)
+    return keys.reshape(trials, n).astype(batch.dtype, copy=False), swaps
 
 
 def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
@@ -224,7 +321,8 @@ def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return batch.copy(), counts
     size = 1 << (n - 1).bit_length()
     # Trailing copies of the batch maximum add no inversions (ties count 0).
-    a = np.pad(batch, ((0, 0), (0, size - n)), constant_values=batch.max())
+    # Taken by argmax, which also orders strings, where max has no loop.
+    a = np.pad(batch, ((0, 0), (0, size - n)), constant_values=batch.ravel()[np.argmax(batch)])
     width = 1
     while width < size:
         blocks = a.reshape(trials, size // (2 * width), 2 * width)

@@ -1,15 +1,18 @@
 """Literal reference implementations the fast code is tested against.
 
 Each function here is the plain, obviously-correct form of something the
-package computes in bulk: the two selection sorts as their double loops,
-the inversion count by brute force over all pairs, and the geometric
-samplers one variate at a time.  The batched kernels and the bulk
-samplers must agree with them exactly, count for count and draw for draw.
+package computes in bulk: the two selection sorts as their double loops
+(and the textbook sort once more as one numpy pass per slot), the
+inversion count by brute force over all pairs, and the geometric samplers
+one variate at a time.  The batched kernels and the bulk samplers must
+agree with them exactly, count for count and draw for draw.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from sortlab.distributions import GeometricParam, RandomSource
 
@@ -40,6 +43,25 @@ def textbook_sort_list(seq) -> tuple[list, int]:
         if m != i:
             a[i], a[m] = a[m], a[i]
             swaps += 1
+    return a, swaps
+
+
+def textbook_sort_passes(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-of-suffix selection on every row of a (trials, n) batch, one
+    numpy pass per slot: the fast oracle for batches too large for the loop.
+
+    Returns the sorted rows and each row's interchange count (int64).
+    """
+    trials, n = batch.shape
+    a = batch.copy()
+    rows = np.arange(trials)
+    swaps = np.zeros(trials, dtype=np.int64)
+    for i in range(n - 1):
+        m = i + np.argmin(a[:, i:], axis=1)  # argmin takes the first minimum, like the loop
+        swaps += m != i
+        low = a[rows, m]
+        a[rows, m] = a[:, i]
+        a[:, i] = low
     return a, swaps
 
 
