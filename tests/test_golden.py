@@ -56,3 +56,27 @@ def test_reproduce_matches_golden(tmp_path, capsys, jobs):
     assert (tmp_path / table).read_bytes() == (GOLDEN / f"reproduce_{table}").read_bytes()
     verdict = json.loads((tmp_path / "verdict.json").read_text())
     assert_json_close(verdict, json.loads((GOLDEN / "reproduce_verdict.json").read_text()))
+
+
+FIXTURE = GOLDEN / "fixture"
+
+
+def test_reproduce_fixture_matches_golden(tmp_path, capsys):
+    """Every artifact of `reproduce --use-fixture`: text bytes exact, JSON parsed."""
+    args = ["reproduce", "--use-fixture", "--seed", "42", "--no-timestamp"]
+    rc = main([*args, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in FIXTURE.iterdir() if path.suffix != ".stdout")
+    for name in written:
+        got, want = tmp_path / name, FIXTURE / name
+        if name.endswith(".json"):
+            assert_json_close(json.loads(got.read_text()), json.loads(want.read_text()))
+        else:
+            assert got.read_bytes() == want.read_bytes(), name
+
+
+@pytest.mark.parametrize("flags, golden", [([], "theory.stdout"), (["--json"], "theory_json.stdout")])
+def test_theory_matches_golden(capsys, flags, golden):
+    assert main(["theory", "--p", "0.3", *flags]) == 0
+    assert capsys.readouterr().out == (FIXTURE / golden).read_text(encoding="utf-8")
