@@ -94,8 +94,6 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
             f"{policy.d_max + 2} points, got {m}"
         )
 
-    cache: dict[int, RegressionReport] = {}
-
     y_values = {pt.y for pt in points}
     if len(y_values) == 1:
         report = diagnostics(points, fit(points, 0, min_residual_df=1))
@@ -104,93 +102,39 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
             verdict_label="O_emp(p^0)",
             cap_limited=False,
             degenerate=True,
-            decision_trace=(
-                TraceEntry(
-                    degree=0,
-                    top_term_sig=None,
-                    extension_sig=None,
-                    accepted=True,
-                    reason="constant response, nothing to rank",
-                ),
-            ),
+            decision_trace=(TraceEntry(0, None, None, True, "constant response, nothing to rank"),),
             per_degree_reports={0: report},
         )
 
+    cache: dict[int, RegressionReport] = {}
     trace: list[TraceEntry] = []
-    selected: int | None = None
-
     for d in range(policy.d_min, policy.d_max + 1):
         report = _report_for(points, d, cache)
+        own_sig = ext_sig = None
         if report.exact_fit:
-            trace.append(
-                TraceEntry(
-                    degree=d,
-                    top_term_sig=None,
-                    extension_sig=None,
-                    accepted=True,
-                    reason="exact fit, no residual variation left",
-                )
-            )
-            selected = d
+            accepted, reason = True, "exact fit, no residual variation left"
+        else:
+            own_sig = report.highest_order_row.sig
+            if not (own_sig is not None and own_sig < policy.alpha):
+                accepted, reason = False, f"own top term not significant at alpha={policy.alpha:g}"
+            elif d == policy.d_max:
+                accepted, reason = False, "degree cap reached, extension untestable"
+            else:
+                ext_report = _report_for(points, d + 1, cache)
+                ext_sig = None if ext_report.exact_fit else ext_report.highest_order_row.sig
+                accepted = ext_sig is not None and ext_sig >= policy.alpha
+                if accepted:
+                    reason = f"top term significant, extension term not, at alpha={policy.alpha:g}"
+                elif ext_sig is not None:
+                    reason = "extension term still significant"
+                else:
+                    reason = "extension fit is exact"
+        trace.append(TraceEntry(d, own_sig, ext_sig, accepted, reason))
+        if accepted:
+            selected, cap_limited = d, False
             break
-
-        own_sig = report.highest_order_row.sig
-        if not (own_sig is not None and own_sig < policy.alpha):
-            trace.append(
-                TraceEntry(
-                    degree=d,
-                    top_term_sig=own_sig,
-                    extension_sig=None,
-                    accepted=False,
-                    reason=f"own top term not significant at alpha={policy.alpha:g}",
-                )
-            )
-            continue
-
-        if d == policy.d_max:
-            trace.append(
-                TraceEntry(
-                    degree=d,
-                    top_term_sig=own_sig,
-                    extension_sig=None,
-                    accepted=False,
-                    reason="degree cap reached, extension untestable",
-                )
-            )
-            break
-
-        ext_report = _report_for(points, d + 1, cache)
-        ext_sig = None if ext_report.exact_fit else ext_report.highest_order_row.sig
-        if ext_sig is not None and ext_sig >= policy.alpha:
-            trace.append(
-                TraceEntry(
-                    degree=d,
-                    top_term_sig=own_sig,
-                    extension_sig=ext_sig,
-                    accepted=True,
-                    reason=f"top term significant, extension term not, at alpha={policy.alpha:g}",
-                )
-            )
-            selected = d
-            break
-        trace.append(
-            TraceEntry(
-                degree=d,
-                top_term_sig=own_sig,
-                extension_sig=ext_sig,
-                accepted=False,
-                reason="extension term still significant"
-                if ext_sig is not None
-                else "extension fit is exact",
-            )
-        )
-
-    if selected is None:
-        cap_limited = True
-        selected = policy.d_max
-        _report_for(points, selected, cache)
     else:
-        cap_limited = False
+        selected, cap_limited = policy.d_max, True
 
     return EmpiricalOVerdict(
         selected_degree=selected,

@@ -23,6 +23,7 @@ from ..theory import predict as predict_theory
 from .csvio import (
     CsvFormatError,
     RunMetadata,
+    _field,
     format_summaries_csv,
     read_summaries_csv,
     write_summaries_csv,
@@ -211,25 +212,18 @@ def _cmd_theory(args) -> int:
         model = geometric(args.p)
         model_text = f"geometric(p={args.p!r})"
     pred = predict_theory(model, args.n)
+    fields = {
+        "model": model_text,
+        "n": args.n,
+        "tie_probability": pred.tie_probability,
+        "interchange_probability": pred.interchange_probability,
+        "expected_interchanges": pred.expected_interchanges,
+    }
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "model": model_text,
-                    "n": args.n,
-                    "tie_probability": pred.tie_probability,
-                    "interchange_probability": pred.interchange_probability,
-                    "expected_interchanges": pred.expected_interchanges,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(fields, indent=2))
     else:
-        print(f"model: {model_text}")
-        print(f"n: {args.n}")
-        print(f"tie probability: {pred.tie_probability!r}")
-        print(f"interchange probability: {pred.interchange_probability!r}")
-        print(f"expected interchanges: {pred.expected_interchanges!r}")
+        for key, value in fields.items():
+            print(f"{key.replace('_', ' ')}: {value}")
     return 0
 
 
@@ -248,7 +242,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_select(args) -> int:
     points, source = _load_points(args)
-    policy = SelectionPolicy(alpha=args.alpha, d_min=args.d_min, d_max=args.d_max)
+    try:
+        policy = SelectionPolicy(alpha=args.alpha, d_min=args.d_min, d_max=args.d_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     verdict = select_degree(points, policy)
     print(render_verdict(verdict))
     if args.out_json:
@@ -270,13 +267,10 @@ def _write_comparison(path: Path, summaries, metadata: RunMetadata) -> None:
     lines.append("p,mean_c,reference_mean_c,expected_pairwise,mean_over_pairs")
     reference = {(row.p, row.n): row.mean_c for row in REFERENCE_ROWS}
     for s in summaries:
-        pred = predict_theory(geometric(s.p), s.n)
+        expected = predict_theory(geometric(s.p), s.n).expected_interchanges
+        ratio = s.mean_c / expected if expected else None
         ref = reference.get((s.p, s.n))
-        ref_field = "" if ref is None else repr(ref)
-        ratio = s.mean_c / pred.expected_interchanges
-        lines.append(
-            f"{s.p!r},{s.mean_c!r},{ref_field},{pred.expected_interchanges!r},{ratio!r}"
-        )
+        lines.append(f"{s.p!r},{s.mean_c!r},{_field(ref)},{expected!r},{_field(ratio)}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -319,22 +313,20 @@ def _cmd_reproduce(args) -> int:
     write_verdict_json(out_dir / "verdict.json", verdict, meta)
     (out_dir / "verdict.txt").write_text(render_verdict(verdict) + "\n", encoding="utf-8")
 
-    for name, degree in (("fig1", 2), ("fig2", 3), ("fig3", 4)):
+    for name, degree, title, include_points in (
+        ("fig1", 2, "mean interchange count vs p, degree-2 fit", True),
+        ("fig2", 3, "mean interchange count vs p, degree-3 fit", True),
+        ("fig3", 4, "mean interchange count vs p, degree-4 fit", True),
+        ("fig4", 3, "fitted cubic alone", False),
+    ):
         write_scatter_svg(
             out_dir / f"{name}.svg",
             points,
             [(f"degree {degree}", models[degree])],
             metadata=meta,
-            title=f"mean interchange count vs p, degree-{degree} fit",
+            title=title,
+            include_points=include_points,
         )
-    write_scatter_svg(
-        out_dir / "fig4.svg",
-        points,
-        [("degree 3", models[3])],
-        metadata=meta,
-        include_points=False,
-        title="fitted cubic alone",
-    )
 
     _write_comparison(out_dir / "comparison.csv", summaries, meta)
 

@@ -71,15 +71,6 @@ class RunMetadata:
             lines.append(f"# timestamp: {self.timestamp}")
         return lines
 
-    def as_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "algorithm_id": self.algorithm_id,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "timestamp": self.timestamp,
-        }
-
 
 def _field(value: float | None) -> str:
     return "" if value is None else repr(value)

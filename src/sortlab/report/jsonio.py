@@ -7,6 +7,7 @@ doubles exactly); any rounding happens only in the text renderers.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from ..model_select import EmpiricalOVerdict
@@ -29,60 +30,16 @@ __all__ = [
 
 
 def report_to_dict(report: RegressionReport, metadata: RunMetadata | None = None) -> dict:
-    doc = {
-        "model": {
-            "degree": report.model.degree,
-            "coefficients": list(report.model.coefficients),
-        },
-        "summary": {
-            "r": report.summary.r,
-            "r_squared": report.summary.r_squared,
-            "adjusted_r_squared": report.summary.adjusted_r_squared,
-            "std_error_of_estimate": report.summary.std_error_of_estimate,
-        },
-        "anova": {
-            "ss_regression": report.anova.ss_regression,
-            "ss_residual": report.anova.ss_residual,
-            "ss_total": report.anova.ss_total,
-            "df_regression": report.anova.df_regression,
-            "df_residual": report.anova.df_residual,
-            "df_total": report.anova.df_total,
-            "ms_regression": report.anova.ms_regression,
-            "ms_residual": report.anova.ms_residual,
-            "f": report.anova.f,
-            "sig": report.anova.sig,
-        },
-        "coefficients": [
-            {
-                "term_name": row.term_name,
-                "b": row.b,
-                "std_error": row.std_error,
-                "beta": row.beta,
-                "t": row.t,
-                "sig": row.sig,
-            }
-            for row in report.coefficients
-        ],
-        "m": report.m,
-        "exact_fit": report.exact_fit,
-        "metadata": metadata.as_dict() if metadata is not None else None,
-    }
-    return doc
+    """The report's fields in declaration order, which is the JSON key order."""
+    return {**asdict(report), "metadata": asdict(metadata) if metadata is not None else None}
 
 
 def report_from_dict(doc: dict) -> RegressionReport:
-    model = PolyModel(
-        degree=doc["model"]["degree"],
-        coefficients=tuple(doc["model"]["coefficients"]),
-    )
-    summary = ModelSummaryStats(**doc["summary"])
-    anova = AnovaTable(**doc["anova"])
-    coefficients = tuple(CoefficientRow(**row) for row in doc["coefficients"])
     return RegressionReport(
-        model=model,
-        summary=summary,
-        anova=anova,
-        coefficients=coefficients,
+        model=PolyModel(doc["model"]["degree"], tuple(doc["model"]["coefficients"])),
+        summary=ModelSummaryStats(**doc["summary"]),
+        anova=AnovaTable(**doc["anova"]),
+        coefficients=tuple(CoefficientRow(**row) for row in doc["coefficients"]),
         m=doc["m"],
         exact_fit=doc["exact_fit"],
     )
@@ -94,21 +51,12 @@ def verdict_to_dict(verdict: EmpiricalOVerdict, metadata: RunMetadata | None = N
         "label": verdict.verdict_label,
         "cap_limited": verdict.cap_limited,
         "degenerate": verdict.degenerate,
-        "trace": [
-            {
-                "degree": entry.degree,
-                "top_term_sig": entry.top_term_sig,
-                "extension_sig": entry.extension_sig,
-                "accepted": entry.accepted,
-                "reason": entry.reason,
-            }
-            for entry in verdict.decision_trace
-        ],
+        "trace": [asdict(entry) for entry in verdict.decision_trace],
         "per_degree": {
             str(degree): report_to_dict(report)
             for degree, report in sorted(verdict.per_degree_reports.items())
         },
-        "metadata": metadata.as_dict() if metadata is not None else None,
+        "metadata": asdict(metadata) if metadata is not None else None,
     }
 
 

@@ -30,6 +30,32 @@ def _curve_points(model: PolyModel, x_lo: float, x_hi: float) -> list[tuple[floa
     return [(x, float(predict(model, x))) for x in xs]
 
 
+def _line(parent: ET.Element, x1: float, y1: float, x2: float, y2: float) -> None:
+    """An axis or tick stroke."""
+    ET.SubElement(
+        parent,
+        "line",
+        {
+            "x1": f"{x1:.1f}",
+            "y1": f"{y1:.1f}",
+            "x2": f"{x2:.1f}",
+            "y2": f"{y2:.1f}",
+            "stroke": "#333333",
+            "stroke-width": "1",
+        },
+    )
+
+
+def _text(parent: ET.Element, x: str, y: str, text: str, anchor: str, size: str, **extra: str) -> None:
+    """A sans-serif label; `extra` attributes (fill, transform) follow the font ones."""
+    element = ET.SubElement(
+        parent,
+        "text",
+        {"x": x, "y": y, "text-anchor": anchor, "font-family": "sans-serif", "font-size": size, **extra},
+    )
+    element.text = text
+
+
 def write_scatter_svg(
     path: str | Path,
     points: Sequence[DataPoint],
@@ -38,8 +64,6 @@ def write_scatter_svg(
     metadata: RunMetadata | None = None,
     title: str | None = None,
     include_points: bool = True,
-    x_label: str = "p",
-    y_label: str = "mean c",
 ) -> None:
     """Write one figure: optionally the scatter, plus one polyline per model.
 
@@ -71,12 +95,13 @@ def write_scatter_svg(
 
     plot_w = _WIDTH - _M_LEFT - _M_RIGHT
     plot_h = _HEIGHT - _M_TOP - _M_BOTTOM
+    bottom = _HEIGHT - _M_BOTTOM
 
     def sx(x: float) -> float:
         return _M_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        return _HEIGHT - _M_BOTTOM - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return bottom - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     root = ET.Element(
         "svg",
@@ -98,110 +123,24 @@ def write_scatter_svg(
         {"x": "0", "y": "0", "width": f"{_WIDTH:.0f}", "height": f"{_HEIGHT:.0f}", "fill": "white"},
     )
     if title:
-        t = ET.SubElement(
-            root,
-            "text",
-            {
-                "x": f"{_WIDTH / 2:.1f}",
-                "y": "24",
-                "text-anchor": "middle",
-                "font-family": "sans-serif",
-                "font-size": "15",
-            },
-        )
-        t.text = title
+        _text(root, f"{_WIDTH / 2:.1f}", "24", title, "middle", "15")
 
-    axis_style = {"stroke": "#333333", "stroke-width": "1"}
-    ET.SubElement(
-        root,
-        "line",
-        {
-            "x1": f"{_M_LEFT:.1f}",
-            "y1": f"{_HEIGHT - _M_BOTTOM:.1f}",
-            "x2": f"{_WIDTH - _M_RIGHT:.1f}",
-            "y2": f"{_HEIGHT - _M_BOTTOM:.1f}",
-            **axis_style,
-        },
-    )
-    ET.SubElement(
-        root,
-        "line",
-        {
-            "x1": f"{_M_LEFT:.1f}",
-            "y1": f"{_M_TOP:.1f}",
-            "x2": f"{_M_LEFT:.1f}",
-            "y2": f"{_HEIGHT - _M_BOTTOM:.1f}",
-            **axis_style,
-        },
-    )
-
-    tick_font = {"font-family": "sans-serif", "font-size": "11", "fill": "#333333"}
+    _line(root, _M_LEFT, bottom, _WIDTH - _M_RIGHT, bottom)
+    _line(root, _M_LEFT, _M_TOP, _M_LEFT, bottom)
     for i in range(5):
         xv = x_lo + i * (x_hi - x_lo) / 4
         px = sx(xv)
-        ET.SubElement(
-            root,
-            "line",
-            {
-                "x1": f"{px:.1f}",
-                "y1": f"{_HEIGHT - _M_BOTTOM:.1f}",
-                "x2": f"{px:.1f}",
-                "y2": f"{_HEIGHT - _M_BOTTOM + 5:.1f}",
-                **axis_style,
-            },
-        )
-        label = ET.SubElement(
-            root,
-            "text",
-            {"x": f"{px:.1f}", "y": f"{_HEIGHT - _M_BOTTOM + 18:.1f}", "text-anchor": "middle", **tick_font},
-        )
-        label.text = f"{xv:.4g}"
+        _line(root, px, bottom, px, bottom + 5)
+        _text(root, f"{px:.1f}", f"{bottom + 18:.1f}", f"{xv:.4g}", "middle", "11", fill="#333333")
 
         yv = y_lo + i * (y_hi - y_lo) / 4
         py = sy(yv)
-        ET.SubElement(
-            root,
-            "line",
-            {
-                "x1": f"{_M_LEFT - 5:.1f}",
-                "y1": f"{py:.1f}",
-                "x2": f"{_M_LEFT:.1f}",
-                "y2": f"{py:.1f}",
-                **axis_style,
-            },
-        )
-        label = ET.SubElement(
-            root,
-            "text",
-            {"x": f"{_M_LEFT - 8:.1f}", "y": f"{py + 4:.1f}", "text-anchor": "end", **tick_font},
-        )
-        label.text = f"{yv:.6g}"
+        _line(root, _M_LEFT - 5, py, _M_LEFT, py)
+        _text(root, f"{_M_LEFT - 8:.1f}", f"{py + 4:.1f}", f"{yv:.6g}", "end", "11", fill="#333333")
 
-    xl = ET.SubElement(
-        root,
-        "text",
-        {
-            "x": f"{_M_LEFT + plot_w / 2:.1f}",
-            "y": f"{_HEIGHT - 14:.1f}",
-            "text-anchor": "middle",
-            "font-family": "sans-serif",
-            "font-size": "13",
-        },
-    )
-    xl.text = x_label
-    yl = ET.SubElement(
-        root,
-        "text",
-        {
-            "x": "20",
-            "y": f"{_M_TOP + plot_h / 2:.1f}",
-            "text-anchor": "middle",
-            "font-family": "sans-serif",
-            "font-size": "13",
-            "transform": f"rotate(-90 20 {_M_TOP + plot_h / 2:.1f})",
-        },
-    )
-    yl.text = y_label
+    _text(root, f"{_M_LEFT + plot_w / 2:.1f}", f"{_HEIGHT - 14:.1f}", "p", "middle", "13")
+    y_mid = f"{_M_TOP + plot_h / 2:.1f}"
+    _text(root, "20", y_mid, "mean c", "middle", "13", transform=f"rotate(-90 20 {y_mid})")
 
     for idx, (label_text, pts) in enumerate(curves):
         color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
@@ -215,19 +154,15 @@ def write_scatter_svg(
                 "points": " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts),
             },
         )
-        legend = ET.SubElement(
+        _text(
             root,
-            "text",
-            {
-                "x": f"{_WIDTH - _M_RIGHT - 6:.1f}",
-                "y": f"{_M_TOP + 16 + 16 * idx:.1f}",
-                "text-anchor": "end",
-                "font-family": "sans-serif",
-                "font-size": "12",
-                "fill": color,
-            },
+            f"{_WIDTH - _M_RIGHT - 6:.1f}",
+            f"{_M_TOP + 16 + 16 * idx:.1f}",
+            label_text,
+            "end",
+            "12",
+            fill=color,
         )
-        legend.text = label_text
 
     if include_points:
         for pt in points:

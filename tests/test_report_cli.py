@@ -426,6 +426,10 @@ class TestCliSelect:
     def test_invalid_alpha_exits_2(self, capsys):
         assert main(["select", "--use-fixture", "--alpha", "1.5"]) == 2
 
+    def test_d_min_above_d_max_is_usage_error(self, capsys):
+        assert main(["select", "--use-fixture", "--d-min", "3", "--d-max", "2"]) == 2
+        assert capsys.readouterr().err == "error: d_max 2 must be >= d_min 3\n"
+
 
 class TestCliReproduce:
     MANIFEST = (
@@ -469,3 +473,14 @@ class TestCliReproduce:
             assert rc == 0
         for name in self.MANIFEST:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_single_element_arrays_leave_ratio_empty(self, tmp_path, capsys):
+        # At n=1 there are no pairs, so the pairwise expectation is 0 and
+        # mean_over_pairs is undefined: left empty, like cv_c for a zero mean.
+        rc = main(["reproduce", "--n", "1", "--trials", "3", "--seed", "1",
+                   "--out-dir", str(tmp_path), "--no-timestamp"])
+        assert rc == 0
+        lines = (tmp_path / "comparison.csv").read_text().splitlines()
+        rows = [line for line in lines if not line.startswith("#")]
+        assert rows[0].endswith(",mean_over_pairs")
+        assert rows[1:] == [f"0.{i},0.0,,0.0," for i in range(1, 10)]
