@@ -46,13 +46,12 @@ def _line(parent: ET.Element, x1: float, y1: float, x2: float, y2: float) -> Non
     )
 
 
-def _text(parent: ET.Element, x: str, y: str, text: str, anchor: str, size: str, **extra: str) -> None:
+def _text(
+    parent: ET.Element, x: str, y: str, text: str, anchor: str, size: str, **extra: str
+) -> None:
     """A sans-serif label; `extra` attributes (fill, transform) follow the font ones."""
-    element = ET.SubElement(
-        parent,
-        "text",
-        {"x": x, "y": y, "text-anchor": anchor, "font-family": "sans-serif", "font-size": size, **extra},
-    )
+    font = {"font-family": "sans-serif", "font-size": size}
+    element = ET.SubElement(parent, "text", {"x": x, "y": y, "text-anchor": anchor, **font, **extra})
     element.text = text
 
 
