@@ -9,6 +9,12 @@ uniform stream.  Identical (algorithm_id, master_seed, call sequence)
 yields an identical stream, and independent substreams for parallel
 workers are derived with a fixed mixing function (:func:`mix64`), so
 every downstream artifact is reproducible byte for byte.
+
+:func:`sample_block` draws many trials of a cell at once.  Row t is
+still exactly ``sample_array(RandomSource(mix64(cell_seed, t)), ...)``:
+it computes the same PCG64 seeding for the whole block with array
+arithmetic and loads each trial's state into one reused generator, so
+no trial pays for a generator construction.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ __all__ = [
     "geometric_pmf",
     "mix64",
     "sample_array",
+    "sample_block",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -38,6 +45,20 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+_MASK32 = (1 << 32) - 1
+
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
 
 #: Name of the underlying generator, recorded in all output metadata.
 ALGORITHM_ID = "pcg64"
@@ -54,6 +75,84 @@ def mix64(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+def _mix64_block(seed: int, start: int, stop: int) -> np.ndarray:
+    """``mix64(seed, t)`` for t in [start, stop), as uint64 (arithmetic wraps mod 2**64)."""
+    z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each uint64 seed, as (k, 4).
+
+    numpy's pool hash (pool size 4) on uint32 arrays, one element per seed.
+    A seed is hashed as its little-endian 32-bit words; a word that is
+    absent (seeds below 2**32 have one) hashes like 0, so both sizes take
+    the same path.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(_XSHIFT))
+
+    low = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    high = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(low)
+    pool = [hashmix(low), hashmix(high), hashmix(zero), hashmix(zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashmix(pool[src])
+                pool[dst] = mixed ^ (mixed >> np.uint32(_XSHIFT))
+    hash_const = _INIT_B
+    halves = []
+    for index in range(8):
+        value = pool[index % 4] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        halves.append((value ^ (value >> np.uint32(_XSHIFT))).astype(np.uint64))
+    return np.stack([halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
+
+
+def _pcg64_states(seeds: np.ndarray) -> list[dict]:
+    """``np.random.PCG64(s).state`` for each uint64 seed, without constructing a generator.
+
+    PCG64 seeds from the four words (s0, s1, q0, q1) of its SeedSequence:
+    inc = q << 1 | 1 and state = (inc + s) * M + inc (mod 2**128), the two
+    LCG steps of ``pcg_setseq_128_srandom_r``.
+    """
+    states = []
+    for s_hi, s_lo, q_hi, q_lo in _seed_sequence_words(seeds).tolist():
+        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append(
+            {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        )
+    return states
+
+
+def _uniforms_in_place(raw: np.ndarray) -> np.ndarray:
+    """Deviates in [0, 1) from contiguous raw PCG64 outputs (top 53 bits), in raw's buffer."""
+    flat = raw.reshape(-1)
+    np.right_shift(flat, np.uint64(11), out=flat)
+    uniforms = flat.view(np.float64)
+    # A ufunc with out= would first copy an input that overlaps an output of
+    # another dtype; a 1-d copyto casts element by element, in place.
+    np.copyto(uniforms, flat, casting="unsafe")
+    np.multiply(uniforms, 2.0**-53, out=uniforms)
+    return uniforms.reshape(raw.shape)
 
 
 class RandomSource:
@@ -93,8 +192,7 @@ class RandomSource:
             raise ValueError(f"k must be nonnegative, got {k}")
         if k == 0:
             return np.empty(0, dtype=np.float64)
-        raw = self._bitgen.random_raw(k)
-        return (raw >> np.uint64(11)) * 2.0**-53
+        return _uniforms_in_place(self._bitgen.random_raw(k))
 
 
 @dataclass(frozen=True)
@@ -157,16 +255,32 @@ LOOP_BLOCK = 1 << 20
 LOOP_MAX_UNIFORMS = 1 << 30
 
 
+def _check_inverse_p(p: float) -> None:
+    # The largest uniform is 1 - 2**-53, so no draw exceeds this bound; past
+    # the int64 range (p below about 4e-18) the cast in _geometric_in_place
+    # would wrap.
+    if math.log(2.0**-53) / math.log1p(-p) >= 2.0**63:
+        raise ValueError(f"p={p!r} is too small: geometric draws would overflow int64")
+
+
+def _geometric_in_place(u: np.ndarray, p: float) -> np.ndarray:
+    """floor(log1p(-u) / log1p(-p)) for p < 1 and contiguous u, as int64 in u's buffer."""
+    flat = u.reshape(-1)
+    np.negative(flat, out=flat)
+    np.log1p(flat, out=flat)
+    np.divide(flat, math.log1p(-p), out=flat)
+    np.floor(flat, out=flat)
+    draws = flat.view(np.int64)
+    np.copyto(draws, flat, casting="unsafe")  # in place, as in _uniforms_in_place
+    return draws.reshape(u.shape)
+
+
 def _geometric_array_inverse(src: RandomSource, p: float, n: int) -> np.ndarray:
     if p >= 1.0:
         src.uniforms(n)  # keep stream consumption identical to p < 1
         return np.zeros(n, dtype=np.int64)
-    # The largest uniform is 1 - 2**-53, so no draw exceeds this bound; past
-    # the int64 range (p below about 4e-18) the cast below would wrap.
-    if math.log(2.0**-53) / math.log1p(-p) >= 2.0**63:
-        raise ValueError(f"p={p!r} is too small: geometric draws would overflow int64")
-    u = src.uniforms(n)
-    return np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+    _check_inverse_p(p)
+    return _geometric_in_place(src.uniforms(n), p)
 
 
 def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
@@ -220,3 +334,48 @@ def sample_array(
     if method == "loop":
         return _geometric_array_loop(src, model.p, n)
     raise ValueError(f"method must be 'inverse' or 'loop', got {method!r}")
+
+
+def sample_block(
+    model: InputModel,
+    n: int,
+    cell_seed: int,
+    start: int,
+    stop: int,
+    method: str = "inverse",
+) -> np.ndarray:
+    """Trials start..stop-1 of a cell as one (stop - start, n) array.
+
+    Row i is exactly ``sample_array(RandomSource(mix64(cell_seed, t)),
+    model, n, method)`` for t = start + i, in values and dtype: the trial
+    seeds and their PCG64 states are computed for the whole block at once
+    (:func:`_pcg64_states`) and loaded, one trial at a time, into a single
+    reused generator, so every draw still comes from numpy's PCG64.  The
+    inverse sampler fills a raw uint64 block and maps it to geometric draws
+    in place (about 8 bytes per value, output included); the loop
+    sampler and continuous input run ``sample_array`` on each row.
+    Refusals (n < 1, a p too small for the sampler) raise before any draw.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    inverse = isinstance(model, Geometric) and method == "inverse"
+    if inverse:
+        if model.p >= 1.0:
+            return np.zeros((stop - start, n), dtype=np.int64)
+        _check_inverse_p(model.p)
+    states = _pcg64_states(_mix64_block(cell_seed, start, stop))
+    src = RandomSource(0)  # a placeholder seed: each trial's state is loaded below
+    bitgen = src._bitgen
+    if not inverse:
+        rows = []
+        for state in states:
+            bitgen.state = state
+            rows.append(sample_array(src, model, n, method))
+        return np.stack(rows)
+    raw = np.empty((len(states), n), dtype=np.uint64)
+    for row, state in zip(raw, states):
+        bitgen.state = state
+        row[:] = bitgen.random_raw(n)
+    return _geometric_in_place(_uniforms_in_place(raw), model.p)

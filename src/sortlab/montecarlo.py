@@ -13,7 +13,10 @@ correctly rounded square root of that variance.
 Determinism contract: cell seeds derive from the master seed and the
 p-grid index, trial seeds from the cell seed and the trial index, and
 trials are reduced in trial-index order.  Output is therefore
-bit-identical whether cells run serially or on worker processes.
+bit-identical whether cells run serially or on worker processes.  Each
+block is drawn by one :func:`~sortlab.distributions.sample_block` call,
+and trial t's stream is still exactly
+``RandomSource(mix64(cell_seed, t))``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import RandomSource, geometric, mix64, sample_array
+from .distributions import geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -43,6 +46,17 @@ SAMPLER_METHODS = ("inverse", "loop")
 #: of at most this many values (at least one trial each), so memory stays
 #: bounded whatever the trial count.
 BLOCK_VALUES = 1 << 18
+
+#: Peak bytes per array value while a block is counted: at most 64 for a
+#: kernel, output included (textbook 29-34, exchange 33-42, inversions
+#: 26-35 by tracemalloc), plus the 8 of the int64 block it is given.  The
+#: block sampler's own peak (at most 24) comes before.  A tracemalloc test
+#: pins a whole block of each mode within this figure.
+BYTES_PER_VALUE = 72
+
+#: Most bytes one trial may need.  A block holds at least one trial, so an
+#: n with n * BYTES_PER_VALUE above this is refused before any draw.
+TRIAL_MEMORY_BUDGET = 1 << 32
 
 _KERNELS = {
     "exchange_interchanges": exchange_sort_batch,
@@ -84,6 +98,12 @@ class ExperimentConfig:
             )
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        if self.n * BYTES_PER_VALUE > TRIAL_MEMORY_BUDGET:
+            raise ValueError(
+                f"n={self.n} is too large: one trial would need about "
+                f"{self.n * BYTES_PER_VALUE / 2**30:.3g} GiB ({BYTES_PER_VALUE} bytes per value), "
+                f"over the {TRIAL_MEMORY_BUDGET / 2**30:.3g} GiB budget"
+            )
 
 
 @dataclass(frozen=True)
@@ -110,13 +130,10 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
     # Python ints: a count squared passes int64 once counts pass ~3.04e9.
     total = squares = 0
 
-    def trial_array(trial_index: int):
-        src = RandomSource(mix64(cell_seed, trial_index))
-        return sample_array(src, model, config.n, method=config.sampler_method)
-
     for start in range(0, config.trials, per_block):
         stop = min(start + per_block, config.trials)
-        counts = kernel(np.stack([trial_array(t) for t in range(start, stop)]))[1]
+        batch = sample_block(model, config.n, cell_seed, start, stop, config.sampler_method)
+        counts = kernel(batch)[1]
         for count in counts.tolist():
             total += count
             squares += count * count

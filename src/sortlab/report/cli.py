@@ -204,6 +204,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_theory(args) -> int:
     if args.dist == "continuous":
+        if args.p is not None:
+            raise UsageError("--p applies only to --dist geometric")
         model = ContinuousUniform()
         model_text = "continuous uniform"
     else:

@@ -1,8 +1,10 @@
 """Trial harness: exact moments, cell seeding, determinism, parallel parity."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import brute_force_inversions, exchange_sort_list, textbook_sort_list
@@ -43,6 +45,20 @@ class TestExperimentConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ExperimentConfig(**base)
+
+    def test_oversized_trial_is_refused_before_sampling(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("sampled before refusing")
+
+        monkeypatch.setattr(montecarlo, "sample_block", no_draws)
+        monkeypatch.setattr(montecarlo, "TRIAL_MEMORY_BUDGET", 100 * montecarlo.BYTES_PER_VALUE)
+        ExperimentConfig(n=100, trials=5, p_values=(0.5,), master_seed=1)
+        with pytest.raises(ValueError, match=r"n=101 is too large: .* bytes per value"):
+            ExperimentConfig(n=101, trials=5, p_values=(0.5,), master_seed=1)
+
+    def test_default_and_benchmark_sizes_are_far_below_the_budget(self):
+        # The CLI default (and the largest benchmark) n is 1000; n = 10**6 runs too.
+        assert 10**6 * montecarlo.BYTES_PER_VALUE * 50 < montecarlo.TRIAL_MEMORY_BUDGET
 
 
 class TestTrialSummary:
@@ -186,6 +202,49 @@ class TestRunCell:
         monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
         assert run_cell(config, 0.3, mix64(5, 0)) == whole
         assert rows == ([3, 3, 3, 1] if block_values > 1 else [1] * 10)
+
+
+    @pytest.mark.parametrize("method", ["inverse", "loop"])
+    def test_blocks_match_per_trial_sampling(self, monkeypatch, method):
+        # 300 trials of n = 1000 pass BLOCK_VALUES: blocks of 262 and 38 trials.
+        config = ExperimentConfig(
+            n=1000, trials=300, p_values=(0.3,), master_seed=19, sampler_method=method
+        )
+        cell_seed = mix64(19, 0)
+        batches = []
+        kernel = montecarlo._KERNELS["exchange_interchanges"]
+
+        def spy(batch):
+            batches.append(batch.copy())
+            return kernel(batch)
+
+        monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", spy)
+        run_cell(config, 0.3, cell_seed)
+        assert [b.shape for b in batches] == [(262, 1000), (38, 1000)]
+        want = [
+            sample_array(RandomSource(mix64(cell_seed, t)), geometric(0.3), 1000, method)
+            for t in range(300)
+        ]
+        assert np.array_equal(np.concatenate(batches), np.stack(want))
+
+    @pytest.mark.parametrize(
+        "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
+    )
+    @pytest.mark.parametrize("method,p", [("inverse", 0.001), ("inverse", 0.9), ("loop", 0.1)])
+    def test_peak_memory_within_bytes_per_value(self, mode, method, p):
+        # One full block (262 trials of n = 1000): the sampler, the kernel and
+        # its output together stay within the figure the trial budget uses.
+        config = ExperimentConfig(
+            n=1000, trials=262, p_values=(p,), counter_mode=mode, master_seed=2,
+            sampler_method=method,
+        )
+        tracemalloc.start()
+        try:
+            run_cell(config, p, mix64(2, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= montecarlo.BYTES_PER_VALUE * 262 * 1000
 
 
 class TestRunExperiment:

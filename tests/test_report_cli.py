@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from sortlab import montecarlo
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
 from sortlab.polyfit import DataPoint, PolyModel, diagnostics, fit
@@ -275,6 +276,15 @@ class TestCliSimulate:
         assert "use the inverse sampler (--sampler inverse)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_trial_exits_1_without_csv(self, tmp_path, monkeypatch, capsys):
+        # The budget is patched down: no test allocates a trial that large.
+        monkeypatch.setattr(montecarlo, "TRIAL_MEMORY_BUDGET", 1000 * montecarlo.BYTES_PER_VALUE)
+        out = tmp_path / "big.csv"
+        rc = main(["simulate", "--n", "1001", "--trials", "1", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "error: n=1001 is too large" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_p_within_int64_still_samples(self, tmp_path):
         out = tmp_path / "tiny.csv"
         rc = main(["simulate", "--n", "20", "--trials", "3", "--p", "1e-12",
@@ -345,6 +355,13 @@ class TestCliTheory:
         rc = main(["theory", "--dist", "geometric"])
         assert rc == 2
         assert "--p is required" in capsys.readouterr().err
+
+    def test_p_with_continuous_is_usage_error(self, capsys):
+        rc = main(["theory", "--dist", "continuous", "--p", "0.3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "error: --p applies only to --dist geometric" in captured.err
+        assert captured.out == ""
 
 
 class TestCliFit:
