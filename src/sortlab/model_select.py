@@ -96,7 +96,7 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
 
     y_values = {pt.y for pt in points}
     if len(y_values) == 1:
-        report = diagnostics(points, fit(points, 0, min_residual_df=1))
+        report = diagnostics(points, fit(points, 0))
         return EmpiricalOVerdict(
             selected_degree=0,
             verdict_label="O_emp(p^0)",

@@ -39,7 +39,12 @@ __all__ = [
     "run_experiment",
 ]
 
-COUNTER_MODES = ("exchange_interchanges", "textbook_interchanges", "inversions")
+_KERNELS = {
+    "exchange_interchanges": exchange_sort_batch,
+    "textbook_interchanges": textbook_sort_batch,
+    "inversions": count_inversions_batch,
+}
+COUNTER_MODES = tuple(_KERNELS)
 SAMPLER_METHODS = ("inverse", "loop")
 
 #: Most array values one kernel call holds.  A cell's trials run in blocks
@@ -57,12 +62,6 @@ BYTES_PER_VALUE = 72
 #: Most bytes one trial may need.  A block holds at least one trial, so an
 #: n with n * BYTES_PER_VALUE above this is refused before any draw.
 TRIAL_MEMORY_BUDGET = 1 << 32
-
-_KERNELS = {
-    "exchange_interchanges": exchange_sort_batch,
-    "textbook_interchanges": textbook_sort_batch,
-    "inversions": count_inversions_batch,
-}
 
 
 @dataclass(frozen=True)
@@ -150,16 +149,6 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
     )
 
 
-def _cell_args(config: ExperimentConfig):
-    for index, p in enumerate(config.p_values):
-        yield p, mix64(config.master_seed, index)
-
-
-def _run_cell_star(args) -> TrialSummary:
-    config, p, cell_seed = args
-    return run_cell(config, p, cell_seed)
-
-
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
     """One TrialSummary per grid p, in grid order.
 
@@ -168,8 +157,9 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    work = [(config, p, seed) for p, seed in _cell_args(config)]
-    if jobs == 1 or len(work) == 1:
-        return tuple(_run_cell_star(args) for args in work)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-        return tuple(pool.map(_run_cell_star, work))
+    seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
+    configs = [config] * len(seeds)
+    if jobs == 1 or len(seeds) == 1:
+        return tuple(map(run_cell, configs, config.p_values, seeds))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        return tuple(pool.map(run_cell, configs, config.p_values, seeds))

@@ -1,32 +1,1 @@
 """File formats, embedded reference data, figures, and the command line."""
-
-from .csvio import CsvFormatError, RunMetadata, read_summaries_csv, write_summaries_csv
-from .fixture import REFERENCE_N, REFERENCE_ROWS, REFERENCE_TRIALS, reference_points
-from .jsonio import (
-    report_from_dict,
-    report_to_dict,
-    verdict_to_dict,
-    write_report_json,
-    write_verdict_json,
-)
-from .render import format_sig, render_report
-from .svg import write_scatter_svg
-
-__all__ = [
-    "CsvFormatError",
-    "REFERENCE_N",
-    "REFERENCE_ROWS",
-    "REFERENCE_TRIALS",
-    "RunMetadata",
-    "format_sig",
-    "read_summaries_csv",
-    "reference_points",
-    "render_report",
-    "report_from_dict",
-    "report_to_dict",
-    "verdict_to_dict",
-    "write_report_json",
-    "write_scatter_svg",
-    "write_summaries_csv",
-    "write_verdict_json",
-]

@@ -17,7 +17,7 @@ from pathlib import Path
 from .. import __version__
 from ..distributions import ContinuousUniform, geometric
 from ..model_select import SelectionPolicy, render_verdict, select_degree
-from ..montecarlo import ExperimentConfig, run_experiment
+from ..montecarlo import SAMPLER_METHODS, ExperimentConfig, TrialSummary, run_experiment
 from ..polyfit import DataPoint, diagnostics, fit
 from ..theory import predict as predict_theory
 from .csvio import (
@@ -46,12 +46,23 @@ _MODE_MAP = {
 }
 _DEFAULT_GRID = "0.1..0.9:0.1"
 
+#: Most points one `a..b:step` range may expand to; a range is checked
+#: against it before any point is built.
+MAX_RANGE_POINTS = 10**5
+
+
+def _check_p(d: Decimal) -> Decimal:
+    if not (d.is_finite() and 0 < d <= 1):
+        raise ValueError(f"p must be in (0,1]: got {d}")
+    return d
+
 
 def _parse_p_values(text: str) -> tuple[float, ...]:
     """Parse a p grid: single value, comma list, or inclusive `a..b:step` range.
 
     Ranges step in exact decimal arithmetic, so `0.1..0.9:0.1` yields
-    nine drift-free values with both endpoints included.
+    nine drift-free values with both endpoints included.  A range's
+    endpoints and point count are checked before it is expanded.
     """
     decimals: list[Decimal] = []
     for segment in text.split(","):
@@ -67,28 +78,31 @@ def _parse_p_values(text: str) -> tuple[float, ...]:
                 lo, hi, step = Decimal(lo_text), Decimal(hi_text), Decimal(step_text)
             except InvalidOperation as exc:
                 raise ValueError(f"bad number in range {segment!r}") from exc
-            if step <= 0:
-                raise ValueError(f"step must be positive in {segment!r}")
+            if not (step.is_finite() and step > 0):
+                raise ValueError(f"step must be positive and finite in {segment!r}")
+            _check_p(lo)
+            _check_p(hi)
             if hi < lo:
                 raise ValueError(f"range {segment!r} runs backwards")
-            count = (hi - lo) / step
-            whole = int(count)
-            if count != whole:
+            # Divides a span below 1 by a constant: cannot overflow, unlike span / step.
+            if (hi - lo) / (MAX_RANGE_POINTS - 1) > step:
+                raise ValueError(f"range {segment!r} has more than {MAX_RANGE_POINTS} points")
+            steps, rest = divmod(hi - lo, step)
+            if rest:
                 raise ValueError(f"step does not divide the span exactly in {segment!r}")
-            decimals.extend(lo + step * i for i in range(whole + 1))
+            decimals.extend(lo + step * i for i in range(int(steps) + 1))
         else:
             try:
-                decimals.append(Decimal(segment))
+                decimals.append(_check_p(Decimal(segment)))
             except InvalidOperation as exc:
                 raise ValueError(f"bad p value {segment!r}") from exc
-    values: list[float] = []
-    for d in decimals:
-        if not Decimal(0) < d <= Decimal(1):
-            raise ValueError(f"p must be in (0,1]: got {d}")
-        values.append(float(d))
+    values = [float(d) for d in decimals]
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"p values must be strictly increasing: {text!r}")
     return tuple(values)
+
+
+_DEFAULT_P_VALUES = _parse_p_values(_DEFAULT_GRID)
 
 
 def _p_grid_arg(text: str) -> tuple[float, ...]:
@@ -117,24 +131,22 @@ def _seed_arg(text: str):
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_arg(minimum: int):
+    """An argparse type for integers of at least `minimum`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {value}")
-    return value
+_positive_int = _int_arg(1)
 
 
 def _alpha_arg(text: str) -> float:
@@ -150,26 +162,24 @@ def _alpha_arg(text: str) -> float:
 def _resolve_seed(seed) -> int:
     if seed == "auto":
         seed = secrets.randbits(64)
-        print(f"seed: {seed}")
+        # stderr: stdout may be the CSV itself.
+        print(f"seed: {seed}", file=sys.stderr)
     return seed
 
 
-def _config_echo(config: ExperimentConfig) -> str:
+def _experiment(
+    args, echo_prefix: str = "", **fields
+) -> tuple[tuple[TrialSummary, ...], RunMetadata]:
+    """Run the experiment the shared run flags plus `fields` configure."""
+    seed = _resolve_seed(args.seed)
+    config = ExperimentConfig(n=args.n, trials=args.trials, master_seed=seed, **fields)
+    summaries = run_experiment(config, jobs=args.jobs)
     grid = ",".join(repr(p) for p in config.p_values)
-    return (
-        f"n={config.n} trials={config.trials} mode={config.counter_mode} "
+    echo = (
+        f"{echo_prefix}n={config.n} trials={config.trials} mode={config.counter_mode} "
         f"sampler={config.sampler_method} p={grid}"
     )
-
-
-def _add_input_group(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--input", help="summary CSV to read (x=p, y=mean_c)")
-    group.add_argument(
-        "--use-fixture",
-        action="store_true",
-        help="use the embedded published reference rows instead of a CSV",
-    )
+    return summaries, RunMetadata.create(echo, master_seed=seed, no_timestamp=args.no_timestamp)
 
 
 def _load_points(args) -> tuple[list[DataPoint], str]:
@@ -182,18 +192,8 @@ def _load_points(args) -> tuple[list[DataPoint], str]:
 
 
 def _cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
-    config = ExperimentConfig(
-        n=args.n,
-        trials=args.trials,
-        p_values=args.p,
-        counter_mode=_MODE_MAP[args.mode],
-        master_seed=seed,
-        sampler_method=args.sampler,
-    )
-    summaries = run_experiment(config, jobs=args.jobs)
-    meta = RunMetadata.create(
-        _config_echo(config), master_seed=seed, no_timestamp=args.no_timestamp
+    summaries, meta = _experiment(
+        args, p_values=args.p, counter_mode=_MODE_MAP[args.mode], sampler_method=args.sampler
     )
     if args.out == "-":
         sys.stdout.write(format_summaries_csv(summaries, meta))
@@ -279,24 +279,15 @@ def _write_comparison(path: Path, summaries, metadata: RunMetadata) -> None:
 def _cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = _resolve_seed(args.seed)
-    p_values = _parse_p_values(_DEFAULT_GRID)
-
     if args.use_fixture:
         summaries = REFERENCE_ROWS
-        echo = "reproduce source=fixture"
-    else:
-        config = ExperimentConfig(
-            n=args.n,
-            trials=args.trials,
-            p_values=p_values,
-            counter_mode="exchange_interchanges",
-            master_seed=seed,
-            sampler_method="inverse",
+        meta = RunMetadata.create(
+            "reproduce source=fixture",
+            master_seed=_resolve_seed(args.seed),
+            no_timestamp=args.no_timestamp,
         )
-        summaries = run_experiment(config, jobs=args.jobs)
-        echo = "reproduce " + _config_echo(config)
-    meta = RunMetadata.create(echo, master_seed=seed, no_timestamp=args.no_timestamp)
+    else:
+        summaries, meta = _experiment(args, "reproduce ", p_values=_DEFAULT_P_VALUES)
 
     write_summaries_csv(out_dir / "table1_repro.csv", summaries, meta)
     points = [DataPoint(x=s.p, y=s.mean_c) for s in summaries]
@@ -345,26 +336,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser(
-        "simulate", help="run the sample/sort/count experiment and emit a summary CSV"
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument(
+        "--seed", type=_seed_arg, required=True, help="64-bit unsigned seed, or 'auto'"
     )
-    sim.add_argument("--n", type=_positive_int, default=1000, help="array length")
-    sim.add_argument("--trials", type=_positive_int, default=100, help="trials per cell")
+    run.add_argument("--n", type=_positive_int, default=1000, help="array length")
+    run.add_argument("--trials", type=_positive_int, default=100, help="trials per cell")
+    run.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    run.add_argument("--no-timestamp", action="store_true")
+
+    points = argparse.ArgumentParser(add_help=False)
+    group = points.add_mutually_exclusive_group(required=True)
+    group.add_argument("--input", help="summary CSV to read (x=p, y=mean_c)")
+    group.add_argument(
+        "--use-fixture",
+        action="store_true",
+        help="use the embedded published reference rows instead of a CSV",
+    )
+    points.add_argument("--out-json", help="write the full-precision JSON artifact here")
+    points.add_argument("--no-timestamp", action="store_true")
+
+    sim = sub.add_parser(
+        "simulate",
+        parents=[run],
+        help="run the sample/sort/count experiment and emit a summary CSV",
+    )
     sim.add_argument(
         "--p",
         type=_p_grid_arg,
-        default=_parse_p_values(_DEFAULT_GRID),
+        default=_DEFAULT_P_VALUES,
         metavar="GRID",
         help=f"p grid: value, comma list, or a..b:step (default {_DEFAULT_GRID})",
     )
     sim.add_argument("--mode", choices=sorted(_MODE_MAP), default="exchange")
-    sim.add_argument("--sampler", choices=("inverse", "loop"), default="inverse")
-    sim.add_argument(
-        "--seed", type=_seed_arg, required=True, help="64-bit unsigned seed, or 'auto'"
-    )
-    sim.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    sim.add_argument("--sampler", choices=SAMPLER_METHODS, default="inverse")
     sim.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
-    sim.add_argument("--no-timestamp", action="store_true")
     sim.set_defaults(func=_cmd_simulate)
 
     thy = sub.add_parser("theory", help="closed-form tie/interchange predictions")
@@ -374,56 +380,41 @@ def build_parser() -> argparse.ArgumentParser:
     thy.add_argument("--json", action="store_true")
     thy.set_defaults(func=_cmd_theory)
 
-    fit_cmd = sub.add_parser("fit", help="polynomial fit with full diagnostics")
-    _add_input_group(fit_cmd)
-    fit_cmd.add_argument("--degree", type=_nonneg_int, required=True)
-    fit_cmd.add_argument("--out-json", help="write the full-precision report here")
-    fit_cmd.add_argument("--no-timestamp", action="store_true")
+    fit_cmd = sub.add_parser("fit", parents=[points], help="polynomial fit with full diagnostics")
+    fit_cmd.add_argument("--degree", type=_int_arg(0), required=True)
     fit_cmd.set_defaults(func=_cmd_fit)
 
-    sel = sub.add_parser("select", help="empirical growth-order selection")
-    _add_input_group(sel)
+    sel = sub.add_parser("select", parents=[points], help="empirical growth-order selection")
     sel.add_argument("--alpha", type=_alpha_arg, default=0.05)
     sel.add_argument("--d-min", type=_positive_int, default=1)
     sel.add_argument("--d-max", type=_positive_int, default=4)
-    sel.add_argument("--out-json", help="write the verdict JSON here")
-    sel.add_argument("--no-timestamp", action="store_true")
     sel.set_defaults(func=_cmd_select)
 
     rep = sub.add_parser(
-        "reproduce", help="full pipeline: simulate, fit degrees 2-4, select, figures"
-    )
-    rep.add_argument(
-        "--seed", type=_seed_arg, required=True, help="64-bit unsigned seed, or 'auto'"
+        "reproduce",
+        parents=[run],
+        help="full pipeline: simulate, fit degrees 2-4, select, figures",
     )
     rep.add_argument("--out-dir", default="repro_out")
-    rep.add_argument("--n", type=_positive_int, default=1000)
-    rep.add_argument("--trials", type=_positive_int, default=100)
-    rep.add_argument("--jobs", type=_positive_int, default=1)
     rep.add_argument("--alpha", type=_alpha_arg, default=0.05)
     rep.add_argument(
         "--use-fixture",
         action="store_true",
         help="skip simulation and run the pipeline on the embedded reference rows",
     )
-    rep.add_argument("--no-timestamp", action="store_true")
     rep.set_defaults(func=_cmd_reproduce)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        if isinstance(exc.code, int):
-            return exc.code
-        print(exc.code, file=sys.stderr)
-        return 2
+        # argparse exits 0 after --help or --version and 2 on a usage error.
+        return exc.code
+    try:
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .. import __version__
+from ..distributions import ALGORITHM_ID
 from ..montecarlo import TrialSummary
 
 __all__ = [
@@ -47,9 +49,6 @@ class RunMetadata:
         master_seed: int | None = None,
         no_timestamp: bool = False,
     ) -> "RunMetadata":
-        from .. import __version__
-        from ..distributions import ALGORITHM_ID
-
         stamp = None if no_timestamp else datetime.now(timezone.utc).isoformat()
         return cls(
             tool_version=__version__,

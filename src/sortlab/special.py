@@ -23,38 +23,30 @@ _TINY = 1e-300
 _MAX_ITER = 500
 
 
+def _off_zero(value: float) -> float:
+    # Lentz's guard: a denominator that cancels to about 0 becomes _TINY.
+    return _TINY if abs(value) < _TINY else value
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # Continued fraction for I_x(a,b), modified Lentz method.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    d = 1.0 / _off_zero(1.0 - qab * x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # One iteration takes the fraction's even term, then its odd term.
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 / _off_zero(1.0 + aa * d)
+            c = _off_zero(1.0 + aa / c)
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise RuntimeError(f"incomplete beta continued fraction failed to converge (a={a}, b={b}, x={x})")

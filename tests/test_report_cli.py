@@ -1,5 +1,6 @@
 """Fixture integrity, file formats, figures, and CLI contract tests."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -11,7 +12,8 @@ from sortlab import montecarlo
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
 from sortlab.polyfit import DataPoint, PolyModel, diagnostics, fit
-from sortlab.report.cli import main
+from sortlab.report import cli
+from sortlab.report.cli import build_parser, main
 from sortlab.report.csvio import (
     CSV_HEADER,
     CsvFormatError,
@@ -222,6 +224,108 @@ class TestSvg:
         assert "<script" not in content
 
 
+GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+# option -> (default, choices, required, accepts "0"); None in the last
+# slot for options without a type.
+CLI_SURFACE = {
+    "simulate": {
+        "--n": (1000, None, False, False),
+        "--trials": (100, None, False, False),
+        "--p": (GRID, None, False, False),
+        "--mode": ("exchange", ["exchange", "inversions", "textbook"], False, None),
+        "--sampler": ("inverse", ["inverse", "loop"], False, None),
+        "--seed": (None, None, True, True),
+        "--jobs": (1, None, False, False),
+        "--out": ("-", None, False, None),
+        "--no-timestamp": (False, None, False, None),
+    },
+    "theory": {
+        "--dist": ("geometric", ["geometric", "continuous"], False, None),
+        "--p": (None, None, False, False),
+        "--n": (1000, None, False, False),
+        "--json": (False, None, False, None),
+    },
+    "fit": {
+        "--input": (None, None, False, None),
+        "--use-fixture": (False, None, False, None),
+        "--degree": (None, None, True, True),
+        "--out-json": (None, None, False, None),
+        "--no-timestamp": (False, None, False, None),
+    },
+    "select": {
+        "--input": (None, None, False, None),
+        "--use-fixture": (False, None, False, None),
+        "--alpha": (0.05, None, False, False),
+        "--d-min": (1, None, False, False),
+        "--d-max": (4, None, False, False),
+        "--out-json": (None, None, False, None),
+        "--no-timestamp": (False, None, False, None),
+    },
+    "reproduce": {
+        "--seed": (None, None, True, True),
+        "--out-dir": ("repro_out", None, False, None),
+        "--n": (1000, None, False, False),
+        "--trials": (100, None, False, False),
+        "--jobs": (1, None, False, False),
+        "--alpha": (0.05, None, False, False),
+        "--use-fixture": (False, None, False, None),
+        "--no-timestamp": (False, None, False, None),
+    },
+}
+
+
+def _accepts(action, text) -> bool | None:
+    if action.type is None:
+        return None
+    try:
+        action.type(text)
+    except argparse.ArgumentTypeError:
+        return False
+    return True
+
+
+class TestCliSurface:
+    """Every subcommand keeps its flags, defaults, choices and requirements."""
+
+    @staticmethod
+    def subparsers():
+        parser = build_parser()
+        (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return action.choices
+
+    def test_subcommands(self):
+        assert list(self.subparsers()) == list(CLI_SURFACE)
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_options(self, command):
+        sub = self.subparsers()[command]
+        surface = {}
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            (option,) = action.option_strings
+            choices = None if action.choices is None else list(action.choices)
+            surface[option] = (action.default, choices, action.required, _accepts(action, "0"))
+        assert surface == CLI_SURFACE[command]
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_input_group(self, command):
+        groups = [
+            (group.required, [a.option_strings for a in group._group_actions])
+            for group in self.subparsers()[command]._mutually_exclusive_groups
+        ]
+        expected = [(True, [["--input"], ["--use-fixture"]])] if command in ("fit", "select") else []
+        assert groups == expected
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["--version"]] + [[command, "--help"] for command in CLI_SURFACE]
+    )
+    def test_help_and_version_exit_0(self, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+
+
 class TestCliSimulate:
     def test_deterministic_bytes_across_jobs(self, tmp_path):
         args = [
@@ -313,11 +417,43 @@ class TestCliSimulate:
              "--out", str(out), "--no-timestamp"]
         )
         assert rc == 0
-        stdout = capsys.readouterr().out
-        assert "seed: " in stdout
-        announced = int(stdout.split("seed: ")[1].split()[0])
+        stderr = capsys.readouterr().err
+        assert "seed: " in stderr
+        announced = int(stderr.split("seed: ")[1].split()[0])
         _, metadata = read_summaries_csv(out)
         assert int(metadata["master_seed"]) == announced
+
+    def test_auto_seed_keeps_stdout_csv_readable(self, capsys):
+        rc = main(["simulate", "--n", "5", "--trials", "2", "--p", "0.5", "--seed", "auto",
+                   "--no-timestamp"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        summaries, metadata = parse_summaries_csv(captured.out)
+        assert [s.p for s in summaries] == [0.5]
+        assert captured.err == f"seed: {metadata['master_seed']}\n"
+
+    @pytest.mark.parametrize("grid", ["2..2000000:1", "2..2000000000:1"])
+    def test_out_of_range_p_range_refused_before_expansion(self, grid, capsys):
+        start = time.monotonic()
+        assert main(["simulate", "--p", grid, "--seed", "1"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert "p must be in (0,1]: got 2" in capsys.readouterr().err
+
+    def test_p_range_point_cap(self, capsys):
+        limit = cli.MAX_RANGE_POINTS
+        assert limit == 10**5
+        assert len(cli._parse_p_values("0.000001..0.1:0.000001")) == limit
+        with pytest.raises(ValueError, match=f"more than {limit} points"):
+            cli._parse_p_values("0.000001..0.100001:0.000001")
+        start = time.monotonic()
+        assert main(["simulate", "--p", "0.1..0.9:1e-30", "--seed", "1"]) == 2
+        assert time.monotonic() - start < 1.0
+        assert f"more than {limit} points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["nan", "0.1..nan:0.1", "0.1..0.9:nan", "0.1..0.9:1e-2000000"])
+    def test_non_finite_or_extreme_p_exits_2(self, grid, capsys):
+        assert main(["simulate", "--p", grid, "--seed", "1"]) == 2
+        assert "error: argument --p" in capsys.readouterr().err
 
     def test_grid_endpoints_inclusive(self, capsys):
         rc = main(["simulate", "--n", "4", "--trials", "1", "--p", "0.2..1.0:0.4",
@@ -490,6 +626,15 @@ class TestCliReproduce:
             assert rc == 0
         for name in self.MANIFEST:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_auto_seed_announced_on_stderr(self, tmp_path, capsys):
+        rc = main(["reproduce", "--use-fixture", "--seed", "auto", "--out-dir", str(tmp_path),
+                   "--no-timestamp"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("artifacts written to ")
+        _, metadata = read_summaries_csv(tmp_path / "table1_repro.csv")
+        assert captured.err == f"seed: {metadata['master_seed']}\n"
 
     def test_single_element_arrays_leave_ratio_empty(self, tmp_path, capsys):
         # At n=1 there are no pairs, so the pairwise expectation is 0 and
