@@ -20,7 +20,6 @@ from .algorithms import (
 from .distributions import (
     ContinuousUniform,
     Geometric,
-    GeometricParam,
     RandomSource,
     geometric,
     mix64,
@@ -46,7 +45,6 @@ __all__ = [
     "EmpiricalOVerdict",
     "ExperimentConfig",
     "Geometric",
-    "GeometricParam",
     "OpCounters",
     "PolyModel",
     "RandomSource",

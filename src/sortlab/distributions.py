@@ -1,8 +1,8 @@
-"""Input models and seedable random-variate generation.
+"""The geometric input model and seedable random-variate generation.
 
-The workbench sorts arrays of iid draws from one of two input models: a
-geometric(p) distribution on r = 0, 1, 2, ... (number of failures before
-the first success) or a continuous uniform distribution on [0, 1).
+The workbench sorts arrays of iid geometric(p) draws on r = 0, 1, 2, ...
+(the number of failures before the first success).  `ContinuousUniform`
+is only a tag for the closed-form theory; nothing samples it.
 
 All randomness flows through :class:`RandomSource`, a deterministic
 uniform stream.  Identical (algorithm_id, master_seed, call sequence)
@@ -10,18 +10,17 @@ yields an identical stream, and independent substreams for parallel
 workers are derived with a fixed mixing function (:func:`mix64`), so
 every downstream artifact is reproducible byte for byte.
 
-:func:`sample_block` draws many trials of a cell at once.  Row t is
-still exactly ``sample_array(RandomSource(mix64(cell_seed, t)), ...)``:
-it computes the same PCG64 seeding for the whole block with array
-arithmetic and loads each trial's state into one reused generator, so
-no trial pays for a generator construction.
+:func:`sample_block` draws many trials of a cell at once from the
+streams ``RandomSource(mix64(cell_seed, t))``: it computes the same
+PCG64 seeding for the whole block with array arithmetic and loads each
+trial's state into one reused generator, so no trial pays for a
+generator construction.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -29,11 +28,9 @@ __all__ = [
     "ALGORITHM_ID",
     "ContinuousUniform",
     "Geometric",
-    "GeometricParam",
-    "InputModel",
     "RandomSource",
+    "SAMPLER_METHODS",
     "geometric",
-    "geometric_pmf",
     "mix64",
     "sample_array",
     "sample_block",
@@ -196,8 +193,8 @@ class RandomSource:
 
 
 @dataclass(frozen=True)
-class GeometricParam:
-    """Success probability of the geometric input model.
+class Geometric:
+    """iid geometric(p) input on r = 0, 1, 2, ...
 
     Accepts 0 < p <= 1.  p = 1 is the degenerate all-zeros input; p <= 0
     is rejected because the failure-counting sampler would not
@@ -215,36 +212,17 @@ class GeometricParam:
         object.__setattr__(self, "p", float(p))
 
 
-@dataclass(frozen=True)
-class Geometric:
-    """iid geometric(p) input; support r = 0, 1, 2, ..."""
-
-    param: GeometricParam
-
-    @property
-    def p(self) -> float:
-        return self.param.p
+geometric = Geometric
 
 
 @dataclass(frozen=True)
 class ContinuousUniform:
-    """iid continuous uniform input on [0, 1)."""
+    """iid continuous uniform input on [0, 1): a tag for the closed-form theory only."""
 
 
-InputModel = Union[Geometric, ContinuousUniform]
-
-
-def geometric(p: float) -> Geometric:
-    """Shorthand for ``Geometric(GeometricParam(p))``."""
-    return Geometric(GeometricParam(p))
-
-
-def geometric_pmf(param: GeometricParam, r: int) -> float:
-    """Mass at r: p * (1-p)**r, the chance of r failures then a success."""
-    if r < 0 or r != int(r):
-        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
-    return param.p * (1.0 - param.p) ** int(r)
-
+#: The geometric samplers `sample_block` offers: the inverse CDF, one
+#: uniform per draw, or failure counting, about 1/p uniforms per draw.
+SAMPLER_METHODS = ("inverse", "loop")
 
 #: Most uniforms the loop sampler draws in one block, which bounds its
 #: memory (a few tens of MB) however small p is.
@@ -275,14 +253,6 @@ def _geometric_in_place(u: np.ndarray, p: float) -> np.ndarray:
     return draws.reshape(u.shape)
 
 
-def _geometric_array_inverse(src: RandomSource, p: float, n: int) -> np.ndarray:
-    if p >= 1.0:
-        src.uniforms(n)  # keep stream consumption identical to p < 1
-        return np.zeros(n, dtype=np.int64)
-    _check_inverse_p(p)
-    return _geometric_in_place(src.uniforms(n), p)
-
-
 def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
     """Vectorized equivalent of n successive failure-counting draws.
 
@@ -311,68 +281,60 @@ def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
     return np.diff(np.concatenate(positions), prepend=-1).astype(np.int64) - 1
 
 
-def sample_array(
-    src: RandomSource,
-    model: InputModel,
-    n: int,
-    method: str = "inverse",
-) -> np.ndarray:
-    """n iid draws from `model`, in draw order.
-
-    Geometric draws come back as int64, continuous ones as float64.
-    `method` selects the geometric sampler ("inverse" or "loop"); both
-    produce the same distribution and are ignored for continuous input.
-    """
+def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
+    """n iid geometric draws from `src` by the inverse CDF, in draw order, as int64."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if isinstance(model, ContinuousUniform):
-        return src.uniforms(n)
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
-    if method == "inverse":
-        return _geometric_array_inverse(src, model.p, n)
-    if method == "loop":
-        return _geometric_array_loop(src, model.p, n)
-    raise ValueError(f"method must be 'inverse' or 'loop', got {method!r}")
+    if model.p >= 1.0:
+        src.uniforms(n)  # keep stream consumption identical to p < 1
+        return np.zeros(n, dtype=np.int64)
+    _check_inverse_p(model.p)
+    return _geometric_in_place(src.uniforms(n), model.p)
 
 
 def sample_block(
-    model: InputModel,
+    model: Geometric,
     n: int,
     cell_seed: int,
     start: int,
     stop: int,
     method: str = "inverse",
 ) -> np.ndarray:
-    """Trials start..stop-1 of a cell as one (stop - start, n) array.
+    """Trials start..stop-1 of a cell as one (stop - start, n) int64 array.
 
-    Row i is exactly ``sample_array(RandomSource(mix64(cell_seed, t)),
-    model, n, method)`` for t = start + i, in values and dtype: the trial
-    seeds and their PCG64 states are computed for the whole block at once
-    (:func:`_pcg64_states`) and loaded, one trial at a time, into a single
-    reused generator, so every draw still comes from numpy's PCG64.  The
-    inverse sampler fills a raw uint64 block and maps it to geometric draws
-    in place (about 8 bytes per value, output included); the loop
-    sampler and continuous input run ``sample_array`` on each row.
-    Refusals (n < 1, a p too small for the sampler) raise before any draw.
+    Row i draws from ``RandomSource(mix64(cell_seed, t))`` for t = start + i:
+    the trial seeds and their PCG64 states are computed for the whole block
+    at once (:func:`_pcg64_states`) and loaded, one trial at a time, into a
+    single reused generator, so every draw still comes from numpy's PCG64.
+    An inverse row equals ``sample_array`` on that source: the block is
+    filled as raw uint64 and mapped to geometric draws in place (about 8
+    bytes per value, output included).  A loop row counts failures on that
+    source (:func:`_geometric_array_loop`).  Refusals (n < 1, a bad
+    start/stop, an unknown method, a p too small for the sampler) raise
+    before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
-    inverse = isinstance(model, Geometric) and method == "inverse"
-    if inverse:
+    if not isinstance(model, Geometric):
+        raise TypeError(f"unknown input model: {model!r}")
+    if method not in SAMPLER_METHODS:
+        raise ValueError(f"method must be 'inverse' or 'loop', got {method!r}")
+    if method == "inverse":
         if model.p >= 1.0:
             return np.zeros((stop - start, n), dtype=np.int64)
         _check_inverse_p(model.p)
     states = _pcg64_states(_mix64_block(cell_seed, start, stop))
     src = RandomSource(0)  # a placeholder seed: each trial's state is loaded below
     bitgen = src._bitgen
-    if not inverse:
+    if method == "loop":
         rows = []
         for state in states:
             bitgen.state = state
-            rows.append(sample_array(src, model, n, method))
+            rows.append(_geometric_array_loop(src, model.p, n))
         return np.stack(rows)
     raw = np.empty((len(states), n), dtype=np.uint64)
     for row, state in zip(raw, states):

@@ -26,10 +26,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import geometric, mix64, sample_block
+from .distributions import SAMPLER_METHODS, geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -45,7 +43,6 @@ _KERNELS = {
     "inversions": count_inversions_batch,
 }
 COUNTER_MODES = tuple(_KERNELS)
-SAMPLER_METHODS = ("inverse", "loop")
 
 #: Most array values one kernel call holds.  A cell's trials run in blocks
 #: of at most this many values (at least one trial each), so memory stays

@@ -15,9 +15,9 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .. import __version__
-from ..distributions import ContinuousUniform, geometric
+from ..distributions import SAMPLER_METHODS, ContinuousUniform, geometric
 from ..model_select import SelectionPolicy, render_verdict, select_degree
-from ..montecarlo import SAMPLER_METHODS, ExperimentConfig, TrialSummary, run_experiment
+from ..montecarlo import ExperimentConfig, TrialSummary, run_experiment
 from ..polyfit import DataPoint, diagnostics, fit
 from ..theory import predict as predict_theory
 from .csvio import (
@@ -62,9 +62,10 @@ def _parse_p_values(text: str) -> tuple[float, ...]:
 
     Ranges step in exact decimal arithmetic, so `0.1..0.9:0.1` yields
     nine drift-free values with both endpoints included.  A range's
-    endpoints and point count are checked before it is expanded.
+    endpoints and point count are checked before it is expanded, and a
+    point that underflows to 0.0 as a float is refused.
     """
-    decimals: list[Decimal] = []
+    values: list[float] = []
     for segment in text.split(","):
         segment = segment.strip()
         if not segment:
@@ -90,13 +91,16 @@ def _parse_p_values(text: str) -> tuple[float, ...]:
             steps, rest = divmod(hi - lo, step)
             if rest:
                 raise ValueError(f"step does not divide the span exactly in {segment!r}")
-            decimals.extend(lo + step * i for i in range(int(steps) + 1))
+            decimals = [lo + step * i for i in range(int(steps) + 1)]
         else:
             try:
-                decimals.append(_check_p(Decimal(segment)))
+                decimals = [_check_p(Decimal(segment))]
             except InvalidOperation as exc:
                 raise ValueError(f"bad p value {segment!r}") from exc
-    values = [float(d) for d in decimals]
+        points = [float(d) for d in decimals]
+        if 0.0 in points:
+            raise ValueError(f"{segment!r} holds a p below the smallest float, which rounds to 0.0")
+        values.extend(points)
     if any(a >= b for a, b in zip(values, values[1:])):
         raise ValueError(f"p values must be strictly increasing: {text!r}")
     return tuple(values)

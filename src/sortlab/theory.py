@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import ContinuousUniform, Geometric, InputModel
+from .distributions import ContinuousUniform, Geometric
 
 __all__ = [
     "TheoryPrediction",
@@ -31,6 +31,8 @@ __all__ = [
     "predict",
     "tie_probability",
 ]
+
+InputModel = Geometric | ContinuousUniform
 
 
 def tie_probability(model: InputModel) -> float:

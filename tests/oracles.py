@@ -3,9 +3,10 @@
 Each function here is the plain, obviously-correct form of something the
 package computes in bulk: the two selection sorts as their double loops
 (and the textbook sort once more as one numpy pass per slot), the
-inversion count by brute force over all pairs, and the geometric samplers
-one variate at a time.  The batched kernels and the bulk samplers must
-agree with them exactly, count for count and draw for draw.
+inversion count by brute force over all pairs, the geometric samplers
+one variate at a time (and a cell's trials one source at a time), and
+the geometric mass function.  The batched kernels and the bulk samplers
+must agree with them exactly, count for count and draw for draw.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from sortlab.distributions import GeometricParam, RandomSource
+from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 
 
 def exchange_sort_list(seq) -> tuple[list, int]:
@@ -76,14 +77,14 @@ def brute_force_inversions(seq) -> int:
     )
 
 
-def sample_geometric_loop(src: RandomSource, param: GeometricParam) -> int:
+def sample_geometric_loop(src: RandomSource, p: float) -> int:
     """One geometric(p) variate by counting failures until a success.
 
     Consumes one uniform per Bernoulli trial (u < p is a success), so it
     terminates almost surely for any p > 0.
     """
     r = 0
-    while src.uniform() >= param.p:
+    while src.uniform() >= p:
         r += 1
     return r
 
@@ -99,6 +100,28 @@ def geometric_from_uniform(u: float, p: float) -> int:
     return int(math.log1p(-u) / math.log1p(-p))
 
 
-def sample_geometric_inverse(src: RandomSource, param: GeometricParam) -> int:
+def sample_geometric_inverse(src: RandomSource, p: float) -> int:
     """One geometric(p) variate via the inverse CDF; one uniform per draw."""
-    return geometric_from_uniform(src.uniform(), param.p)
+    return geometric_from_uniform(src.uniform(), p)
+
+
+def geometric_pmf(p: float, r: int) -> float:
+    """Mass at r: p * (1-p)**r, the chance of r failures then a success."""
+    if r < 0 or r != int(r):
+        raise ValueError(f"r must be a nonnegative integer, got {r!r}")
+    return p * (1.0 - p) ** int(r)
+
+
+def per_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int, method: str) -> np.ndarray:
+    """Trials start..stop-1 of a cell, each drawn on its own
+    ``RandomSource(mix64(cell_seed, t))``: by ``sample_array`` for the
+    inverse sampler, by n scalar failure-counting draws for the loop sampler.
+    """
+    rows = []
+    for t in range(start, stop):
+        src = RandomSource(mix64(cell_seed, t))
+        if method == "inverse":
+            rows.append(sample_array(src, geometric(p), n))
+        else:
+            rows.append(np.array([sample_geometric_loop(src, p) for _ in range(n)], dtype=np.int64))
+    return np.stack(rows)

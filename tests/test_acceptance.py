@@ -10,9 +10,10 @@ from collections import Counter
 
 import numpy as np
 from conftest import record_criterion
+from oracles import geometric_pmf
 
 from sortlab.algorithms import count_inversions, exchange_selection_sort
-from sortlab.distributions import GeometricParam, RandomSource, geometric, geometric_pmf, sample_array
+from sortlab.distributions import RandomSource, geometric, sample_array
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import ExperimentConfig, run_experiment
 from sortlab.polyfit import DataPoint, diagnostics, fit
@@ -98,8 +99,7 @@ def test_criterion_4_theory_closed_form_vs_series_and_continuous_case():
     worst = 0.0
     for i in range(1, 20):
         p = i * 0.05
-        param = GeometricParam(p)
-        series = math.fsum(geometric_pmf(param, r) ** 2 for r in range(4000))
+        series = math.fsum(geometric_pmf(p, r) ** 2 for r in range(4000))
         gap = abs(p / (2.0 - p) - series)
         worst = max(worst, gap)
         if gap > 1e-12:
@@ -130,8 +130,7 @@ def test_criterion_5_inversion_means_match_pairwise_theory(inversion_cells):
     # Small-n bridge: exhaustive pair enumeration at n=8, p=0.4 pins the
     # per-pair probability that the grid-level identity relies on.
     p, n, trials_count = 0.4, 8, 100_000
-    param = GeometricParam(p)
-    pmf = [geometric_pmf(param, r) for r in range(600)]
+    pmf = [geometric_pmf(p, r) for r in range(600)]
     pair_prob_oracle = math.fsum(pmf[r] * pmf[s] for r in range(600) for s in range(r))
     values = sample_array(RandomSource(77), geometric(p), trials_count * n).reshape(trials_count, n)
     rows, cols = np.triu_indices(n, k=1)

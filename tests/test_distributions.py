@@ -1,5 +1,6 @@
 """Seeded random source, substream mixing, geometric samplers and the block sampler."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,22 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import geometric_from_uniform, sample_geometric_inverse, sample_geometric_loop
+from oracles import (
+    geometric_from_uniform,
+    geometric_pmf,
+    per_trial_rows,
+    sample_geometric_inverse,
+    sample_geometric_loop,
+)
 from sortlab import distributions
 from sortlab.distributions import (
     LOOP_BLOCK,
     LOOP_MAX_UNIFORMS,
     ContinuousUniform,
     Geometric,
-    GeometricParam,
     RandomSource,
-    _geometric_array_inverse,
     _geometric_array_loop,
     _mix64_block,
     _pcg64_states,
     _seed_sequence_words,
     geometric,
-    geometric_pmf,
     mix64,
     sample_array,
     sample_block,
@@ -92,28 +96,29 @@ class TestRandomSource:
         assert chi2 < CHI2_CRIT_DF19
 
 
-class TestGeometricParam:
+class TestGeometric:
     def test_validation(self):
         with pytest.raises(ValueError):
-            GeometricParam(0.0)
+            Geometric(0.0)
         with pytest.raises(ValueError):
-            GeometricParam(1.5)
+            Geometric(1.5)
         with pytest.raises(ValueError):
-            GeometricParam(float("nan"))
-        assert GeometricParam(1.0).p == 1.0
-        assert geometric(0.3).p == 0.3
+            Geometric(float("nan"))
+        assert Geometric(1).p == 1.0 and isinstance(Geometric(1).p, float)
+        assert geometric(0.3) == Geometric(0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geometric(0.3).p = 0.5
 
+    # The oracle pmf the goodness-of-fit tests below read.
     def test_pmf_matches_formula_and_sums_to_one(self):
-        param = GeometricParam(0.25)
         for r in range(20):
-            assert geometric_pmf(param, r) == pytest.approx(0.25 * 0.75**r, rel=1e-15)
-        total = sum(geometric_pmf(param, r) for r in range(400))
+            assert geometric_pmf(0.25, r) == pytest.approx(0.25 * 0.75**r, rel=1e-15)
+        total = sum(geometric_pmf(0.25, r) for r in range(400))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_pmf_rejects_bad_support(self):
-        param = GeometricParam(0.5)
         with pytest.raises(ValueError):
-            geometric_pmf(param, -1)
+            geometric_pmf(0.5, -1)
 
 
 class TestInverseTransform:
@@ -148,18 +153,16 @@ class TestInverseTransform:
 class TestSamplerAgreement:
     @pytest.mark.parametrize("seed", [5, 99, 123456])
     def test_bulk_loop_equals_scalar_loop(self, seed):
-        param = GeometricParam(0.3)
         bulk = _geometric_array_loop(RandomSource(seed), 0.3, 50)
         src = RandomSource(seed)
-        scalar = [sample_geometric_loop(src, param) for _ in range(50)]
+        scalar = [sample_geometric_loop(src, 0.3) for _ in range(50)]
         assert bulk.tolist() == scalar
 
     @pytest.mark.parametrize("seed", [5, 99])
     def test_bulk_inverse_equals_scalar_inverse(self, seed):
-        param = GeometricParam(0.3)
-        bulk = _geometric_array_inverse(RandomSource(seed), 0.3, 30)
+        bulk = sample_array(RandomSource(seed), geometric(0.3), 30)
         src = RandomSource(seed)
-        scalar = [sample_geometric_inverse(src, param) for _ in range(30)]
+        scalar = [sample_geometric_inverse(src, 0.3) for _ in range(30)]
         assert bulk.tolist() == scalar
 
     @pytest.mark.parametrize(
@@ -195,39 +198,35 @@ class TestSamplerAgreement:
         src = RandomSource(3)
         with pytest.raises(ValueError, match="too small for the loop sampler.*--sampler inverse"):
             _geometric_array_loop(src, p, n)
-        with pytest.raises(ValueError, match="too small for the loop sampler"):
-            sample_array(src, geometric(p), n, method="loop")
         assert src.uniform() == RandomSource(3).uniform()
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
     def test_bulk_inverse_rejects_p_that_overflows_int64(self, p):
         src = RandomSource(1)
         with pytest.raises(ValueError, match="too small"):
-            _geometric_array_inverse(src, p, 5)
-        with pytest.raises(ValueError, match="too small"):
             sample_array(src, geometric(p), 5)
+        assert src.uniform() == RandomSource(1).uniform()
 
     def test_bulk_inverse_samples_tiny_p_within_int64(self):
-        draws = _geometric_array_inverse(RandomSource(1), 1e-12, 1000)
+        draws = sample_array(RandomSource(1), geometric(1e-12), 1000)
         assert draws.dtype == np.int64
         assert int(draws.min()) >= 0
         assert 1e11 < float(draws.mean()) < 1e13
 
     def test_p_one_always_zero(self):
         assert _geometric_array_loop(RandomSource(1), 1.0, 5).tolist() == [0] * 5
-        assert _geometric_array_inverse(RandomSource(1), 1.0, 5).tolist() == [0] * 5
-        src = RandomSource(1)
-        assert sample_geometric_loop(src, GeometricParam(1.0)) == 0
+        assert sample_array(RandomSource(1), geometric(1.0), 5).tolist() == [0] * 5
+        assert sample_geometric_loop(RandomSource(1), 1.0) == 0
 
-    @pytest.mark.parametrize(
-        "sampler,seed",
-        [(_geometric_array_inverse, 2024), (_geometric_array_loop, 2025)],
-    )
-    def test_goodness_of_fit(self, sampler, seed):
+    @pytest.mark.parametrize("method,seed", [("inverse", 2024), ("loop", 2025)])
+    def test_goodness_of_fit(self, method, seed):
         p = 0.3
-        param = GeometricParam(p)
-        draws = sampler(RandomSource(seed), p, 1_000_000)
-        pmf = np.array([geometric_pmf(param, r) for r in range(16)])
+        src = RandomSource(seed)
+        if method == "inverse":
+            draws = sample_array(src, geometric(p), 1_000_000)
+        else:
+            draws = _geometric_array_loop(src, p, 1_000_000)
+        pmf = np.array([geometric_pmf(p, r) for r in range(16)])
         expected = np.append(pmf, 1.0 - pmf.sum()) * 1_000_000
         counts = np.bincount(np.minimum(draws, 16), minlength=17)
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -237,15 +236,8 @@ class TestSamplerAgreement:
 
 
 class TestSampleArray:
-    def test_continuous(self):
-        arr = sample_array(RandomSource(8), ContinuousUniform(), 100)
-        assert arr.dtype == np.float64
-        assert arr.shape == (100,)
-        assert float(arr.min()) >= 0.0 and float(arr.max()) < 1.0
-
-    @pytest.mark.parametrize("method", ["inverse", "loop"])
-    def test_geometric(self, method):
-        arr = sample_array(RandomSource(8), geometric(0.4), 100, method=method)
+    def test_geometric(self):
+        arr = sample_array(RandomSource(8), geometric(0.4), 100)
         assert arr.dtype == np.int64
         assert arr.shape == (100,)
         assert int(arr.min()) >= 0
@@ -253,14 +245,16 @@ class TestSampleArray:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_array(RandomSource(8), geometric(0.4), 0)
-        with pytest.raises(ValueError):
-            sample_array(RandomSource(8), geometric(0.4), 10, method="bogus")
+        # Continuous input is a theory tag only: no sampler draws it.
+        for model in (ContinuousUniform(), object(), 0.4):
+            with pytest.raises(TypeError, match="unknown input model"):
+                sample_array(RandomSource(8), model, 10)
 
     def test_samplers_share_distribution_not_values(self):
         # Both samplers draw geometric(p) (test_goodness_of_fit), but they map
         # the uniform stream differently, so one seed gives different arrays.
-        inverse = sample_array(RandomSource(5), geometric(0.3), 10, method="inverse")
-        loop = sample_array(RandomSource(5), geometric(0.3), 10, method="loop")
+        inverse = sample_array(RandomSource(5), geometric(0.3), 10)
+        loop = _geometric_array_loop(RandomSource(5), 0.3, 10)
         assert inverse[:3].tolist() == [4, 4, 2]
         assert loop[:3].tolist() == [3, 0, 2]
 
@@ -272,19 +266,9 @@ class TestSampleArray:
     @given(st.integers(min_value=1, max_value=64), st.floats(min_value=0.05, max_value=1.0))
     @settings(max_examples=50)
     def test_geometric_support_property(self, n, p):
-        arr = sample_array(RandomSource(123), Geometric(GeometricParam(p)), n)
+        arr = sample_array(RandomSource(123), Geometric(p), n)
         assert arr.shape == (n,)
         assert int(arr.min()) >= 0
-
-
-def stacked_trials(model, n, cell_seed, start, stop, method="inverse"):
-    """The per-trial reference: one RandomSource and one sample_array per trial."""
-    return np.stack(
-        [
-            sample_array(RandomSource(mix64(cell_seed, t)), model, n, method)
-            for t in range(start, stop)
-        ]
-    )
 
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
@@ -322,16 +306,9 @@ class TestSampleBlock:
     def test_matches_per_trial_sampling(self, method, p, n):
         for start, stop in [(0, 4), (5, 8)]:
             got = sample_block(geometric(p), n, 987654321, start, stop, method)
-            want = stacked_trials(geometric(p), n, 987654321, start, stop, method)
+            want = per_trial_rows(p, n, 987654321, start, stop, method)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want), (start, stop)
-
-    @pytest.mark.parametrize("cell_seed", [0, 2**64 - 1, mix64(42, 3)])
-    def test_continuous_matches_per_trial_sampling(self, cell_seed):
-        got = sample_block(ContinuousUniform(), 50, cell_seed, 2, 9)
-        want = stacked_trials(ContinuousUniform(), 50, cell_seed, 2, 9)
-        assert got.dtype == want.dtype == np.float64
-        assert np.array_equal(got, want)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
@@ -341,8 +318,9 @@ class TestSampleBlock:
                 sample_block(geometric(0.5), 5, 1, start, stop)
         with pytest.raises(ValueError, match="method must be"):
             sample_block(geometric(0.5), 5, 1, 0, 3, "bogus")
-        with pytest.raises(TypeError, match="unknown input model"):
-            sample_block(object(), 5, 1, 0, 3)
+        for model in (object(), ContinuousUniform()):
+            with pytest.raises(TypeError, match="unknown input model"):
+                sample_block(model, 5, 1, 0, 3)
 
     @pytest.mark.parametrize(
         "p,n,method,match",

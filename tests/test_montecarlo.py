@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import brute_force_inversions, exchange_sort_list, textbook_sort_list
+from oracles import brute_force_inversions, exchange_sort_list, per_trial_rows, textbook_sort_list
 from sortlab import montecarlo
 from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
@@ -221,11 +221,8 @@ class TestRunCell:
         monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", spy)
         run_cell(config, 0.3, cell_seed)
         assert [b.shape for b in batches] == [(262, 1000), (38, 1000)]
-        want = [
-            sample_array(RandomSource(mix64(cell_seed, t)), geometric(0.3), 1000, method)
-            for t in range(300)
-        ]
-        assert np.array_equal(np.concatenate(batches), np.stack(want))
+        want = per_trial_rows(0.3, 1000, cell_seed, 0, 300, method)
+        assert np.array_equal(np.concatenate(batches), want)
 
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]

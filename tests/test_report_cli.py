@@ -463,6 +463,26 @@ class TestCliSimulate:
         assert [row.split(",")[0] for row in lines[1:]] == ["0.2", "0.6", "1.0"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--p", "1e-400", "--seed", "1"],
+        ["theory", "--p", "1e-400"],
+        # Decimal's 28-digit context rounds 0.5 - 1e-400 to 0.5, so the range passes its checks.
+        ["simulate", "--p", "1e-400..0.5:0.1", "--seed", "1"],
+        ["simulate", "--p", "1e-400,0.5", "--seed", "1"],
+    ],
+)
+def test_p_that_underflows_to_zero_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --p: '1e-400" in err and "rounds to 0.0" in err
+
+
+def test_smallest_positive_float_p_still_parses():
+    assert cli._parse_p_values("5e-324") == (5e-324,)
+
+
 class TestCliTheory:
     def test_geometric(self, capsys):
         assert main(["theory", "--dist", "geometric", "--p", "0.5", "--n", "1000"]) == 0

@@ -1,23 +1,38 @@
-"""The benchmark's per-layer spans must find every function they wrap.
+"""Names that code outside the package relies on must keep resolving.
 
 ``perfbench/tracer.install`` skips a target that no longer resolves, so a
 renamed or deleted function would make its layer's metric read 0 with no
 error.  This resolves each target the way ``install`` does, without
-installing anything.
+installing anything.  The benchmark's output check draws its inputs
+through ``perfbench/oracle.py``, which must keep drawing what the
+pipeline draws; and every name a module lists in ``__all__`` must exist,
+or ``from ... import *`` breaks.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sortlab
 import sortlab.report.cli  # noqa: F401  (imports every module the targets name)
+from sortlab.distributions import geometric, mix64, sample_block
 
-_TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-_spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER)
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("target", tracer.TARGETS, ids=lambda t: f"{t[1]}.{t[2]}")
@@ -31,3 +46,30 @@ def test_target_resolves_to_callable(target):
         assert isinstance(fn, type), f"{module_name}.{owner} is not a class"
         fn = vars(fn).get(method)
     assert callable(fn), f"{module_name}.{attr} does not resolve to a callable"
+
+
+def test_oracle_draws_the_pipeline_inputs():
+    oracle = _load("oracle")
+    seed, n, trials, p_values = 20261018, 7, 3, (0.3, 0.8)
+    got = oracle.trial_arrays(seed, n, trials, p_values)
+    want = np.concatenate(
+        [sample_block(geometric(p), n, mix64(seed, k), 0, trials) for k, p in enumerate(p_values)]
+    ).T
+    assert got.shape == (n, len(p_values) * trials)
+    assert np.array_equal(got, want)
+
+
+_MODULES = [sortlab] + [
+    importlib.import_module(info.name)
+    for info in pkgutil.walk_packages(sortlab.__path__, "sortlab.")
+    if info.name != "sortlab.__main__"
+]
+
+
+@pytest.mark.parametrize(
+    "module,name",
+    [(m, name) for m in _MODULES for name in getattr(m, "__all__", ())],
+    ids=lambda v: getattr(v, "__name__", v),
+)
+def test_all_names_resolve(module, name):
+    assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}, which it lacks"
