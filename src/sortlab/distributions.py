@@ -29,7 +29,6 @@ __all__ = [
     "ContinuousUniform",
     "Geometric",
     "RandomSource",
-    "SAMPLER_METHODS",
     "geometric",
     "mix64",
     "sample_array",
@@ -197,8 +196,7 @@ class Geometric:
     """iid geometric(p) input on r = 0, 1, 2, ...
 
     Accepts 0 < p <= 1.  p = 1 is the degenerate all-zeros input; p <= 0
-    is rejected because the failure-counting sampler would not
-    terminate.
+    is rejected because no trial would ever succeed.
     """
 
     p: float
@@ -218,19 +216,6 @@ geometric = Geometric
 @dataclass(frozen=True)
 class ContinuousUniform:
     """iid continuous uniform input on [0, 1): a tag for the closed-form theory only."""
-
-
-#: The geometric samplers `sample_block` offers: the inverse CDF, one
-#: uniform per draw, or failure counting, about 1/p uniforms per draw.
-SAMPLER_METHODS = ("inverse", "loop")
-
-#: Most uniforms the loop sampler draws in one block, which bounds its
-#: memory (a few tens of MB) however small p is.
-LOOP_BLOCK = 1 << 20
-
-#: Most uniforms the loop sampler expects to draw for one array (n/p):
-#: about 3 s at ~3.5e8 uniforms/s.  Past it the loop sampler refuses.
-LOOP_MAX_UNIFORMS = 1 << 30
 
 
 def _check_inverse_p(p: float) -> None:
@@ -253,34 +238,6 @@ def _geometric_in_place(u: np.ndarray, p: float) -> np.ndarray:
     return draws.reshape(u.shape)
 
 
-def _geometric_array_loop(src: RandomSource, p: float, n: int) -> np.ndarray:
-    """Vectorized equivalent of n successive failure-counting draws.
-
-    Draws uniform blocks of at most :data:`LOOP_BLOCK` until n successes
-    appear, keeping only the success positions; the gaps between
-    consecutive successes are exactly the values the scalar loop would
-    produce from the same stream.  May consume uniforms past the n-th
-    success (the surplus is discarded).  Refuses, before drawing, when the
-    expected number of uniforms n/p exceeds :data:`LOOP_MAX_UNIFORMS`.
-    """
-    if n / p > LOOP_MAX_UNIFORMS:
-        raise ValueError(
-            f"p={p!r} is too small for the loop sampler at n={n}: it would draw about "
-            f"{n / p:.3g} uniforms (limit {LOOP_MAX_UNIFORMS}); use the inverse sampler "
-            "(--sampler inverse)"
-        )
-    positions = []
-    successes = drawn = 0
-    while successes < n:
-        need = n - successes
-        block = min(LOOP_BLOCK, max(64, int(need / p * 1.1) + 16))
-        hits = np.flatnonzero(src.uniforms(block) < p)[:need] + drawn
-        positions.append(hits)
-        successes += hits.size
-        drawn += block
-    return np.diff(np.concatenate(positions), prepend=-1).astype(np.int64) - 1
-
-
 def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
     """n iid geometric draws from `src` by the inverse CDF, in draw order, as int64."""
     if n < 1:
@@ -294,26 +251,18 @@ def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
     return _geometric_in_place(src.uniforms(n), model.p)
 
 
-def sample_block(
-    model: Geometric,
-    n: int,
-    cell_seed: int,
-    start: int,
-    stop: int,
-    method: str = "inverse",
-) -> np.ndarray:
+def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
     """Trials start..stop-1 of a cell as one (stop - start, n) int64 array.
 
-    Row i draws from ``RandomSource(mix64(cell_seed, t))`` for t = start + i:
-    the trial seeds and their PCG64 states are computed for the whole block
-    at once (:func:`_pcg64_states`) and loaded, one trial at a time, into a
-    single reused generator, so every draw still comes from numpy's PCG64.
-    An inverse row equals ``sample_array`` on that source: the block is
+    Row i draws from ``RandomSource(mix64(cell_seed, t))`` for t = start + i
+    and equals ``sample_array`` on that source: the trial seeds and their
+    PCG64 states are computed for the whole block at once
+    (:func:`_pcg64_states`) and loaded, one trial at a time, into a single
+    PCG64, so every draw still comes from numpy's PCG64.  The block is
     filled as raw uint64 and mapped to geometric draws in place (about 8
-    bytes per value, output included).  A loop row counts failures on that
-    source (:func:`_geometric_array_loop`).  Refusals (n < 1, a bad
-    start/stop, an unknown method, a p too small for the sampler) raise
-    before any draw.
+    bytes per value, output included).  Refusals (n < 1, a bad start/stop,
+    a model that is not `Geometric`, a p whose draws would overflow int64)
+    raise before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -321,23 +270,12 @@ def sample_block(
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
-    if method not in SAMPLER_METHODS:
-        raise ValueError(f"method must be 'inverse' or 'loop', got {method!r}")
-    if method == "inverse":
-        if model.p >= 1.0:
-            return np.zeros((stop - start, n), dtype=np.int64)
-        _check_inverse_p(model.p)
-    states = _pcg64_states(_mix64_block(cell_seed, start, stop))
-    src = RandomSource(0)  # a placeholder seed: each trial's state is loaded below
-    bitgen = src._bitgen
-    if method == "loop":
-        rows = []
-        for state in states:
-            bitgen.state = state
-            rows.append(_geometric_array_loop(src, model.p, n))
-        return np.stack(rows)
-    raw = np.empty((len(states), n), dtype=np.uint64)
-    for row, state in zip(raw, states):
+    if model.p >= 1.0:
+        return np.zeros((stop - start, n), dtype=np.int64)
+    _check_inverse_p(model.p)
+    bitgen = np.random.PCG64(0)  # a placeholder seed: each trial's state is loaded below
+    raw = np.empty((stop - start, n), dtype=np.uint64)
+    for row, state in zip(raw, _pcg64_states(_mix64_block(cell_seed, start, stop))):
         bitgen.state = state
         row[:] = bitgen.random_raw(n)
     return _geometric_in_place(_uniforms_in_place(raw), model.p)

@@ -22,12 +22,13 @@ and trial t's stream is still exactly
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import SAMPLER_METHODS, geometric, mix64, sample_block
+from .distributions import geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -70,7 +71,6 @@ class ExperimentConfig:
     p_values: tuple[float, ...]
     counter_mode: str = "exchange_interchanges"
     master_seed: int = 0
-    sampler_method: str = "inverse"
 
     def __post_init__(self):
         if self.n < 1:
@@ -87,10 +87,6 @@ class ExperimentConfig:
         if self.counter_mode not in COUNTER_MODES:
             raise ValueError(
                 f"counter_mode must be one of {COUNTER_MODES}, got {self.counter_mode!r}"
-            )
-        if self.sampler_method not in SAMPLER_METHODS:
-            raise ValueError(
-                f"sampler_method must be one of {SAMPLER_METHODS}, got {self.sampler_method!r}"
             )
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
@@ -128,7 +124,7 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
 
     for start in range(0, config.trials, per_block):
         stop = min(start + per_block, config.trials)
-        batch = sample_block(model, config.n, cell_seed, start, stop, config.sampler_method)
+        batch = sample_block(model, config.n, cell_seed, start, stop)
         counts = kernel(batch)[1]
         for count in counts.tolist():
             total += count
@@ -149,14 +145,17 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
     """One TrialSummary per grid p, in grid order.
 
-    `jobs` > 1 fans cells out to worker processes; per-cell seeding and
-    ordered collection keep the result bit-identical to a serial run.
+    `jobs` > 1 fans cells out to worker processes, at most one per cell
+    and per CPU; per-cell seeding and ordered collection keep the result
+    bit-identical to a serial run.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
     configs = [config] * len(seeds)
-    if jobs == 1 or len(seeds) == 1:
+    # A fork pool starts all its workers at the first submit.
+    workers = min(jobs, len(seeds), os.cpu_count() or 1)
+    if workers == 1:
         return tuple(map(run_cell, configs, config.p_values, seeds))
-    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(run_cell, configs, config.p_values, seeds))

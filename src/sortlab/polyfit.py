@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import f_sig, regularized_incomplete_beta, student_t_two_sided_sig
+from .special import f_sig, student_t_two_sided_sig
 
 __all__ = [
     "AnovaTable",
@@ -28,11 +28,8 @@ __all__ = [
     "RankDeficientError",
     "RegressionReport",
     "diagnostics",
-    "f_sig",
     "fit",
     "predict",
-    "regularized_incomplete_beta",
-    "student_t_two_sided_sig",
 ]
 
 # Residual sum of squares below this fraction of total variation is

@@ -15,7 +15,7 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .. import __version__
-from ..distributions import SAMPLER_METHODS, ContinuousUniform, geometric
+from ..distributions import ContinuousUniform, geometric
 from ..model_select import SelectionPolicy, render_verdict, select_degree
 from ..montecarlo import ExperimentConfig, TrialSummary, run_experiment
 from ..polyfit import DataPoint, diagnostics, fit
@@ -179,9 +179,10 @@ def _experiment(
     config = ExperimentConfig(n=args.n, trials=args.trials, master_seed=seed, **fields)
     summaries = run_experiment(config, jobs=args.jobs)
     grid = ",".join(repr(p) for p in config.p_values)
+    # The echo names the one sampler, as every artifact always has.
     echo = (
         f"{echo_prefix}n={config.n} trials={config.trials} mode={config.counter_mode} "
-        f"sampler={config.sampler_method} p={grid}"
+        f"sampler=inverse p={grid}"
     )
     return summaries, RunMetadata.create(echo, master_seed=seed, no_timestamp=args.no_timestamp)
 
@@ -196,9 +197,7 @@ def _load_points(args) -> tuple[list[DataPoint], str]:
 
 
 def _cmd_simulate(args) -> int:
-    summaries, meta = _experiment(
-        args, p_values=args.p, counter_mode=_MODE_MAP[args.mode], sampler_method=args.sampler
-    )
+    summaries, meta = _experiment(args, p_values=args.p, counter_mode=_MODE_MAP[args.mode])
     if args.out == "-":
         sys.stdout.write(format_summaries_csv(summaries, meta))
     else:
@@ -373,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"p grid: value, comma list, or a..b:step (default {_DEFAULT_GRID})",
     )
     sim.add_argument("--mode", choices=sorted(_MODE_MAP), default="exchange")
-    sim.add_argument("--sampler", choices=SAMPLER_METHODS, default="inverse")
     sim.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     sim.set_defaults(func=_cmd_simulate)
 

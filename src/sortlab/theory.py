@@ -57,7 +57,11 @@ def expected_interchanges(model: InputModel, n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return (n * (n - 1) / 2.0) * interchange_probability(model)
+    try:
+        pairs = float(n * (n - 1) // 2)  # the same rounding as n * (n - 1) / 2.0
+    except OverflowError:
+        raise ValueError(f"n={n} is too large: its n(n-1)/2 pairs overflow a float") from None
+    return pairs * interchange_probability(model)
 
 
 @dataclass(frozen=True)

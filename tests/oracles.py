@@ -3,7 +3,7 @@
 Each function here is the plain, obviously-correct form of something the
 package computes in bulk: the two selection sorts as their double loops
 (and the textbook sort once more as one numpy pass per slot), the
-inversion count by brute force over all pairs, the geometric samplers
+inversion count by brute force over all pairs, the inverse-CDF sampler
 one variate at a time (and a cell's trials one source at a time), and
 the geometric mass function.  The batched kernels and the bulk samplers
 must agree with them exactly, count for count and draw for draw.
@@ -77,18 +77,6 @@ def brute_force_inversions(seq) -> int:
     )
 
 
-def sample_geometric_loop(src: RandomSource, p: float) -> int:
-    """One geometric(p) variate by counting failures until a success.
-
-    Consumes one uniform per Bernoulli trial (u < p is a success), so it
-    terminates almost surely for any p > 0.
-    """
-    r = 0
-    while src.uniform() >= p:
-        r += 1
-    return r
-
-
 def geometric_from_uniform(u: float, p: float) -> int:
     """Inverse-CDF map of one uniform deviate to a geometric variate.
 
@@ -112,16 +100,9 @@ def geometric_pmf(p: float, r: int) -> float:
     return p * (1.0 - p) ** int(r)
 
 
-def per_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int, method: str) -> np.ndarray:
-    """Trials start..stop-1 of a cell, each drawn on its own
-    ``RandomSource(mix64(cell_seed, t))``: by ``sample_array`` for the
-    inverse sampler, by n scalar failure-counting draws for the loop sampler.
-    """
-    rows = []
-    for t in range(start, stop):
-        src = RandomSource(mix64(cell_seed, t))
-        if method == "inverse":
-            rows.append(sample_array(src, geometric(p), n))
-        else:
-            rows.append(np.array([sample_geometric_loop(src, p) for _ in range(n)], dtype=np.int64))
-    return np.stack(rows)
+def per_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
+    """Trials start..stop-1 of a cell, each drawn by ``sample_array`` on its
+    own ``RandomSource(mix64(cell_seed, t))``."""
+    return np.stack(
+        [sample_array(RandomSource(mix64(cell_seed, t)), geometric(p), n) for t in range(start, stop)]
+    )

@@ -1,4 +1,4 @@
-"""Seeded random source, substream mixing, geometric samplers and the block sampler."""
+"""Seeded random source, substream mixing, the geometric sampler and the block sampler."""
 
 import dataclasses
 import math
@@ -14,16 +14,12 @@ from oracles import (
     geometric_pmf,
     per_trial_rows,
     sample_geometric_inverse,
-    sample_geometric_loop,
 )
 from sortlab import distributions
 from sortlab.distributions import (
-    LOOP_BLOCK,
-    LOOP_MAX_UNIFORMS,
     ContinuousUniform,
     Geometric,
     RandomSource,
-    _geometric_array_loop,
     _mix64_block,
     _pcg64_states,
     _seed_sequence_words,
@@ -151,54 +147,12 @@ class TestInverseTransform:
 
 
 class TestSamplerAgreement:
-    @pytest.mark.parametrize("seed", [5, 99, 123456])
-    def test_bulk_loop_equals_scalar_loop(self, seed):
-        bulk = _geometric_array_loop(RandomSource(seed), 0.3, 50)
-        src = RandomSource(seed)
-        scalar = [sample_geometric_loop(src, 0.3) for _ in range(50)]
-        assert bulk.tolist() == scalar
-
     @pytest.mark.parametrize("seed", [5, 99])
     def test_bulk_inverse_equals_scalar_inverse(self, seed):
         bulk = sample_array(RandomSource(seed), geometric(0.3), 30)
         src = RandomSource(seed)
         scalar = [sample_geometric_inverse(src, 0.3) for _ in range(30)]
         assert bulk.tolist() == scalar
-
-    @pytest.mark.parametrize(
-        "p,n,seed,want",
-        [
-            (0.5, 12, 1, [2, 1, 0, 1, 1, 2, 1, 0, 0, 0, 0, 0]),
-            (0.01, 10, 2, [86, 10, 43, 346, 63, 276, 82, 260, 13, 18]),
-            (1e-3, 8, 3, [1432, 203, 614, 1044, 256, 798, 382, 665]),
-            # need/p exceeds LOOP_BLOCK here, so the draws span many capped blocks.
-            (1e-5, 20, 4, [43458, 52708, 10959, 150042, 24996, 201391, 10203, 89813,
-                           69868, 358, 93536, 173439, 121422, 166694, 8381, 47513,
-                           11535, 3374, 37705, 18228]),
-        ],
-    )
-    def test_bulk_loop_pinned_values(self, p, n, seed, want):
-        # uniforms(a) then uniforms(b) reads the same stream as uniforms(a + b),
-        # so the block size must not change any value.
-        assert _geometric_array_loop(RandomSource(seed), p, n).tolist() == want
-
-    def test_bulk_loop_memory_is_bounded(self):
-        # One block of need/p * 1.1 uniforms would hold over 500 MB here.
-        tracemalloc.start()
-        try:
-            draws = _geometric_array_loop(RandomSource(7), 1e-6, 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert draws.shape == (20,) and int(draws.min()) >= 0
-        assert peak < 5 * 8 * LOOP_BLOCK
-
-    @pytest.mark.parametrize("p,n", [(1e-9, 5), (1e-300, 1), (20 / LOOP_MAX_UNIFORMS / 1.001, 20)])
-    def test_bulk_loop_refuses_work_past_limit_before_drawing(self, p, n):
-        src = RandomSource(3)
-        with pytest.raises(ValueError, match="too small for the loop sampler.*--sampler inverse"):
-            _geometric_array_loop(src, p, n)
-        assert src.uniform() == RandomSource(3).uniform()
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
     def test_bulk_inverse_rejects_p_that_overflows_int64(self, p):
@@ -214,18 +168,11 @@ class TestSamplerAgreement:
         assert 1e11 < float(draws.mean()) < 1e13
 
     def test_p_one_always_zero(self):
-        assert _geometric_array_loop(RandomSource(1), 1.0, 5).tolist() == [0] * 5
         assert sample_array(RandomSource(1), geometric(1.0), 5).tolist() == [0] * 5
-        assert sample_geometric_loop(RandomSource(1), 1.0) == 0
 
-    @pytest.mark.parametrize("method,seed", [("inverse", 2024), ("loop", 2025)])
-    def test_goodness_of_fit(self, method, seed):
+    def test_goodness_of_fit(self):
         p = 0.3
-        src = RandomSource(seed)
-        if method == "inverse":
-            draws = sample_array(src, geometric(p), 1_000_000)
-        else:
-            draws = _geometric_array_loop(src, p, 1_000_000)
+        draws = sample_array(RandomSource(2024), geometric(p), 1_000_000)
         pmf = np.array([geometric_pmf(p, r) for r in range(16)])
         expected = np.append(pmf, 1.0 - pmf.sum()) * 1_000_000
         counts = np.bincount(np.minimum(draws, 16), minlength=17)
@@ -250,13 +197,8 @@ class TestSampleArray:
             with pytest.raises(TypeError, match="unknown input model"):
                 sample_array(RandomSource(8), model, 10)
 
-    def test_samplers_share_distribution_not_values(self):
-        # Both samplers draw geometric(p) (test_goodness_of_fit), but they map
-        # the uniform stream differently, so one seed gives different arrays.
-        inverse = sample_array(RandomSource(5), geometric(0.3), 10)
-        loop = _geometric_array_loop(RandomSource(5), 0.3, 10)
-        assert inverse[:3].tolist() == [4, 4, 2]
-        assert loop[:3].tolist() == [3, 0, 2]
+    def test_pinned_values(self):
+        assert sample_array(RandomSource(5), geometric(0.3), 10)[:3].tolist() == [4, 4, 2]
 
     def test_deterministic(self):
         a = sample_array(RandomSource(8), geometric(0.4), 50)
@@ -300,13 +242,12 @@ class TestVectorisedSeeding:
 
 
 class TestSampleBlock:
-    @pytest.mark.parametrize("method", ["inverse", "loop"])
     @pytest.mark.parametrize("p", [0.001, 0.1, 0.5, 1.0])
     @pytest.mark.parametrize("n", [1, 2, 100, 1000])
-    def test_matches_per_trial_sampling(self, method, p, n):
+    def test_matches_per_trial_sampling(self, p, n):
         for start, stop in [(0, 4), (5, 8)]:
-            got = sample_block(geometric(p), n, 987654321, start, stop, method)
-            want = per_trial_rows(p, n, 987654321, start, stop, method)
+            got = sample_block(geometric(p), n, 987654321, start, stop)
+            want = per_trial_rows(p, n, 987654321, start, stop)
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want), (start, stop)
 
@@ -316,54 +257,42 @@ class TestSampleBlock:
         for start, stop in [(3, 3), (4, 2), (-1, 2)]:
             with pytest.raises(ValueError, match="start < stop"):
                 sample_block(geometric(0.5), 5, 1, start, stop)
-        with pytest.raises(ValueError, match="method must be"):
-            sample_block(geometric(0.5), 5, 1, 0, 3, "bogus")
         for model in (object(), ContinuousUniform()):
             with pytest.raises(TypeError, match="unknown input model"):
                 sample_block(model, 5, 1, 0, 3)
 
-    @pytest.mark.parametrize(
-        "p,n,method,match",
-        [
-            (1e-300, 5, "inverse", "would overflow int64"),
-            (3.9e-18, 5, "inverse", "would overflow int64"),
-            (1e-9, 5, "loop", "too small for the loop sampler"),
-            (20 / LOOP_MAX_UNIFORMS / 1.001, 20, "loop", "too small for the loop sampler"),
-        ],
-    )
-    def test_refuses_before_any_draw(self, monkeypatch, p, n, method, match):
+    @pytest.mark.parametrize("p", [1e-300, 3.9e-18])
+    def test_refuses_before_any_draw(self, monkeypatch, p):
         draws = []
+        pcg64 = np.random.PCG64
 
-        class RecordingSource(RandomSource):
-            def __init__(self, master_seed):
-                super().__init__(master_seed)
-                real = self._bitgen
+        class RecordingPCG64:
+            def __init__(self, seed):
+                self.real = pcg64(seed)
 
-                class Recorder:
-                    state = property(lambda _: real.state, lambda _, v: setattr(real, "state", v))
+            state = property(
+                lambda self: self.real.state, lambda self, value: setattr(self.real, "state", value)
+            )
 
-                    def random_raw(self, size=None):
-                        draws.append(size)
-                        return real.random_raw(size)
+            def random_raw(self, size=None):
+                draws.append(size)
+                return self.real.random_raw(size)
 
-                self._bitgen = Recorder()
-
-        monkeypatch.setattr(distributions, "RandomSource", RecordingSource)
-        with pytest.raises(ValueError, match=match):
-            sample_block(geometric(p), n, 3, 0, 4, method)
+        monkeypatch.setattr(distributions.np.random, "PCG64", RecordingPCG64)
+        with pytest.raises(ValueError, match="would overflow int64"):
+            sample_block(geometric(p), 5, 3, 0, 4)
         assert draws == []
         # The recorder does see the draws of an accepted call.
-        sample_block(geometric(0.5), n, 3, 0, 2, method)
+        sample_block(geometric(0.5), 5, 3, 0, 2)
         assert draws
 
-    @pytest.mark.parametrize("method", ["inverse", "loop"])
     @pytest.mark.parametrize("p", [0.1, 0.9])
-    def test_peak_memory_per_value(self, method, p):
-        # One block of BLOCK_VALUES at n = 1000.  Measured (output included):
-        # inverse 8.5 B/value, loop 16.7 (its rows, then their stack).
+    def test_peak_memory_per_value(self, p):
+        # One block of BLOCK_VALUES at n = 1000.  Measured: 8.5 B/value,
+        # output included.
         tracemalloc.start()
         try:
-            block = sample_block(geometric(p), 1000, 5, 0, 262, method)
+            block = sample_block(geometric(p), 1000, 5, 0, 262)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

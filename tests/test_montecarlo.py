@@ -22,7 +22,6 @@ class TestExperimentConfig:
             master_seed=42,
         )
         assert config.counter_mode == "exchange_interchanges"
-        assert config.sampler_method == "inverse"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -35,7 +34,6 @@ class TestExperimentConfig:
             {"p_values": (0.5, 0.5)},
             {"p_values": (0.5, 0.2)},
             {"counter_mode": "bogus"},
-            {"sampler_method": "bogus"},
             {"master_seed": -1},
             {"master_seed": 2**64},
         ],
@@ -168,16 +166,6 @@ class TestRunCell:
         assert means["textbook_interchanges"] < means["exchange_interchanges"]
         assert means["exchange_interchanges"] < means["inversions"]
 
-    def test_sampler_methods_agree_statistically(self):
-        cells = {}
-        for method in ("inverse", "loop"):
-            config = ExperimentConfig(
-                n=80, trials=40, p_values=(0.4,), master_seed=11, sampler_method=method
-            )
-            cells[method] = run_experiment(config)[0]
-        a, b = cells["inverse"], cells["loop"]
-        band = 5.0 * (a.sd_c + b.sd_c) / math.sqrt(40)
-        assert abs(a.mean_c - b.mean_c) < band
 
 
     @pytest.mark.parametrize(
@@ -204,12 +192,9 @@ class TestRunCell:
         assert rows == ([3, 3, 3, 1] if block_values > 1 else [1] * 10)
 
 
-    @pytest.mark.parametrize("method", ["inverse", "loop"])
-    def test_blocks_match_per_trial_sampling(self, monkeypatch, method):
+    def test_blocks_match_per_trial_sampling(self, monkeypatch):
         # 300 trials of n = 1000 pass BLOCK_VALUES: blocks of 262 and 38 trials.
-        config = ExperimentConfig(
-            n=1000, trials=300, p_values=(0.3,), master_seed=19, sampler_method=method
-        )
+        config = ExperimentConfig(n=1000, trials=300, p_values=(0.3,), master_seed=19)
         cell_seed = mix64(19, 0)
         batches = []
         kernel = montecarlo._KERNELS["exchange_interchanges"]
@@ -221,19 +206,18 @@ class TestRunCell:
         monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", spy)
         run_cell(config, 0.3, cell_seed)
         assert [b.shape for b in batches] == [(262, 1000), (38, 1000)]
-        want = per_trial_rows(0.3, 1000, cell_seed, 0, 300, method)
+        want = per_trial_rows(0.3, 1000, cell_seed, 0, 300)
         assert np.array_equal(np.concatenate(batches), want)
 
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
     )
-    @pytest.mark.parametrize("method,p", [("inverse", 0.001), ("inverse", 0.9), ("loop", 0.1)])
-    def test_peak_memory_within_bytes_per_value(self, mode, method, p):
+    @pytest.mark.parametrize("p", [0.001, 0.9])
+    def test_peak_memory_within_bytes_per_value(self, mode, p):
         # One full block (262 trials of n = 1000): the sampler, the kernel and
         # its output together stay within the figure the trial budget uses.
         config = ExperimentConfig(
-            n=1000, trials=262, p_values=(p,), counter_mode=mode, master_seed=2,
-            sampler_method=method,
+            n=1000, trials=262, p_values=(p,), counter_mode=mode, master_seed=2
         )
         tracemalloc.start()
         try:
@@ -259,11 +243,38 @@ class TestRunExperiment:
         config = ExperimentConfig(n=50, trials=12, p_values=(0.2, 0.6), master_seed=77)
         assert run_experiment(config) == run_experiment(config)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # A real 3-worker pool, even on a 1-CPU machine.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         config = ExperimentConfig(n=60, trials=10, p_values=(0.2, 0.5, 0.8), master_seed=7)
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=3)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cpus,pools", [(2, [2]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, pools):
+        # A fork pool starts every worker at its first submit, so the cap
+        # must come before the pool: a fake records it and maps serially.
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        # An unknown CPU count runs serially.
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        config = ExperimentConfig(n=20, trials=4, p_values=(0.1, 0.3, 0.5, 0.7, 0.9), master_seed=3)
+        assert run_experiment(config, jobs=10**6) == run_experiment(config, jobs=1)
+        assert workers == pools
 
     def test_cell_seeding_is_grid_position_based(self):
         config = ExperimentConfig(n=40, trials=6, p_values=(0.3, 0.7), master_seed=13)

@@ -234,7 +234,6 @@ CLI_SURFACE = {
         "--trials": (100, None, False, False),
         "--p": (GRID, None, False, False),
         "--mode": ("exchange", ["exchange", "inversions", "textbook"], False, None),
-        "--sampler": ("inverse", ["inverse", "loop"], False, None),
         "--seed": (None, None, True, True),
         "--jobs": (1, None, False, False),
         "--out": ("-", None, False, None),
@@ -369,17 +368,6 @@ class TestCliSimulate:
         assert "error: p=1e-300 is too small" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_loop_sampler_refuses_tiny_p_quickly_without_csv(self, tmp_path, capsys):
-        # Unbounded, the loop sampler would draw about 5e9 uniforms here (over 10 s).
-        out = tmp_path / "loop.csv"
-        start = time.monotonic()
-        rc = main(["simulate", "--n", "5", "--trials", "1", "--p", "1e-9", "--sampler", "loop",
-                   "--seed", "1", "--out", str(out)])
-        assert time.monotonic() - start < 5.0
-        assert rc == 1
-        assert "use the inverse sampler (--sampler inverse)" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_oversized_trial_exits_1_without_csv(self, tmp_path, monkeypatch, capsys):
         # The budget is patched down: no test allocates a trial that large.
         monkeypatch.setattr(montecarlo, "TRIAL_MEMORY_BUDGET", 1000 * montecarlo.BYTES_PER_VALUE)
@@ -409,6 +397,12 @@ class TestCliSimulate:
     def test_unknown_flag_exits_2(self, capsys):
         rc = main(["simulate", "--seed", "1", "--frobnicate"])
         assert rc == 2
+
+    def test_sampler_flag_is_gone(self, capsys):
+        rc = main(["simulate", "--n", "5", "--trials", "1", "--p", "0.5", "--seed", "1",
+                   "--sampler", "loop"])
+        assert rc == 2
+        assert "unrecognized arguments: --sampler loop" in capsys.readouterr().err
 
     def test_auto_seed_printed_and_embedded(self, tmp_path, capsys):
         out = tmp_path / "auto.csv"
@@ -502,6 +496,20 @@ class TestCliTheory:
         assert main(["theory", "--dist", "geometric", "--p", "0.5", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["expected_interchanges"] == pytest.approx(166500.0, rel=1e-12)
+
+    @pytest.mark.parametrize("dist", [["--dist", "geometric", "--p", "0.5"], ["--dist", "continuous"]])
+    def test_n_whose_pairs_overflow_a_float_exits_1(self, dist, capsys):
+        n = "1" + "0" * 160
+        assert main(["theory", *dist, "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: n={n} is too large: its n(n-1)/2 pairs overflow a float\n"
+        assert captured.out == ""
+
+    def test_n_near_1e150_prints(self, capsys):
+        assert main(["theory", "--p", "0.5", "--n", "1" + "0" * 150, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 10**150
+        assert doc["expected_interchanges"] == pytest.approx(10**300 / 6, rel=1e-12)
 
     def test_invalid_p_exits_2(self, capsys):
         assert main(["theory", "--dist", "geometric", "--p", "0"]) == 2

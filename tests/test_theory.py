@@ -102,6 +102,20 @@ class TestExpectedInterchanges:
         with pytest.raises(ValueError):
             expected_interchanges(geometric(0.5), 0)
 
+    @given(st.integers(min_value=1, max_value=10**154))
+    def test_pair_count_rounds_like_float_division(self, n):
+        model = geometric(0.3)
+        assert expected_interchanges(model, n) == n * (n - 1) / 2.0 * interchange_probability(model)
+
+    @pytest.mark.parametrize("model", [geometric(0.5), ContinuousUniform()])
+    def test_rejects_n_whose_pairs_overflow_a_float(self, model):
+        n = 10**160
+        with pytest.raises(ValueError, match=f"n={n} is too large"):
+            expected_interchanges(model, n)
+        # n(n-1) itself overflows here, but its half does not.
+        n = 15 * 10**153
+        assert math.isfinite(expected_interchanges(model, n))
+
 
 class TestPredict:
     def test_bundles_all_quantities(self):
