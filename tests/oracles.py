@@ -106,3 +106,17 @@ def per_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -> n
     return np.stack(
         [sample_array(RandomSource(mix64(cell_seed, t)), geometric(p), n) for t in range(start, stop)]
     )
+
+
+def scalar_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
+    """Trials start..stop-1 of a cell, each from numpy's own
+    ``PCG64(mix64(cell_seed, t))``: the top 53 bits of every raw output
+    make one uniform, mapped by :func:`geometric_from_uniform`.
+
+    Shares no array code with the package's samplers.
+    """
+    rows = []
+    for t in range(start, stop):
+        raw = np.random.PCG64(mix64(cell_seed, t)).random_raw(n).tolist()
+        rows.append([geometric_from_uniform((r >> 11) * 2.0**-53, p) for r in raw])
+    return np.array(rows, dtype=np.int64)

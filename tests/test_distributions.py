@@ -14,12 +14,15 @@ from oracles import (
     geometric_pmf,
     per_trial_rows,
     sample_geometric_inverse,
+    scalar_trial_rows,
 )
 from sortlab import distributions
 from sortlab.distributions import (
     ContinuousUniform,
     Geometric,
     RandomSource,
+    _check_inverse_p,
+    _geometric_in_place,
     _mix64_block,
     _pcg64_states,
     _seed_sequence_words,
@@ -30,6 +33,7 @@ from sortlab.distributions import (
 )
 
 # Upper-tail chi-square critical values at alpha=0.001.
+CHI2_CRIT_DF3 = 16.2662
 CHI2_CRIT_DF16 = 39.2524
 CHI2_CRIT_DF19 = 43.8202
 
@@ -70,6 +74,14 @@ class TestRandomSource:
         a = RandomSource(7)
         b = RandomSource(7)
         assert a.uniforms(50).tolist() == [b.uniform() for _ in range(50)]
+
+    def test_uniforms_of_zero_draws_nothing_and_negative_is_refused(self):
+        src = RandomSource(7)
+        empty = src.uniforms(0)
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+        with pytest.raises(ValueError, match="nonnegative"):
+            src.uniforms(-1)
+        assert src.uniform() == RandomSource(7).uniform()
 
     def test_unit_interval(self):
         u = RandomSource(3).uniforms(10_000)
@@ -170,6 +182,25 @@ class TestSamplerAgreement:
     def test_p_one_always_zero(self):
         assert sample_array(RandomSource(1), geometric(1.0), 5).tolist() == [0] * 5
 
+    def test_p_one_consumes_the_stream_like_p_below_one(self):
+        # A p = 1 cell leaves the source where any other p would.
+        src = RandomSource(1)
+        sample_array(src, geometric(1.0), 5)
+        ahead = RandomSource(1)
+        ahead.uniforms(5)
+        assert src.uniform() == ahead.uniform()
+
+    @pytest.mark.parametrize("p", [4e-18, 1e-17, 1e-12, 1e-3])
+    def test_accepted_p_maps_the_largest_uniform_within_int64(self, p):
+        # The overflow check admits p exactly when the largest deviate,
+        # 1 - 2**-53, still lands in int64 instead of wrapping negative.
+        _check_inverse_p(p)
+        u = np.array([1.0 - 2.0**-53, 0.0])
+        top, bottom = _geometric_in_place(u, p).tolist()
+        assert bottom == 0
+        assert 0 <= top < 2**63
+        assert top == geometric_from_uniform(1.0 - 2.0**-53, p)
+
     def test_goodness_of_fit(self):
         p = 0.3
         draws = sample_array(RandomSource(2024), geometric(p), 1_000_000)
@@ -251,6 +282,29 @@ class TestSampleBlock:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want), (start, stop)
 
+    @pytest.mark.parametrize("p", [0.001, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_matches_scalar_inverse_cdf(self, p, n):
+        # Against numpy's PCG64 and a scalar map, from the first trials and
+        # from trial indices past 2**40.
+        for start, stop in [(0, 3), (2**40, 2**40 + 3)]:
+            got = sample_block(geometric(p), n, 2**64 - 5, start, stop)
+            assert np.array_equal(got, scalar_trial_rows(p, n, 2**64 - 5, start, stop)), start
+
+    @pytest.mark.parametrize(
+        "p,cells,crit", [(0.02, 16, CHI2_CRIT_DF16), (0.3, 16, CHI2_CRIT_DF16), (0.9, 3, CHI2_CRIT_DF3)]
+    )
+    def test_goodness_of_fit(self, p, cells, crit):
+        # 1000 trials of n = 1000: r = 0..cells-1 and one tail cell, each
+        # expecting at least 1000 draws.
+        draws = sample_block(geometric(p), 1000, 31337, 0, 1000)
+        pmf = np.array([geometric_pmf(p, r) for r in range(cells)])
+        expected = np.append(pmf, 1.0 - pmf.sum()) * draws.size
+        assert expected.min() >= 1000
+        counts = np.bincount(np.minimum(draws, cells).reshape(-1), minlength=cells + 1)
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        assert chi2 < crit
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             sample_block(geometric(0.5), 0, 1, 0, 3)
@@ -285,6 +339,24 @@ class TestSampleBlock:
         # The recorder does see the draws of an accepted call.
         sample_block(geometric(0.5), 5, 3, 0, 2)
         assert draws
+
+    @pytest.mark.parametrize(
+        "model,n,start,stop,error",
+        [
+            (geometric(0.5), 0, 0, 3, ValueError),
+            (geometric(0.5), 5, 3, 3, ValueError),
+            (geometric(0.5), 5, -1, 2, ValueError),
+            (ContinuousUniform(), 5, 0, 3, TypeError),
+        ],
+        ids=["n=0", "empty-range", "negative-start", "continuous"],
+    )
+    def test_other_refusals_build_no_generator(self, monkeypatch, model, n, start, stop, error):
+        def no_generator(seed):
+            raise AssertionError("built a generator before refusing")
+
+        monkeypatch.setattr(distributions.np.random, "PCG64", no_generator)
+        with pytest.raises(error):
+            sample_block(model, n, 3, start, stop)
 
     @pytest.mark.parametrize("p", [0.1, 0.9])
     def test_peak_memory_per_value(self, p):

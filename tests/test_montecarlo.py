@@ -11,6 +11,7 @@ from oracles import brute_force_inversions, exchange_sort_list, per_trial_rows, 
 from sortlab import montecarlo
 from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
+from sortlab.theory import expected_interchanges
 
 
 class TestExperimentConfig:
@@ -168,6 +169,17 @@ class TestRunCell:
 
 
 
+    @pytest.mark.parametrize("p", [0.05, 0.4, 0.9])
+    def test_inversion_mean_matches_closed_form(self, p):
+        # The inversion count's expectation is n(n-1)/2 * (1-p)/(2-p) exactly;
+        # the sampled mean of 400 trials lies within 5 standard errors.
+        config = ExperimentConfig(
+            n=80, trials=400, p_values=(p,), counter_mode="inversions", master_seed=11
+        )
+        (summary,) = run_experiment(config)
+        band = 5.0 * summary.sd_c / math.sqrt(400)
+        assert abs(summary.mean_c - expected_interchanges(geometric(p), 80)) < band
+
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
     )
@@ -212,7 +224,7 @@ class TestRunCell:
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
     )
-    @pytest.mark.parametrize("p", [0.001, 0.9])
+    @pytest.mark.parametrize("p", [0.001, 0.1, 0.9])
     def test_peak_memory_within_bytes_per_value(self, mode, p):
         # One full block (262 trials of n = 1000): the sampler, the kernel and
         # its output together stay within the figure the trial budget uses.
