@@ -1,33 +1,20 @@
-"""Instrumented sorting algorithms and an inversion-count oracle.
+"""Instrumented selection sorts and an inversion counter.
 
-Two selection-sort variants are provided, with exact operation tallies:
-
-* :func:`exchange_selection_sort` — the swap-eager double loop that
-  swaps a[i], a[j] whenever a[i] > a[j].  Always performs n(n-1)/2
-  comparisons; the interchange count is the measured quantity in the
-  Monte Carlo experiments.
-* :func:`textbook_selection_sort` — find the minimum of the unsorted
-  suffix, one swap per pass (at most n-1 interchanges).
-
-Each counter has one ndarray kernel that runs a whole (trials, n) batch,
-one trial per row, in a single sweep: :func:`exchange_sort_batch`,
-:func:`textbook_sort_batch` and :func:`count_inversions_batch`.  The
-exchange kernel does not simulate the passes: it counts the interchanges
-from the identity proved in its docstring (swaps are the inversions whose
-left element is the first occurrence of its value), by one stable sort
-and one bitset sweep per row.  The textbook kernel runs the passes of
-each value together, as its docstring proves they can be: one sort of
-each row, then one vectorised step per distinct value (D steps, D the
-most distinct values in a row) doing O(N log N) element work in all, for
-N values in the batch.  The per-array functions send a 1-d ndarray
-through the kernel as a one-row batch.  Any other input is converted by
+:func:`exchange_selection_sort` is the swap-eager double loop, whose
+interchange count the Monte Carlo experiments measure;
+:func:`textbook_selection_sort` is minimum-of-suffix selection; and
+:func:`count_inversions` counts the pairs i < j with a[i] > a[j].  Each
+runs through one ndarray kernel for a (trials, n) batch, one trial per
+row (:func:`exchange_sort_batch`, :func:`textbook_sort_batch`,
+:func:`count_inversions_batch`), which counts by an identity its
+docstring proves rather than by running the loop.  A 1-d ndarray goes
+through as a one-row batch; any other input is converted by
 ``np.asarray`` first (to an object array where numpy would change a
-value), and a list comes back as a list, so every counter has one code
-path.  The literal loops live in the tests, as the oracles the kernels
-must match count for count.
+value), and a list comes back as a list.  The literal loops live in the
+tests, as the oracles the kernels must match count for count.
 
-Neither variant is stable.  All operations are pure: the input sequence
-is never mutated, and calls are safe from concurrent workers.
+Neither sort is stable.  All operations are pure: the input sequence is
+never mutated, and calls are safe from concurrent workers.
 """
 
 from __future__ import annotations
@@ -102,6 +89,33 @@ def _narrow_dtype(batch: np.ndarray) -> np.dtype:
     return batch.dtype
 
 
+def _sort_order(keys: np.ndarray) -> np.ndarray:
+    # Flat indices of each row's stable sort order (quicker to apply than a
+    # take_along_axis index).  numpy's stable sort is a radix sort on 8- and
+    # 16-bit keys, a timsort on wider ones, so rows of uint32 go by 16 bits,
+    # low first, once they are long enough (256) for that to be quicker.
+    wide = keys.dtype == np.uint32 and keys.shape[1] >= 256
+    order = np.argsort(keys.astype(np.uint16) if wide else keys, axis=1, kind="stable")
+    if wide:
+        high = np.take_along_axis(keys >> 16, order, axis=1).astype(np.uint16)
+        order = np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), axis=1)
+    order += np.arange(0, keys.size, keys.shape[1])[:, np.newaxis]
+    return order
+
+
+def _dense_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The rows sorted on _narrow_dtype keys, and the dense rank (0, 1, ...
+    # over a row's distinct values) of each sorted and each input value.
+    keys = batch.astype(_narrow_dtype(batch), copy=False)
+    flat = _sort_order(keys)
+    keys = keys.ravel()[flat]
+    sorted_ranks = np.zeros(batch.shape, dtype=np.int32)
+    np.cumsum(keys[:, 1:] != keys[:, :-1], axis=1, out=sorted_ranks[:, 1:])
+    ranks = np.empty(batch.shape, dtype=np.int32)
+    ranks.ravel()[flat] = sorted_ranks
+    return keys, sorted_ranks, ranks
+
+
 _ALL_BITS = ~np.uint64(0)
 
 
@@ -135,30 +149,19 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     #{k : a[k] < w}.  Summed over the passes, value w gives
     #{k > f_w : a[k] < w} swaps.
 
-    Each row is ranked densely by a sort on :func:`_narrow_dtype` keys;
-    then, 64 ranks per machine word, an or-scan along the row gives the
-    set of ranks seen up to position k, and a popcount of its part above
-    the rank of a[k] gives the k-th term.  Cost per row: one sort plus O(n * ceil(D/64))
-    word operations, where D is the row's number of distinct values.
+    Each row is ranked densely by one sort; then, 64 ranks per machine
+    word, an or-scan along the row gives the set of ranks seen up to
+    position k, and a popcount of its part above the rank of a[k] gives the
+    k-th term.  Cost per row: one sort plus O(n * ceil(D/64)) word
+    operations, where D is the row's number of distinct values.
     """
     _check_batch(batch)
     trials, n = batch.shape
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
         return batch.copy(), swaps
-    keys = batch.astype(_narrow_dtype(batch), copy=False)
-    # Any order of ties gives the same ranks; "stable" is a radix sort on
-    # 8- and 16-bit keys.
-    flat = np.argsort(keys, axis=1, kind="stable")
-    # Flat indices of each row's sorted order (faster than take_along_axis
-    # and put_along_axis, which build a broadcast index per call).
-    flat += np.arange(0, trials * n, n)[:, np.newaxis]
-    keys = keys.ravel()[flat]
-    sorted_ranks = np.zeros((trials, n), dtype=np.int32)
-    np.cumsum(keys[:, 1:] != keys[:, :-1], axis=1, out=sorted_ranks[:, 1:])
-    ranks = np.empty((trials, n), dtype=np.int32)
-    ranks.ravel()[flat] = sorted_ranks
-    del flat, sorted_ranks  # freed before the loop, which holds the peak memory
+    # The sorted ranks are freed before the loop, which holds the peak memory.
+    keys, ranks = _dense_ranks(batch)[::2]
     for base in range(0, int(ranks.max()) + 1, 64):
         # Bit b of a word stands for rank base + b; shifts of 64 give 0.
         # ge[k] holds the ranks >= ranks[k], gt[k] those > ranks[k].
@@ -224,11 +227,9 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.int32 if size < 2**31 else np.int64
     keys = batch.astype(_narrow_dtype(batch), copy=False)
     # Positions are flat (row * n + column).  flat[t] is the input position
-    # of the element that ends in slot t; "stable" is a radix sort on 8- and
-    # 16-bit keys, and any order of ties gives the same blocks.
-    flat = np.argsort(keys, axis=1, kind="stable").astype(index)
-    flat += np.arange(0, size, n, dtype=index)[:, np.newaxis]
-    flat = flat.ravel()
+    # of the element that ends in slot t; any order of ties gives the same
+    # blocks.
+    flat = _sort_order(keys).astype(index).ravel()
     keys = keys.ravel()[flat]
     starts = np.empty(size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
@@ -309,40 +310,48 @@ def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarr
 def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count the inversions of every row of a (trials, n) batch.
 
-    A bottom-up merge sort over all rows at once, whose cost does not
-    depend on how many distinct values the rows hold.  Returns the sorted
-    rows and each row's inversion count (int64), in row order; the input
-    is left untouched.
+    Returns the sorted rows and each row's inversion count (int64), in row
+    order; the input is left untouched.  Checking every pair is the oracle.
+
+    With r a value's dense rank in its row (0..D-1) and S_b(j) element j's
+    position in the stable sort of its row by r >> b, the count is the sum
+    of S_b(j) - S_{b+1}(j) over b < B = bit_length(D-1) and the j with bit
+    b of r_j set (S_B(j) = j).
+
+    Proof sketch.  An inverted pair i < j is told apart first at a bit b
+    set in r_i and clear in r_j; a tied pair never is.  The sort by r >> b
+    splits each group of equal r >> (b+1) into its elements with bit b
+    clear, then those with it set, each in input order, so such an x moves
+    on by the number of clear elements of its group that follow it.
+
+    The groups of equal r >> b fill the same positions in the sort by r, so
+    the S_b terms sum to that of i * popcount(i-th sorted rank).  The S_{b+1}
+    terms take one stable sort of r >> (b+1) per bit below the top one, a
+    radix sort on 8- or 16-bit keys.  Cost: O(N log D) for N values.
     """
     _check_batch(batch)
     trials, n = batch.shape
-    counts = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
-        return batch.copy(), counts
-    size = 1 << (n - 1).bit_length()
-    # Trailing copies of the batch maximum add no inversions (ties count 0).
-    # Taken by argmax, which also orders strings, where max has no loop.
-    a = np.pad(batch, ((0, 0), (0, size - n)), constant_values=batch.ravel()[np.argmax(batch)])
-    width = 1
-    while width < size:
-        blocks = a.reshape(trials, size // (2 * width), 2 * width)
-        order = np.argsort(blocks, axis=2, kind="stable")
-        # Both halves (w = width values each) of a block are sorted.  The
-        # stable sort puts the right-half element of rank j at position
-        # q = j + #(left <= it), so it is inverted with w - (q - j) left
-        # elements.  Summed over a block: w^2 + w(w-1)/2 - sum(q).
-        right_q = ((order >= width) * np.arange(2 * width)).sum(axis=(1, 2))
-        counts += blocks.shape[1] * (width * width + width * (width - 1) // 2) - right_q
-        a = np.take_along_axis(blocks, order, axis=2).reshape(trials, size)
-        width *= 2
-    return a[:, :n], counts
+        return batch.copy(), np.zeros(trials, dtype=np.int64)
+    keys, sorted_ranks, ranks = _dense_ranks(batch)
+    top = int(sorted_ranks[:, -1].max())
+    # weight[i], i's factor in the count (|.| < 32; the int64 product is exact):
+    # popcount(i-th sorted rank) less, over b, bit b of the i-th rank in S_{b+1}.
+    weight = np.bitwise_count(sorted_ranks).view(np.int8)
+    del sorted_ranks
+    ranks = ranks.astype(np.min_scalar_type(top), copy=False)
+    order = None  # S_B is the input order
+    for b in range(top.bit_length() - 1, -1, -1):
+        key = (ranks >> b).astype(np.min_scalar_type(top >> b), copy=False)
+        weight -= (key if order is None else key.ravel()[order]) & 1
+        order = _sort_order(key) if b else None
+    return keys.astype(batch.dtype, copy=False), weight @ np.arange(n, dtype=np.int64)
 
 
 def count_inversions(seq: Sequence | np.ndarray) -> int:
     """Number of ordered pairs i < j with a[i] > a[j]; ties contribute 0.
 
-    Merge-sort based, O(n log n): the sequence runs through
-    :func:`count_inversions_batch` as a one-row batch.  The input is left
-    untouched.
+    One row of :func:`count_inversions_batch`, O(n log D) for D distinct
+    values.  The input is left untouched.
     """
     return _one_trial(count_inversions_batch, seq)[1]

@@ -3,9 +3,9 @@
 Each function here is the plain, obviously-correct form of something the
 package computes in bulk: the two selection sorts as their double loops
 (and the textbook sort once more as one numpy pass per slot), the
-inversion count by brute force over all pairs, the inverse-CDF sampler
-one variate at a time (and a cell's trials one source at a time), and
-the geometric mass function.  The batched kernels and the bulk samplers
+inversion count by brute force over all pairs (and once more by a merge
+sort, for long rows), the inverse-CDF sampler one variate at a time (and
+a cell's trials one source at a time), and the geometric mass function.  The batched kernels and the bulk samplers
 must agree with them exactly, count for count and draw for draw.
 """
 
@@ -75,6 +75,36 @@ def brute_force_inversions(seq) -> int:
         for j in range(i + 1, len(items))
         if items[i] > items[j]
     )
+
+
+def merge_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inversions of every row of a (trials, n) batch by a bottom-up merge
+    sort over all rows at once: the fast oracle for rows too long to check
+    pair by pair.
+
+    Returns the sorted rows and each row's inversion count (int64).
+    """
+    trials, n = batch.shape
+    counts = np.zeros(trials, dtype=np.int64)
+    if n < 2 or trials == 0:
+        return batch.copy(), counts
+    size = 1 << (n - 1).bit_length()
+    # Trailing copies of the batch maximum add no inversions (ties count 0).
+    # Taken by argmax, which also orders strings, where max has no loop.
+    a = np.pad(batch, ((0, 0), (0, size - n)), constant_values=batch.ravel()[np.argmax(batch)])
+    width = 1
+    while width < size:
+        blocks = a.reshape(trials, size // (2 * width), 2 * width)
+        order = np.argsort(blocks, axis=2, kind="stable")
+        # Both halves (w = width values each) of a block are sorted.  The
+        # stable sort puts the right-half element of rank j at position
+        # q = j + #(left <= it), so it is inverted with w - (q - j) left
+        # elements.  Summed over a block: w^2 + w(w-1)/2 - sum(q).
+        right_q = ((order >= width) * np.arange(2 * width)).sum(axis=(1, 2))
+        counts += blocks.shape[1] * (width * width + width * (width - 1) // 2) - right_q
+        a = np.take_along_axis(blocks, order, axis=2).reshape(trials, size)
+        width *= 2
+    return a[:, :n], counts
 
 
 def geometric_from_uniform(u: float, p: float) -> int:

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from oracles import (
     brute_force_inversions,
     exchange_sort_list,
+    merge_inversions_batch,
     textbook_sort_list,
     textbook_sort_passes,
 )
@@ -170,7 +171,7 @@ def test_list_input_matches_literal_loop(sort, oracle, items):
 
 @pytest.mark.parametrize("items", LIST_INPUTS)
 def test_list_input_inversions_match_brute_force(items):
-    # Strings have no numpy max loop; the kernel pads with the argmax value.
+    # Strings, and ints numpy would round (kept as objects), are ranked like numbers.
     assert count_inversions(items) == brute_force_inversions(items)
 
 
@@ -463,6 +464,84 @@ class TestTextbookKernelValueBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * batch.size
+
+
+class TestInversionKernelRankBits:
+    """The inversion kernel counts by the bits of each value's dense rank.
+
+    The number D of distinct values in a row sets how many bits the ranks
+    have and which integer type each level's sort keys take, so rows are
+    chosen at the D where either changes.
+    """
+
+    @pytest.mark.parametrize(
+        "distinct", sorted({1, 2} | {2**k + d for k in range(1, 9) for d in (0, 1)})
+    )
+    def test_rank_boundaries_match_brute_force(self, distinct):
+        rng = np.random.default_rng(distinct)
+        n = max(2 * distinct, 40)
+        rows = [row_with_distinct_values(rng, n, distinct) for _ in range(3)]
+        # One row holding fewer distinct values rides in the same batch.
+        batch = np.array(rows + [row_with_distinct_values(rng, n, max(distinct // 2, 1))])
+        want = [brute_force_inversions(row) for row in batch.tolist()]
+        # Shifted past 2**31, the values are uint32 keys, which rows of 256
+        # or more sort in two 16-bit digits.
+        for shifted in (batch, batch + 50 + 2**31):
+            out, counts = count_inversions_batch(shifted)
+            assert counts.tolist() == want
+            assert np.array_equal(out, np.sort(shifted, axis=1))
+
+    @pytest.mark.parametrize("distinct", [65535, 65536, 65537, 2**17, 2**18 + 1])
+    @pytest.mark.parametrize("offset", [-50, 2**31])
+    def test_wide_rank_boundaries_match_merge_oracle(self, distinct, offset):
+        # The offset 2**31 makes the values uint32 keys, which are sorted in
+        # two 16-bit digits; above 2**17 distinct values so are some levels.
+        rng = np.random.default_rng(distinct)
+        row = row_with_distinct_values(rng, distinct + 3000, distinct) + 50 + offset
+        batch = np.array([row, rng.permutation(row)])
+        out, counts = count_inversions_batch(batch)
+        want_out, want_counts = merge_inversions_batch(batch)
+        assert counts.tolist() == want_counts.tolist()
+        assert np.array_equal(out, want_out) and out.dtype == batch.dtype
+
+    @pytest.mark.parametrize(
+        "name", ["permutation", "reversed", "geometric-0.001", "geometric-0.1", "geometric-0.9"]
+    )
+    def test_long_rows_match_merge_oracle(self, name):
+        n = 10**5
+        rng = np.random.default_rng(5)
+        if name == "permutation":
+            batch = rng.permutation(n)[np.newaxis]
+        elif name == "reversed":
+            batch = np.arange(n)[::-1][np.newaxis]
+        else:
+            batch = rng.geometric(float(name.split("-")[1]), size=(3, n)) - 1
+        out, counts = count_inversions_batch(batch)
+        want_out, want_counts = merge_inversions_batch(batch)
+        assert counts.tolist() == want_counts.tolist()
+        assert np.array_equal(out, want_out)
+        if name == "reversed":
+            assert counts.tolist() == [4_999_950_000]  # C(n, 2), past 2**32
+
+    @pytest.mark.parametrize("distinct", [1, 2, 3, 256, 257, 65536, 65537, 2**17])
+    def test_sorts_once_per_rank_bit_on_narrow_keys(self, distinct, monkeypatch):
+        # numpy's stable argsort is a radix sort on 8- and 16-bit keys only;
+        # wider keys would fall back to a timsort at every level.
+        calls = []
+        argsort = np.argsort
+
+        def spy(keys, *args, **kwargs):
+            calls.append(np.asarray(keys).dtype)
+            return argsort(keys, *args, **kwargs)
+
+        rng = np.random.default_rng(distinct)
+        batch = row_with_distinct_values(rng, distinct + 100, distinct)[np.newaxis]
+        monkeypatch.setattr(np, "argsort", spy)  # the np.argsort the kernel calls
+        counts = count_inversions_batch(batch)[1]
+        monkeypatch.undo()
+        assert counts.tolist() == merge_inversions_batch(batch)[1].tolist()
+        assert 1 <= len(calls) <= (distinct - 1).bit_length() + 1
+        assert all(dtype in (np.uint8, np.uint16) for dtype in calls[1:])
 
 
 class TestSwapInversionIdentity:
