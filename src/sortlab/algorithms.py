@@ -91,14 +91,8 @@ def _narrow_dtype(batch: np.ndarray) -> np.dtype:
 
 def _sort_order(keys: np.ndarray) -> np.ndarray:
     # Flat indices of each row's stable sort order (quicker to apply than a
-    # take_along_axis index).  numpy's stable sort is a radix sort on 8- and
-    # 16-bit keys, a timsort on wider ones, so rows of uint32 go by 16 bits,
-    # low first, once they are long enough (256) for that to be quicker.
-    wide = keys.dtype == np.uint32 and keys.shape[1] >= 256
-    order = np.argsort(keys.astype(np.uint16) if wide else keys, axis=1, kind="stable")
-    if wide:
-        high = np.take_along_axis(keys >> 16, order, axis=1).astype(np.uint16)
-        order = np.take_along_axis(order, np.argsort(high, axis=1, kind="stable"), axis=1)
+    # take_along_axis index); "stable" is a radix sort on 8- and 16-bit keys.
+    order = np.argsort(keys, axis=1, kind="stable")
     order += np.arange(0, keys.size, keys.shape[1])[:, np.newaxis]
     return order
 
@@ -160,8 +154,8 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
         return batch.copy(), swaps
-    # The sorted ranks are freed before the loop, which holds the peak memory.
-    keys, ranks = _dense_ranks(batch)[::2]
+    keys, sorted_ranks, ranks = _dense_ranks(batch)
+    del sorted_ranks  # freed before the loop, which holds the peak memory
     for base in range(0, int(ranks.max()) + 1, 64):
         # Bit b of a word stands for rank base + b; shifts of 64 give 0.
         # ge[k] holds the ranks >= ranks[k], gt[k] those > ranks[k].
@@ -327,7 +321,7 @@ def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The groups of equal r >> b fill the same positions in the sort by r, so
     the S_b terms sum to that of i * popcount(i-th sorted rank).  The S_{b+1}
     terms take one stable sort of r >> (b+1) per bit below the top one, a
-    radix sort on 8- or 16-bit keys.  Cost: O(N log D) for N values.
+    radix sort on 8- or 16-bit keys while D <= 2**17.  Cost: O(N log D).
     """
     _check_batch(batch)
     trials, n = batch.shape

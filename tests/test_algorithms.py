@@ -484,8 +484,8 @@ class TestInversionKernelRankBits:
         # One row holding fewer distinct values rides in the same batch.
         batch = np.array(rows + [row_with_distinct_values(rng, n, max(distinct // 2, 1))])
         want = [brute_force_inversions(row) for row in batch.tolist()]
-        # Shifted past 2**31, the values are uint32 keys, which rows of 256
-        # or more sort in two 16-bit digits.
+        # Shifted past 2**31, the values are uint32 keys, which numpy sorts
+        # by timsort rather than by radix sort.
         for shifted in (batch, batch + 50 + 2**31):
             out, counts = count_inversions_batch(shifted)
             assert counts.tolist() == want
@@ -494,8 +494,8 @@ class TestInversionKernelRankBits:
     @pytest.mark.parametrize("distinct", [65535, 65536, 65537, 2**17, 2**18 + 1])
     @pytest.mark.parametrize("offset", [-50, 2**31])
     def test_wide_rank_boundaries_match_merge_oracle(self, distinct, offset):
-        # The offset 2**31 makes the values uint32 keys, which are sorted in
-        # two 16-bit digits; above 2**17 distinct values so are some levels.
+        # The offset 2**31 makes the values uint32 keys; above 2**17
+        # distinct values, so are the keys of some levels.
         rng = np.random.default_rng(distinct)
         row = row_with_distinct_values(rng, distinct + 3000, distinct) + 50 + offset
         batch = np.array([row, rng.permutation(row)])
