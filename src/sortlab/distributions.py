@@ -11,10 +11,10 @@ workers are derived with a fixed mixing function (:func:`mix64`), so
 every downstream artifact is reproducible byte for byte.
 
 :func:`sample_block` draws many trials of a cell at once from the
-streams ``RandomSource(mix64(cell_seed, t))``: it computes the same
-PCG64 seeding for the whole block with array arithmetic and loads each
-trial's state into one reused generator, so no trial pays for a
-generator construction.
+streams ``RandomSource(mix64(cell_seed, t))``: it hashes the trial seeds
+into their ``SeedSequence`` words for the whole block with array
+arithmetic, and numpy seeds each trial's PCG64 from its words, so no
+trial pays for a ``SeedSequence``.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
 _XSHIFT = 16
 _MASK32 = (1 << 32) - 1
-
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128).
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 #: Name of the underlying generator, recorded in all output metadata.
 ALGORITHM_ID = "pcg64"
@@ -117,26 +113,23 @@ def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
     return np.stack([halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1)
 
 
-def _pcg64_states(seeds: np.ndarray) -> list[dict]:
-    """``np.random.PCG64(s).state`` for each uint64 seed, without constructing a generator.
+class _TrialSeed:
+    """One trial's ``SeedSequence`` words, as the seed numpy's PCG64 takes.
 
-    PCG64 seeds from the four words (s0, s1, q0, q1) of its SeedSequence:
-    inc = q << 1 | 1 and state = (inc + s) * M + inc (mod 2**128), the two
-    LCG steps of ``pcg_setseq_128_srandom_r``.
+    PCG64 takes precomputed words only from an ``ISeedSequence``.
+    :func:`sample_block` registers this class as one when it draws, not at
+    import, so that ``numpy.random`` still loads with the first draw.
     """
-    states = []
-    for s_hi, s_lo, q_hi, q_lo in _seed_sequence_words(seeds).tolist():
-        inc = ((q_hi << 65) | (q_lo << 1) | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        states.append(
-            {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-        )
-    return states
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError(f"holds 4 uint64 seed words, asked for {n_words} of {dtype!r}")
+        return self.words
 
 
 def _uniforms_in_place(raw: np.ndarray) -> np.ndarray:
@@ -256,11 +249,11 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
 
     Row i draws from ``RandomSource(mix64(cell_seed, t))`` for t = start + i
     and equals ``sample_array`` on that source: the trial seeds and their
-    PCG64 states are computed for the whole block at once
-    (:func:`_pcg64_states`) and loaded, one trial at a time, into a single
-    PCG64, so every draw still comes from numpy's PCG64.  The block is
-    filled as raw uint64 and mapped to geometric draws in place (about 8
-    bytes per value, output included).  Refusals (n < 1, a bad start/stop,
+    ``SeedSequence`` words are computed for the whole block at once
+    (:func:`_seed_sequence_words`), and numpy seeds each trial's PCG64
+    from its words, so every draw still comes from numpy's PCG64.  The
+    block is filled as raw uint64 and mapped to geometric draws in place
+    (about 8 bytes per value, output included).  Refusals (n < 1, a bad start/stop,
     a model that is not `Geometric`, a p whose draws would overflow int64)
     raise before any draw.
     """
@@ -273,9 +266,8 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     if model.p >= 1.0:
         return np.zeros((stop - start, n), dtype=np.int64)
     _check_inverse_p(model.p)
-    bitgen = np.random.PCG64(0)  # a placeholder seed: each trial's state is loaded below
+    np.random.bit_generator.ISeedSequence.register(_TrialSeed)
     raw = np.empty((stop - start, n), dtype=np.uint64)
-    for row, state in zip(raw, _pcg64_states(_mix64_block(cell_seed, start, stop))):
-        bitgen.state = state
-        row[:] = bitgen.random_raw(n)
+    for row, words in zip(raw, _seed_sequence_words(_mix64_block(cell_seed, start, stop))):
+        row[:] = np.random.PCG64(_TrialSeed(words)).random_raw(n)
     return _geometric_in_place(_uniforms_in_place(raw), model.p)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 from decimal import Decimal, InvalidOperation
@@ -416,10 +417,19 @@ def main(argv=None) -> int:
         # argparse exits 0 after --help or --version and 2 on a usage error.
         return exc.code
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed stdout raises here, not at exit
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone.  Point stdout at devnull so that the
+        # flush at exit cannot raise again; a closed pipe needs no error line.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         # RuntimeError: a numerical routine did not converge.
         print(f"error: {exc}", file=sys.stderr)

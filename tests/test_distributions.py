@@ -24,8 +24,8 @@ from sortlab.distributions import (
     _check_inverse_p,
     _geometric_in_place,
     _mix64_block,
-    _pcg64_states,
     _seed_sequence_words,
+    _TrialSeed,
     geometric,
     mix64,
     sample_array,
@@ -259,10 +259,16 @@ class TestVectorisedSeeding:
         for seed, row in zip(seeds, words.tolist()):
             assert row == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist(), seed
 
-    def test_pcg64_states_match_construction(self, seeds):
-        states = _pcg64_states(np.array(seeds, dtype=np.uint64))
-        for seed, state in zip(seeds, states):
-            assert state == np.random.PCG64(seed).state, seed
+    def test_trial_seed_seeds_like_construction(self, seeds):
+        np.random.bit_generator.ISeedSequence.register(_TrialSeed)
+        words = _seed_sequence_words(np.array(seeds, dtype=np.uint64))
+        for seed, row in zip(seeds, words):
+            assert np.random.PCG64(_TrialSeed(row)).state == np.random.PCG64(seed).state, seed
+
+    @pytest.mark.parametrize("n_words,dtype", [(4, np.uint32), (8, np.uint64), (2, np.uint64)])
+    def test_trial_seed_refuses_other_word_requests(self, n_words, dtype):
+        with pytest.raises(ValueError, match="holds 4 uint64 seed words"):
+            _TrialSeed(np.zeros(4, dtype=np.uint64)).generate_state(n_words, dtype)
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS + [42, 12345])
     @pytest.mark.parametrize("start,stop", [(0, 1), (0, 300), (7, 19), (2**40, 2**40 + 5)])
@@ -323,10 +329,6 @@ class TestSampleBlock:
         class RecordingPCG64:
             def __init__(self, seed):
                 self.real = pcg64(seed)
-
-            state = property(
-                lambda self: self.real.state, lambda self, value: setattr(self.real, "state", value)
-            )
 
             def random_raw(self, size=None):
                 draws.append(size)

@@ -3,8 +3,12 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -674,3 +678,46 @@ class TestCliReproduce:
         rows = [line for line in lines if not line.startswith("#")]
         assert rows[0].endswith(",mean_over_pairs")
         assert rows[1:] == [f"0.{i},0.0,,0.0," for i in range(1, 10)]
+
+
+def _sortlab_process(args, stdout, unbuffered=False):
+    """Run ``python <args>`` in a fresh interpreter that imports this checkout's sortlab."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60
+    )
+
+
+class TestCliProcess:
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads with the first draw, so theory, fit and select
+        # never pay for it.
+        code = "import sys, sortlab.report.cli; print('numpy.random' in sys.modules)"
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--use-fixture"],
+            ["fit", "--use-fixture", "--degree", "3"],
+            ["theory", "--p", "0.5", "--n", "10"],
+            ["simulate", "--n", "10", "--trials", "2", "--p", "0.5", "--seed", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_closed_stdout_exits_1_without_error_line(self, argv, unbuffered):
+        # Buffered, the write fails at main's flush; unbuffered, at the write.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _sortlab_process(["-m", "sortlab", *argv], write_end, unbuffered)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, b"")
