@@ -13,17 +13,23 @@ correctly rounded square root of that variance.
 Determinism contract: cell seeds derive from the master seed and the
 p-grid index, trial seeds from the cell seed and the trial index, and
 trials are reduced in trial-index order.  Output is therefore
-bit-identical whether cells run serially or on worker processes.  Each
-block is drawn by one :func:`~sortlab.distributions.sample_block` call,
-and trial t's stream is still exactly
+bit-identical whether cells run serially or in forked worker processes.
+Each block is drawn by one :func:`~sortlab.distributions.sample_block`
+call, and trial t's stream is still exactly
 ``RandomSource(mix64(cell_seed, t))``.
+
+Parallel runs fork directly, without a pool: cell i belongs to share
+``i % workers``, the calling process runs share 0 itself, and each other
+share runs in a forked child that sends its summaries back pickled over
+a pipe and leaves by ``os._exit``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,17 +151,94 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
     """One TrialSummary per grid p, in grid order.
 
-    `jobs` > 1 fans cells out to worker processes, at most one per cell
-    and per CPU; per-cell seeding and ordered collection keep the result
-    bit-identical to a serial run.
+    `jobs` > 1 splits the cells into shares, at most one per cell and per
+    usable CPU (the CPU affinity mask where the platform has one).  Share 0
+    runs in this process and every other share in a child forked for it;
+    where ``os.fork`` does not exist the run is serial.  Per-cell seeding
+    and ordered collection keep the result bit-identical to a serial run.
+
+    A child's exception is raised here again, and a child that ends
+    without reporting raises RuntimeError naming its exit status.  If this
+    process's own share fails, the children are killed before the error
+    propagates.  Every child is reaped and every pipe closed on each path.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
-    configs = [config] * len(seeds)
-    # A fork pool starts all its workers at the first submit.
-    workers = min(jobs, len(seeds), os.cpu_count() or 1)
-    if workers == 1:
-        return tuple(map(run_cell, configs, config.p_values, seeds))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(run_cell, configs, config.p_values, seeds))
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, len(seeds), cpus)
+    if workers == 1 or not hasattr(os, "fork"):
+        return tuple(_run_share(config, seeds, 0, 1))
+    children = []  # (pid, read end of its pipe) per forked share, in share order
+    try:
+        for share in range(1, workers):
+            children.append(_fork_share(config, seeds, share, workers))
+        shares = [_run_share(config, seeds, 0, workers)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                report = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0 or not report:
+                how = f"exited with status {status}"
+                if status < 0:
+                    how = f"was killed by signal {-status}"
+                raise RuntimeError(f"worker process {pid} {how} without reporting its cells")
+            ok, result = pickle.loads(report)
+            if not ok:
+                raise result
+            shares.append(result)
+    finally:
+        # Reached with children left only when something failed.
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    summaries = [None] * len(seeds)
+    for share, cells in enumerate(shares):
+        summaries[share::workers] = cells
+    return tuple(summaries)
+
+
+def _run_share(
+    config: ExperimentConfig, seeds: list[int], share: int, workers: int
+) -> list[TrialSummary]:
+    """Summaries of cells share, share + workers, share + 2 * workers, ..."""
+    cells = zip(config.p_values[share::workers], seeds[share::workers])
+    return [run_cell(config, p, seed) for p, seed in cells]
+
+
+def _fork_share(config, seeds, share, workers):
+    """Fork a child that runs one share; return its pid and the read end of its pipe.
+
+    The child writes one pickled ``(ok, summaries or exception)`` and always
+    leaves by ``os._exit``, with status 0 only once that report is written:
+    it never returns into the caller's frames (a CLI or a test runner) and
+    never flushes the stdio buffers it inherited.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                report = (True, _run_share(config, seeds, share, workers))
+            except Exception as exc:
+                report = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(report))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")

@@ -431,7 +431,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     except (ValueError, OSError, RuntimeError) as exc:
-        # RuntimeError: a numerical routine did not converge.
+        # RuntimeError: a numerical routine did not converge, or a worker
+        # process ended without reporting its cells.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

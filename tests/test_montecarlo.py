@@ -1,6 +1,9 @@
 """Trial harness: exact moments, cell seeding, determinism, parallel parity."""
 
 import math
+import os
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +14,7 @@ from oracles import brute_force_inversions, exchange_sort_list, per_trial_rows, 
 from sortlab import montecarlo
 from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
+from sortlab.report.cli import main
 from sortlab.theory import expected_interchanges
 
 
@@ -256,37 +260,43 @@ class TestRunExperiment:
         assert run_experiment(config) == run_experiment(config)
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # A real 3-worker pool, even on a 1-CPU machine.
+        # Three real shares (two forked children), even on a 1-CPU machine.
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         config = ExperimentConfig(n=60, trials=10, p_values=(0.2, 0.5, 0.8), master_seed=7)
         serial = run_experiment(config, jobs=1)
         parallel = run_experiment(config, jobs=3)
         assert serial == parallel
 
-    @pytest.mark.parametrize("cpus,pools", [(2, [2]), (None, [])])
-    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, pools):
-        # A fork pool starts every worker at its first submit, so the cap
-        # must come before the pool: a fake records it and maps serially.
-        workers = []
+    @pytest.mark.parametrize(
+        "affinity,cpus,forks",
+        [
+            ({0, 1}, 8, 1),  # the affinity mask caps, not the machine's CPU count
+            ({0}, 2, 0),  # as under `taskset -c 0` on a 2-CPU machine
+            (None, 2, 1),  # no affinity call on this platform: the CPU count caps
+            (None, None, 0),  # an unknown CPU count runs serially
+        ],
+    )
+    def test_workers_capped_at_cpu_count(self, monkeypatch, affinity, cpus, forks):
+        # The parent runs one share itself, so w workers fork w - 1 children.
+        real_fork = os.fork
+        forked = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
+        def counting_fork():
+            forked.append(1)
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        # An unknown CPU count runs serially.
+        if affinity is None:
+            monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
         config = ExperimentConfig(n=20, trials=4, p_values=(0.1, 0.3, 0.5, 0.7, 0.9), master_seed=3)
-        assert run_experiment(config, jobs=10**6) == run_experiment(config, jobs=1)
-        assert workers == pools
+        serial = run_experiment(config, jobs=1)
+        assert forked == []
+        assert run_experiment(config, jobs=10**6) == serial
+        assert len(forked) == forks
 
     def test_cell_seeding_is_grid_position_based(self):
         config = ExperimentConfig(n=40, trials=6, p_values=(0.3, 0.7), master_seed=13)
@@ -298,3 +308,98 @@ class TestRunExperiment:
         config = ExperimentConfig(n=10, trials=2, p_values=(0.5,), master_seed=1)
         with pytest.raises(ValueError):
             run_experiment(config, jobs=0)
+
+
+@pytest.fixture
+def no_leaks():
+    """Fail a test that leaves a child unreaped or a file descriptor open."""
+    fd_dir = "/proc/self/fd"
+    before = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None:
+        assert len(os.listdir(fd_dir)) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("no_leaks")
+class TestForkedShares:
+    """Failure paths of the fork fan-out: cell i runs in share i % 3, and
+    share 0 (cells 0 and 3) runs in the calling process."""
+
+    CONFIG = ExperimentConfig(n=20, trials=4, p_values=(0.2, 0.4, 0.6, 0.8), master_seed=5)
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+
+    @staticmethod
+    def patch_cells(monkeypatch, in_child):
+        """Run `in_child(p)` before each cell that runs outside this process."""
+        parent = os.getpid()
+
+        def cell(config, p, cell_seed):
+            if os.getpid() != parent:
+                in_child(p)
+            return run_cell(config, p, cell_seed)
+
+        monkeypatch.setattr(montecarlo, "run_cell", cell)
+
+    def test_child_exception_is_raised_in_parent(self, monkeypatch):
+        def fail(p):
+            if p == 0.6:
+                raise LookupError(f"no cell at p={p}")
+
+        self.patch_cells(monkeypatch, fail)
+        with pytest.raises(LookupError, match=r"^no cell at p=0\.6$"):
+            run_experiment(self.CONFIG, jobs=3)
+
+    @pytest.mark.parametrize(
+        "end,how",
+        [
+            (lambda: os._exit(3), "exited with status 3"),
+            (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL:d}"),
+        ],
+        ids=["exit", "kill"],
+    )
+    def test_child_ending_without_report_raises_runtime_error(self, monkeypatch, end, how):
+        self.patch_cells(monkeypatch, lambda p: end())
+        with pytest.raises(RuntimeError, match=f"{how} without reporting its cells$"):
+            run_experiment(self.CONFIG, jobs=3)
+
+    def test_cli_exits_1_when_a_child_ends_without_report(self, monkeypatch, capsys):
+        self.patch_cells(monkeypatch, lambda p: os._exit(3))
+        argv = ["simulate", "--n", "20", "--trials", "4", "--p", "0.2,0.4", "--seed", "1"]
+        assert main(argv + ["--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: worker process ")
+        assert captured.err.endswith(" exited with status 3 without reporting its cells\n")
+
+    def test_failing_parent_share_kills_and_reaps_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def cell(config, p, cell_seed):
+            if os.getpid() == parent:
+                raise ValueError("parent share failed")
+            time.sleep(60)  # the children must be killed, not waited for
+
+        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="^parent share failed$"):
+            run_experiment(self.CONFIG, jobs=3)
+        assert time.monotonic() - started < 30
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        want = run_experiment(self.CONFIG, jobs=1)
+        pids = set()
+
+        def cell(config, p, cell_seed):
+            pids.add(os.getpid())
+            return run_cell(config, p, cell_seed)
+
+        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        monkeypatch.delattr(montecarlo.os, "fork")
+        assert run_experiment(self.CONFIG, jobs=3) == want
+        assert pids == {os.getpid()}

@@ -696,10 +696,12 @@ def _sortlab_process(args, stdout, unbuffered=False):
 class TestCliProcess:
     def test_import_leaves_numpy_random_unloaded(self):
         # numpy.random loads with the first draw, so theory, fit and select
-        # never pay for it.
-        code = "import sys, sortlab.report.cli; print('numpy.random' in sys.modules)"
+        # never pay for it.  Cells fan out by os.fork, so no command loads a
+        # process pool either.
+        modules = ("numpy.random", "concurrent.futures", "multiprocessing")
+        code = f"import sys, sortlab.report.cli; print([m in sys.modules for m in {modules}])"
         proc = _sortlab_process(["-c", code], subprocess.PIPE)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False\n", b"")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[False, False, False]\n", b"")
 
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
