@@ -18,10 +18,11 @@ Each block is drawn by one :func:`~sortlab.distributions.sample_block`
 call, and trial t's stream is still exactly
 ``RandomSource(mix64(cell_seed, t))``.
 
-Parallel runs fork directly, without a pool: cell i belongs to share
+Cells fan out by a direct fork, without a pool: cell i belongs to share
 ``i % workers``, the calling process runs share 0 itself, and each other
 share runs in a forked child that sends its summaries back pickled over
-a pipe and leaves by ``os._exit``.
+a pipe and leaves by ``os._exit``.  A serial run is the one-share case:
+it forks no child.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
 from .distributions import geometric, mix64, sample_block
@@ -137,7 +137,7 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
             squares += count * count
     trials = config.trials
     mean_c = total / trials  # int / int is correctly rounded
-    sd_c = math.sqrt(Fraction(trials * squares - total * total, trials * trials))
+    sd_c = math.sqrt((trials * squares - total * total) / (trials * trials))
     return TrialSummary(
         p=p,
         n=config.n,
@@ -151,11 +151,12 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
     """One TrialSummary per grid p, in grid order.
 
-    `jobs` > 1 splits the cells into shares, at most one per cell and per
+    The cells are split into shares, at most one per job, per cell and per
     usable CPU (the CPU affinity mask where the platform has one).  Share 0
-    runs in this process and every other share in a child forked for it;
-    where ``os.fork`` does not exist the run is serial.  Per-cell seeding
-    and ordered collection keep the result bit-identical to a serial run.
+    runs in this process and every other share in a child forked for it,
+    so a serial run (one share, or no ``os.fork`` on this platform) forks
+    nothing.  Per-cell seeding and ordered collection keep the result
+    bit-identical whatever the number of shares.
 
     A child's exception is raised here again, and a child that ends
     without reporting raises RuntimeError naming its exit status.  If this
@@ -169,16 +170,15 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    workers = min(jobs, len(seeds), cpus)
-    if workers == 1 or not hasattr(os, "fork"):
-        return tuple(_run_share(config, seeds, 0, 1))
-    children = []  # (pid, read end of its pipe) per forked share, in share order
+    workers = min(jobs, len(seeds), cpus) if hasattr(os, "fork") else 1
+    summaries = [None] * len(seeds)
+    children = []  # (share, pid, read end of its pipe) per forked share, in share order
     try:
         for share in range(1, workers):
-            children.append(_fork_share(config, seeds, share, workers))
-        shares = [_run_share(config, seeds, 0, workers)]
+            children.append((share, *_fork_share(config, seeds, share, workers)))
+        summaries[0::workers] = _run_share(config, seeds, 0, workers)
         while children:
-            pid, pipe = children[0]
+            share, pid, pipe = children[0]
             with pipe:
                 report = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -191,16 +191,13 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
             ok, result = pickle.loads(report)
             if not ok:
                 raise result
-            shares.append(result)
+            summaries[share::workers] = result
     finally:
         # Reached with children left only when something failed.
-        for pid, pipe in children:
+        for _, pid, pipe in children:
             os.kill(pid, signal.SIGKILL)
             pipe.close()
             os.waitpid(pid, 0)
-    summaries = [None] * len(seeds)
-    for share, cells in enumerate(shares):
-        summaries[share::workers] = cells
     return tuple(summaries)
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "RegressionReport",
     "diagnostics",
     "fit",
-    "predict",
 ]
 
 # Residual sum of squares below this fraction of total variation is
@@ -157,9 +156,10 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
             f"degree {degree} needs at least {needed} points "
             f"({min_residual_df} residual df), got {m}"
         )
-    if np.unique(x).size < degree + 1:
+    distinct = len(set(x.tolist()))
+    if distinct < degree + 1:
         raise RankDeficientError(
-            f"degree {degree} needs {degree + 1} distinct x values, got {np.unique(x).size}"
+            f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
 
     mu = float(x.mean())
@@ -177,14 +177,6 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     raw = np.zeros(degree + 1)
     raw[: poly_x.coef.size] = poly_x.coef
     return PolyModel(degree=degree, coefficients=tuple(float(c) for c in raw))
-
-
-def predict(model: PolyModel, x):
-    """Evaluate the polynomial at `x` (scalar or array) by Horner's rule."""
-    result = x * 0.0
-    for c in reversed(model.coefficients):
-        result = result * x + c
-    return result
 
 
 def _xtx_inverse_diagonal(design: np.ndarray) -> np.ndarray:

@@ -319,7 +319,7 @@ def _cmd_reproduce(args) -> int:
         write_scatter_svg(
             out_dir / f"{name}.svg",
             points,
-            [(f"degree {degree}", models[degree])],
+            (f"degree {degree}", models[degree]),
             metadata=meta,
             title=title,
             include_points=include_points,

@@ -11,17 +11,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from ..model_select import EmpiricalOVerdict
-from ..polyfit import (
-    AnovaTable,
-    CoefficientRow,
-    ModelSummaryStats,
-    PolyModel,
-    RegressionReport,
-)
+from ..polyfit import RegressionReport
 from .csvio import RunMetadata
 
 __all__ = [
-    "report_from_dict",
     "report_to_dict",
     "verdict_to_dict",
     "write_report_json",
@@ -32,17 +25,6 @@ __all__ = [
 def report_to_dict(report: RegressionReport, metadata: RunMetadata | None = None) -> dict:
     """The report's fields in declaration order, which is the JSON key order."""
     return {**asdict(report), "metadata": asdict(metadata) if metadata is not None else None}
-
-
-def report_from_dict(doc: dict) -> RegressionReport:
-    return RegressionReport(
-        model=PolyModel(doc["model"]["degree"], tuple(doc["model"]["coefficients"])),
-        summary=ModelSummaryStats(**doc["summary"]),
-        anova=AnovaTable(**doc["anova"]),
-        coefficients=tuple(CoefficientRow(**row) for row in doc["coefficients"]),
-        m=doc["m"],
-        exact_fit=doc["exact_fit"],
-    )
 
 
 def verdict_to_dict(verdict: EmpiricalOVerdict, metadata: RunMetadata | None = None) -> dict:

@@ -1,4 +1,4 @@
-"""Static SVG figures: a scatter of cell means and fitted-curve polylines.
+"""Static SVG figures: a scatter of cell means and a fitted-curve polyline.
 
 Figures are built with ElementTree so the output is well-formed XML by
 construction; there is no scripting, and provenance is embedded in a
@@ -11,13 +11,15 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Sequence
 
-from ..polyfit import DataPoint, PolyModel, predict
+import numpy as np
+
+from ..polyfit import DataPoint, PolyModel
 from .csvio import RunMetadata
 
 __all__ = ["write_scatter_svg"]
 
 _SVG_NS = "http://www.w3.org/2000/svg"
-_CURVE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+_CURVE_COLOR = "#1f77b4"
 _CURVE_SAMPLES = 200
 
 _WIDTH, _HEIGHT = 640.0, 440.0
@@ -27,7 +29,7 @@ _M_LEFT, _M_RIGHT, _M_TOP, _M_BOTTOM = 86.0, 26.0, 42.0, 58.0
 def _curve_points(model: PolyModel, x_lo: float, x_hi: float) -> list[tuple[float, float]]:
     step = (x_hi - x_lo) / (_CURVE_SAMPLES - 1)
     xs = [x_lo + i * step for i in range(_CURVE_SAMPLES)]
-    return [(x, float(predict(model, x))) for x in xs]
+    return list(zip(xs, np.polynomial.polynomial.polyval(xs, model.coefficients).tolist()))
 
 
 def _line(parent: ET.Element, x1: float, y1: float, x2: float, y2: float) -> None:
@@ -58,17 +60,17 @@ def _text(
 def write_scatter_svg(
     path: str | Path,
     points: Sequence[DataPoint],
-    models: Sequence[tuple[str, PolyModel]],
+    curve: tuple[str, PolyModel],
     *,
     metadata: RunMetadata | None = None,
     title: str | None = None,
     include_points: bool = True,
 ) -> None:
-    """Write one figure: optionally the scatter, plus one polyline per model.
+    """Write one figure: optionally the scatter, plus the polyline of one model.
 
-    `models` pairs a legend label with each fitted polynomial; curves
-    are sampled across the x-range of `points`, which must be nonempty
-    (it fixes the axes even when the scatter itself is hidden).
+    `curve` pairs a legend label with a fitted polynomial, which is sampled
+    across the x-range of `points`; they must be nonempty (they fix the
+    axes even when the scatter itself is hidden).
     """
     if not points:
         raise ValueError("points must be nonempty; they fix the axis ranges")
@@ -78,9 +80,10 @@ def write_scatter_svg(
     if x_hi == x_lo:
         x_lo -= 0.5
         x_hi += 0.5
-    curves = [(label, _curve_points(model, x_lo, x_hi)) for label, model in models]
+    label, model = curve
+    curve_points = _curve_points(model, x_lo, x_hi)
 
-    ys = [pt.y for pt in points] + [y for _, pts in curves for _, y in pts]
+    ys = [pt.y for pt in points] + [y for _, y in curve_points]
     y_lo, y_hi = min(ys), max(ys)
     if y_hi == y_lo:
         y_lo -= 0.5
@@ -141,27 +144,18 @@ def write_scatter_svg(
     y_mid = f"{_M_TOP + plot_h / 2:.1f}"
     _text(root, "20", y_mid, "mean c", "middle", "13", transform=f"rotate(-90 20 {y_mid})")
 
-    for idx, (label_text, pts) in enumerate(curves):
-        color = _CURVE_COLORS[idx % len(_CURVE_COLORS)]
-        ET.SubElement(
-            root,
-            "polyline",
-            {
-                "fill": "none",
-                "stroke": color,
-                "stroke-width": "1.8",
-                "points": " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts),
-            },
-        )
-        _text(
-            root,
-            f"{_WIDTH - _M_RIGHT - 6:.1f}",
-            f"{_M_TOP + 16 + 16 * idx:.1f}",
-            label_text,
-            "end",
-            "12",
-            fill=color,
-        )
+    ET.SubElement(
+        root,
+        "polyline",
+        {
+            "fill": "none",
+            "stroke": _CURVE_COLOR,
+            "stroke-width": "1.8",
+            "points": " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in curve_points),
+        },
+    )
+    legend_x = f"{_WIDTH - _M_RIGHT - 6:.1f}"
+    _text(root, legend_x, f"{_M_TOP + 16:.1f}", label, "end", "12", fill=_CURVE_COLOR)
 
     if include_points:
         for pt in points:

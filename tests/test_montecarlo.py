@@ -135,6 +135,22 @@ class TestExactMoments:
         assert (summary.mean_c, summary.sd_c, summary.cv_c) == (mean, sd, sd / mean)
         assert sd > 0.0
 
+    @pytest.mark.parametrize("trials", [2, 7, 999])
+    def test_sd_is_the_root_of_the_exact_variance_past_int64(self, monkeypatch, trials):
+        # 3e9 and 4e9 square past 2**63; T*sum(c^2) - sum(c)^2 is divided
+        # as Python ints, which rounds once, as Fraction's float does.
+        def counts_past_int64(batch):
+            return batch, np.where(np.arange(len(batch)) % 3 == 0, 3 * 10**9, 4 * 10**9)
+
+        monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", counts_past_int64)
+        config = ExperimentConfig(n=40, trials=trials, p_values=(0.3,), master_seed=8)
+        summary = run_cell(config, 0.3, mix64(8, 0))
+        counts = [3 * 10**9 if t % 3 == 0 else 4 * 10**9 for t in range(trials)]
+        total, squares = sum(counts), sum(c * c for c in counts)
+        assert squares > 2**63
+        want = math.sqrt(Fraction(trials * squares - total * total, trials * trials))
+        assert summary.sd_c.hex() == want.hex()
+
 
 class TestRunCell:
     def test_degenerate_p_one(self):
@@ -390,6 +406,32 @@ class TestForkedShares:
         with pytest.raises(ValueError, match="^parent share failed$"):
             run_experiment(self.CONFIG, jobs=3)
         assert time.monotonic() - started < 30
+
+    def test_unequal_shares_match_serial(self, monkeypatch):
+        # 5 cells over 3 shares: cells 0 and 3 here, 1 and 4 in one child, 2 in the other.
+        config = ExperimentConfig(n=20, trials=4, p_values=(0.1, 0.3, 0.5, 0.7, 0.9), master_seed=5)
+        serial = run_experiment(config, jobs=1)
+        real_fork = os.fork
+        forked = []
+
+        def counting_fork():
+            forked.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+        assert run_experiment(config, jobs=3) == serial
+        assert len(forked) == 2
+
+    def test_one_job_forks_nothing(self, monkeypatch):
+        # A serial run is the one-share case of the fan-out: no fork, no pipe.
+        want = run_experiment(self.CONFIG, jobs=3)
+
+        def refuse(*args):
+            raise AssertionError("a one-job run forked or opened a pipe")
+
+        monkeypatch.setattr(montecarlo.os, "fork", refuse)
+        monkeypatch.setattr(montecarlo.os, "pipe", refuse)
+        assert run_experiment(self.CONFIG, jobs=1) == want
 
     def test_without_fork_runs_serially(self, monkeypatch):
         want = run_experiment(self.CONFIG, jobs=1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from sortlab.polyfit import (
     DataPoint,
@@ -11,7 +12,6 @@ from sortlab.polyfit import (
     RankDeficientError,
     diagnostics,
     fit,
-    predict,
 )
 from sortlab.report.fixture import reference_points
 from sortlab.report.render import format_sig
@@ -75,8 +75,12 @@ class TestFit:
 
     def test_duplicate_x_rank_collapse(self):
         points = [DataPoint(1.0, 0.0), DataPoint(1.0, 1.0), DataPoint(1.0, 2.0), DataPoint(1.0, 3.0)]
-        with pytest.raises(RankDeficientError):
+        with pytest.raises(RankDeficientError, match=r"^degree 1 needs 2 distinct x values, got 1$"):
             fit(points, 1)
+        # -0.0 and 0.0 are one x value.
+        points = [DataPoint(x, y) for x, y in [(0.0, 1.0), (-0.0, 2.0), (1.0, 3.0), (1.0, 4.0)]]
+        with pytest.raises(RankDeficientError, match=r"^degree 2 needs 3 distinct x values, got 2$"):
+            fit(points, 2)
 
     def test_interpolation_at_zero_residual_df(self):
         rng = np.random.default_rng(99)
@@ -86,7 +90,7 @@ class TestFit:
             ys = rng.normal(0.0, 50.0, size=m)
             points = [DataPoint(x, y) for x, y in zip(xs, ys)]
             model = fit(points, m - 1, min_residual_df=0)
-            resid = ys - predict(model, xs)
+            resid = ys - polyval(xs, model.coefficients)
             assert np.max(np.abs(resid)) < 1e-6 * max(np.max(np.abs(ys)), 1.0)
 
     @given(random_points_strategy())
@@ -110,8 +114,8 @@ class TestFit:
         base = fit(points, degree)
         scaled = fit([DataPoint(pt.x * 10.0, pt.y) for pt in points], degree)
         xs = np.array([pt.x for pt in points])
-        base_pred = predict(base, xs)
-        scaled_pred = predict(scaled, xs * 10.0)
+        base_pred = polyval(xs, base.coefficients)
+        scaled_pred = polyval(xs * 10.0, scaled.coefficients)
         scale = np.max(np.abs(base_pred)) + 1e-9
         assert np.max(np.abs(base_pred - scaled_pred)) <= 1e-8 * scale
 
@@ -129,21 +133,6 @@ class TestFit:
         points = [DataPoint(float(x), float(y)) for x, y in [(0, 1), (1, 3), (2, 5)]]
         model = fit(points, 0)
         assert model.coefficients[0] == pytest.approx(3.0, abs=1e-12)
-
-
-class TestPredict:
-    def test_trivial(self):
-        assert predict(PolyModel(1, (1.0, 2.0)), 3.0) == pytest.approx(7.0)
-        assert predict(PolyModel(0, (4.5,)), 123.0) == pytest.approx(4.5)
-
-    def test_published_cubic_midpoint(self):
-        model = PolyModel(3, (44576.213, -173518.487, 260373.301, -133999.436))
-        assert predict(model, 0.5) == pytest.approx(6160.365, abs=0.01)
-
-    def test_vectorized(self):
-        model = PolyModel(2, (1.0, 0.0, 1.0))
-        out = predict(model, np.array([0.0, 1.0, 2.0]))
-        assert out.tolist() == [1.0, 2.0, 5.0]
 
 
 @pytest.fixture(scope="module")
