@@ -110,7 +110,34 @@ def _dense_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return keys, sorted_ranks, ranks
 
 
-_ALL_BITS = ~np.uint64(0)
+def _table_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
+    # The rows sorted, the 1-based dense rank of each value and the largest
+    # rank, read from a table of each row's value counts; None unless the
+    # batch holds integers at most n apart, so that the table is no larger
+    # than the batch.
+    trials, n = batch.shape
+    if batch.dtype.kind not in "iu":
+        return None
+    lo, hi = batch.min(), batch.max()
+    width = int(hi) - int(lo) + 1
+    if width > n:
+        return None
+    # Offsets from the min are taken after the cast to intp, which wraps
+    # uint64 values and the min alike, so the differences come out exact.
+    lo = np.asarray(lo).astype(np.intp)
+    row_offsets = np.arange(0, trials * width, width) - lo
+    index = np.add(batch, row_offsets[:, np.newaxis], dtype=np.intp, casting="unsafe")
+    counts = np.bincount(index.ravel(), minlength=trials * width)
+    table = np.cumsum(counts.reshape(trials, width) > 0, axis=1, dtype=np.min_scalar_type(width))
+    top = int(table[:, -1].max())
+    ranks = table.astype(np.min_scalar_type(top)).ravel().take(index)
+    del index
+    grid = (np.arange(width, dtype=np.intp) + lo).astype(batch.dtype)
+    keys = np.repeat(np.tile(grid, trials), counts).reshape(trials, n)
+    return keys, ranks, top
+
+
+_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,30 +170,53 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     #{k : a[k] < w}.  Summed over the passes, value w gives
     #{k > f_w : a[k] < w} swaps.
 
-    Each row is ranked densely by one sort; then, 64 ranks per machine
-    word, an or-scan along the row gives the set of ranks seen up to
-    position k, and a popcount of its part above the rank of a[k] gives the
-    k-th term.  Cost per row: one sort plus O(n * ceil(D/64)) word
-    operations, where D is the row's number of distinct values.
+    Each row is ranked densely (1, 2, ... over its distinct values).  An
+    integer batch whose value range is at most n wide, as geometric draws
+    are at the default sizes, is ranked by a table of each row's value
+    counts, with no sort; any other batch by one sort.  Then, up to 64
+    ranks per machine word, an or-scan along the row gives the set seen of
+    ranks met up to position k, and the k-th term is
+    popcount(seen >> rank(a[k])).  A window of ranks takes the narrowest
+    unsigned word that holds it (uint8 for up to 8 ranks), and only rows
+    with more than 64 distinct values need the ranks clipped to their
+    window.  Cost per row: O(n) for the table (else one sort) plus
+    O(n * ceil(D/64)) word operations, where D is the row's number of
+    distinct values.
     """
     _check_batch(batch)
     trials, n = batch.shape
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
         return batch.copy(), swaps
-    keys, sorted_ranks, ranks = _dense_ranks(batch)
-    del sorted_ranks  # freed before the loop, which holds the peak memory
-    for base in range(0, int(ranks.max()) + 1, 64):
-        # Bit b of a word stands for rank base + b; shifts of 64 give 0.
-        # ge[k] holds the ranks >= ranks[k], gt[k] those > ranks[k].
-        r = ranks - base
-        ge = np.left_shift(_ALL_BITS, np.clip(r, 0, 64).astype(np.uint64))
-        gt = np.clip(r + 1, 0, 64, out=r).astype(np.uint64)
-        np.left_shift(_ALL_BITS, gt, out=gt)
-        # seen[k] holds the ranks of a[:k+1]; that of a[k] is not in gt[k].
-        seen = np.bitwise_or.accumulate(np.bitwise_xor(ge, gt, out=ge), axis=1, out=ge)
-        swaps += np.bitwise_count(np.bitwise_and(seen, gt, out=seen)).sum(axis=1, dtype=np.int64)
-    return keys.astype(batch.dtype, copy=False), swaps
+    ranked = _table_ranks(batch)
+    if ranked is None:
+        keys, sorted_ranks, ranks = _dense_ranks(batch)
+        top = int(sorted_ranks[:, -1].max()) + 1
+        del sorted_ranks  # freed before the loop, which holds the peak memory
+        ranks = np.add(ranks, 1, dtype=np.min_scalar_type(top), casting="unsafe")
+        keys = keys.astype(batch.dtype, copy=False)
+    else:
+        keys, ranks, top = ranked
+    for base in range(0, top, 64):
+        # Bit b of the word stands for rank base + b + 1, so a[k] sets bit
+        # shift[k] - 1 and seen >> shift[k] keeps the ranks above its own.
+        # Ranks below the window clip to shift 0 (no bit; every rank in the
+        # window is above) and ranks above it to bits + 1, where both shifts
+        # pass the word and give 0, as does shift - 1 wrapped from 0.
+        word = next(w for w in _WORDS if np.iinfo(w).bits >= min(top - base, 64))
+        if top <= 64:
+            shift = ranks
+        else:
+            bits = np.iinfo(word).bits
+            shift = np.clip(ranks, base, min(base + bits + 1, top))
+            shift -= base
+            shift = shift.astype(np.uint8, copy=False)  # no wider than the word
+        # seen[k] holds the ranks of a[:k+1] in the window.
+        seen = np.left_shift(word(1), shift - np.uint8(1))
+        np.bitwise_or.accumulate(seen, axis=1, out=seen)
+        np.right_shift(seen, shift, out=seen)
+        swaps += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
+    return keys, swaps
 
 
 def exchange_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:

@@ -225,7 +225,8 @@ def _geometric_in_place(u: np.ndarray, p: float) -> np.ndarray:
     np.negative(flat, out=flat)
     np.log1p(flat, out=flat)
     np.divide(flat, math.log1p(-p), out=flat)
-    np.floor(flat, out=flat)
+    # The quotient is >= +0.0 for 0 <= u < 1, so the cast's truncation is
+    # the floor.
     draws = flat.view(np.int64)
     np.copyto(draws, flat, casting="unsafe")  # in place, as in _uniforms_in_place
     return draws.reshape(u.shape)

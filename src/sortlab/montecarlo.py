@@ -57,7 +57,7 @@ COUNTER_MODES = tuple(_KERNELS)
 BLOCK_VALUES = 1 << 18
 
 #: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel, output included (textbook 29-34, exchange 33-42, inversions
+#: kernel, output included (textbook 29-34, exchange 11-28, inversions
 #: 20-23 by tracemalloc), plus the 8 of the int64 block it is given.  The
 #: block sampler's own peak (at most 24) comes before.  A tracemalloc test
 #: pins a whole block of each mode within this figure.

@@ -20,6 +20,7 @@ from oracles import (
 from sortlab.algorithms import (
     OpCounters,
     _narrow_dtype,
+    _table_ranks,
     count_inversions,
     count_inversions_batch,
     exchange_selection_sort,
@@ -27,6 +28,7 @@ from sortlab.algorithms import (
     textbook_selection_sort,
     textbook_sort_batch,
 )
+from sortlab.distributions import geometric, mix64, sample_block
 
 # Small nonnegative ints force ties, the regime that separates the two sorts.
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
@@ -366,6 +368,96 @@ class TestExchangeKernelScanAndNarrowing:
             assert out.tolist() == [sorted(row) for row in batch.tolist()], kernel.__name__
 
 
+def argsort_dtypes(monkeypatch) -> list:
+    """Spy on np.argsort, as the kernels call it: the dtype of each call's keys."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(keys, *args, **kwargs):
+        calls.append(np.asarray(keys).dtype)
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+def row_over_range(rng, n: int, distinct: int, lo: int) -> list:
+    """n ints holding each of lo, ..., lo + distinct - 1, in random order."""
+    values = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
+    return [lo + v for v in rng.permutation(values).tolist()]
+
+
+class TestExchangeKernelValueTable:
+    """Integer batches whose values lie at most n apart are ranked from a
+    table of each row's value counts, with no sort; any other batch by a sort.
+
+    Rows are chosen at the value range where the kernel switches between
+    the two, at the numbers D of distinct values where the word type
+    changes or a row's ranks need a second 64-rank word, and at the ends of
+    the integer types.
+    """
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_value_range_switch_matches_literal_loop(self, extra, monkeypatch):
+        n = 40
+        width = n + extra
+        rng = np.random.default_rng(width)
+        batch = rng.integers(3, 9, size=(5, n))
+        batch[0, 7], batch[3, 0] = 0, width - 1
+        calls = argsort_dtypes(monkeypatch)
+        assert_matches_literal_loop(exchange_sort_batch, batch)
+        assert len(calls) == (0 if width <= n else 1)
+        assert (_table_ranks(batch) is None) == (width > n)
+
+    @pytest.mark.parametrize("distinct", [8, 9, 16, 17, 32, 33, 64, 65, 128, 129])
+    def test_word_boundaries_match_literal_loop(self, distinct, monkeypatch):
+        # Rows with D, D // 2 and 1 distinct values in one batch.
+        rng = np.random.default_rng(distinct)
+        n = 2 * distinct
+        rows = [row_over_range(rng, n, d, -50) for d in (distinct, distinct, distinct // 2)]
+        batch = np.array(rows + [[-50] * n])
+        calls = argsort_dtypes(monkeypatch)
+        assert_matches_literal_loop(exchange_sort_batch, batch)
+        assert_matches_literal_loop(exchange_sort_batch, batch[::-1].copy())
+        assert calls == []
+        assert _table_ranks(batch)[2] == distinct
+
+    @pytest.mark.parametrize(
+        "dtype,lo,distinct",
+        [
+            (np.int8, -128, 256),
+            (np.uint8, 0, 256),
+            (np.int16, -40, 9),
+            (np.int64, -2**63, 70),
+            (np.int64, 2**63 - 70, 70),
+            (np.uint64, 2**64 - 70, 70),
+            (np.uint64, 2**63 - 5, 10),
+        ],
+    )
+    def test_integer_type_ends_match_literal_loop(self, dtype, lo, distinct, monkeypatch):
+        # The min is taken off after the cast to intp: int8 - (-128) would
+        # overflow, and uint64 with int64 offsets would promote to float64.
+        rng = np.random.default_rng(distinct)
+        n = distinct + 4
+        batch = np.array([row_over_range(rng, n, distinct, lo) for _ in range(3)], dtype=dtype)
+        calls = argsort_dtypes(monkeypatch)
+        assert_matches_literal_loop(exchange_sort_batch, batch)
+        assert calls == []
+
+    @pytest.mark.parametrize("p", [k / 10 for k in range(1, 10)])
+    def test_default_grid_is_ranked_without_a_sort(self, p, monkeypatch):
+        # A default-grid block (n = 1000, 100 trials); as floats the same
+        # values are ranked by a sort.
+        batch = sample_block(geometric(p), 1000, mix64(3, 0), 0, 100)
+        calls = argsort_dtypes(monkeypatch)
+        out, counts = exchange_sort_batch(batch)
+        monkeypatch.undo()
+        assert calls == []
+        want_out, want_counts = exchange_sort_batch(batch.astype(np.float64))
+        assert counts.tolist() == want_counts.tolist()
+        assert np.array_equal(out, want_out) and out.dtype == batch.dtype
+
+
 class TestTextbookKernelValueBlocks:
     """The textbook kernel runs each row's passes one value block at a time.
 
@@ -527,16 +619,9 @@ class TestInversionKernelRankBits:
     def test_sorts_once_per_rank_bit_on_narrow_keys(self, distinct, monkeypatch):
         # numpy's stable argsort is a radix sort on 8- and 16-bit keys only;
         # wider keys would fall back to a timsort at every level.
-        calls = []
-        argsort = np.argsort
-
-        def spy(keys, *args, **kwargs):
-            calls.append(np.asarray(keys).dtype)
-            return argsort(keys, *args, **kwargs)
-
         rng = np.random.default_rng(distinct)
         batch = row_with_distinct_values(rng, distinct + 100, distinct)[np.newaxis]
-        monkeypatch.setattr(np, "argsort", spy)  # the np.argsort the kernel calls
+        calls = argsort_dtypes(monkeypatch)
         counts = count_inversions_batch(batch)[1]
         monkeypatch.undo()
         assert counts.tolist() == merge_inversions_batch(batch)[1].tolist()

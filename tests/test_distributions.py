@@ -201,6 +201,17 @@ class TestSamplerAgreement:
         assert 0 <= top < 2**63
         assert top == geometric_from_uniform(1.0 - 2.0**-53, p)
 
+    @pytest.mark.parametrize(
+        "p", [1e-17, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, 0.9, 0.99, 0.999999]
+    )
+    def test_truncating_cast_is_the_floor(self, p):
+        # The quotient is never negative, so the cast truncates as floor does;
+        # the edge uniforms give -0.0 / log1p(-p) = +0.0 and the largest draw.
+        edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
+        u = np.concatenate([edges, np.random.default_rng(17).random(20_000)])
+        want = np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
+        assert np.array_equal(_geometric_in_place(u.copy(), p), want)
+
     def test_goodness_of_fit(self):
         p = 0.3
         draws = sample_array(RandomSource(2024), geometric(p), 1_000_000)
