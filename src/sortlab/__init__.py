@@ -9,64 +9,61 @@ Submodules: `distributions` (seeded sampling), `algorithms`
 (instrumented sorts, inversion counting), `theory` (closed forms),
 `montecarlo` (trial harness), `polyfit` (least squares + diagnostics),
 `model_select` (degree scan), `report` (CSV/JSON/SVG/CLI).
+
+The names in `__all__` load their submodule on first access, so
+`import sortlab` alone imports no submodule and not numpy; this lets the
+CLI set numpy's thread count before numpy loads.
 """
 
-from .algorithms import (
-    OpCounters,
-    count_inversions,
-    exchange_selection_sort,
-    textbook_selection_sort,
-)
-from .distributions import (
-    ContinuousUniform,
-    Geometric,
-    RandomSource,
-    geometric,
-    mix64,
-    sample_array,
-)
-from .model_select import EmpiricalOVerdict, SelectionPolicy, render_verdict, select_degree
-from .montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
-from .polyfit import (
-    DataPoint,
-    PolyModel,
-    RankDeficientError,
-    RegressionReport,
-    diagnostics,
-    fit,
-)
-from .theory import TheoryPrediction, expected_interchanges, interchange_probability, tie_probability
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContinuousUniform",
-    "DataPoint",
-    "EmpiricalOVerdict",
-    "ExperimentConfig",
-    "Geometric",
-    "OpCounters",
-    "PolyModel",
-    "RandomSource",
-    "RankDeficientError",
-    "RegressionReport",
-    "SelectionPolicy",
-    "TheoryPrediction",
-    "TrialSummary",
-    "__version__",
-    "count_inversions",
-    "diagnostics",
-    "exchange_selection_sort",
-    "expected_interchanges",
-    "fit",
-    "geometric",
-    "interchange_probability",
-    "mix64",
-    "render_verdict",
-    "run_cell",
-    "run_experiment",
-    "sample_array",
-    "select_degree",
-    "textbook_selection_sort",
-    "tie_probability",
-]
+_SUBMODULE_NAMES = {
+    "algorithms": (
+        "OpCounters",
+        "count_inversions",
+        "exchange_selection_sort",
+        "textbook_selection_sort",
+    ),
+    "distributions": (
+        "ContinuousUniform",
+        "Geometric",
+        "RandomSource",
+        "geometric",
+        "mix64",
+        "sample_array",
+    ),
+    "model_select": ("EmpiricalOVerdict", "SelectionPolicy", "render_verdict", "select_degree"),
+    "montecarlo": ("ExperimentConfig", "TrialSummary", "run_cell", "run_experiment"),
+    "polyfit": (
+        "DataPoint",
+        "PolyModel",
+        "RankDeficientError",
+        "RegressionReport",
+        "diagnostics",
+        "fit",
+    ),
+    "theory": (
+        "TheoryPrediction",
+        "expected_interchanges",
+        "interchange_probability",
+        "tie_probability",
+    ),
+}
+_SUBMODULE_OF = {name: module for module, names in _SUBMODULE_NAMES.items() for name in names}
+
+__all__ = sorted([*_SUBMODULE_OF, "__version__"])
+
+
+def __getattr__(name):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -264,9 +264,8 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     _check_batch(batch)
     trials, n = batch.shape
-    swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
-        return batch.copy(), swaps
+        return batch.copy(), np.zeros(trials, dtype=np.int64)
     size = trials * n
     index = np.int32 if size < 2**31 else np.int64
     keys = batch.astype(_narrow_dtype(batch), copy=False)
@@ -336,7 +335,11 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         where[elements] = dest
         who[dest] = elements
         g0 = g1
-    swaps += np.bincount(slots[where != slots] // n, minlength=trials)
+    # slots is a permutation of the flat positions: scattered into slot
+    # order, "element j moved" lands in its row.
+    swapped = np.empty(size, dtype=bool)
+    swapped[slots] = where != slots
+    swaps = swapped.reshape(trials, n).sum(axis=1, dtype=np.int64)
     return keys.reshape(trials, n).astype(batch.dtype, copy=False), swaps
 
 

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 runtime or data error, 2 usage error.  All
 artifact-writing paths stamp run metadata; `--no-timestamp` makes
 repeat runs with the same seed byte-identical.
+
+Importing this module sets `OPENBLAS_NUM_THREADS=1` unless it is already
+set, so a command in a fresh interpreter runs numpy's BLAS on one thread
+(the setting cannot reach a numpy that is already loaded).
 """
 
 from __future__ import annotations
@@ -14,6 +18,16 @@ import secrets
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
+
+# One OpenBLAS thread, unless the user set a count.  numpy's OpenBLAS
+# otherwise starts a second thread at import that busy-waits for BLAS work,
+# burning CPU through every command.  The CLI's parallelism is its forked
+# workers, and its largest BLAS work, a least-squares solve and a QR on the
+# default grid's 9 x 5 design matrix, is far too small to thread.  This has
+# to run before numpy loads, which is why `import sortlab` loads no
+# submodule.  It lives here, not in the package, so that a library user
+# keeps their BLAS threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .. import __version__
 from ..distributions import ContinuousUniform, geometric

@@ -697,12 +697,19 @@ class TestCliReproduce:
         assert rows[1:] == [f"0.{i},0.0,,0.0," for i in range(1, 10)]
 
 
-def _sortlab_process(args, stdout, unbuffered=False):
-    """Run ``python <args>`` in a fresh interpreter that imports this checkout's sortlab."""
+def _sortlab_process(args, stdout, unbuffered=False, blas_threads=None):
+    """Run ``python <args>`` in a fresh interpreter that imports this checkout's sortlab.
+
+    `blas_threads` is the child's OPENBLAS_NUM_THREADS, unset when None.
+    Importing the CLI sets it in this process, so it is never inherited.
+    """
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     src = str(Path(cli.__file__).parents[2])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -721,6 +728,45 @@ class TestCliProcess:
         proc = _sortlab_process(["-c", code], subprocess.PIPE)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == b"[False, False, False, False]\n"
+
+    def test_import_sortlab_leaves_numpy_unloaded(self):
+        # The package resolves its names on first access, so the CLI module
+        # body runs before numpy loads; dir() lists them before any access.
+        code = (
+            "import sys, sortlab\n"
+            "listed = set(sortlab.__all__) <= set(dir(sortlab))\n"
+            "print('numpy' in sys.modules, listed, sortlab.__version__)\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False True 0.1.0\n", b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_cli_import_runs_numpy_on_one_thread(self):
+        # numpy's OpenBLAS would start a second thread that busy-waits.
+        code = (
+            "import os, sortlab.report.cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"1 1\n", b"")
+
+    def test_cli_import_keeps_the_users_blas_thread_count(self):
+        code = "import os, sortlab.report.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = _sortlab_process(["-c", code], subprocess.PIPE, blas_threads="2")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2\n", b"")
+
+    def test_blas_thread_count_moves_no_artifact_byte(self, tmp_path):
+        # The fits and the verdict come from lstsq and QR.
+        artifacts = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            argv = ["reproduce", "--seed", "77", "--no-timestamp", "--out-dir", str(out)]
+            proc = _sortlab_process(["-m", "sortlab", *argv], subprocess.PIPE,
+                                    blas_threads=threads)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            artifacts[threads] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert len(artifacts["1"]) == 14
+        assert artifacts["1"] == artifacts["2"]
 
     def test_fixture_commands_leave_numpy_ma_unloaded(self, tmp_path):
         # np.unique imports numpy.ma on its first call; fit counts distinct x

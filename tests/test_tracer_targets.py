@@ -73,3 +73,19 @@ _MODULES = [sortlab] + [
 )
 def test_all_names_resolve(module, name):
     assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}, which it lacks"
+
+
+def test_package_unknown_name_raises():
+    # Otherwise test_all_names_resolve's hasattr would pass for any name.
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sortlab.no_such_name  # noqa: B018
+
+
+def test_package_names_are_their_submodules_objects():
+    namespace = {}
+    exec("from sortlab import *", namespace)
+    for name in sortlab.__all__:
+        value = getattr(sortlab, name)
+        assert vars(sortlab)[name] is value is namespace[name]  # cached on first access
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value
