@@ -325,6 +325,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(config, jobs=0)
 
+    def test_readme_swap_and_inversion_means(self, exchange_cells, inversion_cells):
+        # README: "at n=1000, p=0.1 (100 trials, seed 42) the mean is 30,874
+        # swaps against 236,287 inversions"; the fixtures are that run.
+        swaps, inversions = exchange_cells[0], inversion_cells[0]
+        cell = (swaps.p, swaps.n, swaps.trials)
+        assert cell == (inversions.p, inversions.n, inversions.trials) == (0.1, 1000, 100)
+        assert f"{round(swaps.mean_c):,}" == "30,874"
+        assert f"{round(inversions.mean_c):,}" == "236,287"
+
 
 @pytest.fixture
 def no_leaks():

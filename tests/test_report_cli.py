@@ -755,6 +755,52 @@ class TestCliProcess:
         proc = _sortlab_process(["-c", code], subprocess.PIPE, blas_threads="2")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"2\n", b"")
 
+    @pytest.mark.parametrize("collector", [True, False], ids=["collector-on", "collector-off"])
+    def test_cli_import_freezes_the_import_heap(self, collector):
+        # Shutdown and worker collections then skip numpy's import-time
+        # objects; a host that turned the collector off keeps it off.
+        code = (
+            f"import gc; gc.enable() if {collector} else gc.disable()\n"
+            "import sortlab.report.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0)\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{collector} True\n".encode(), b"")
+
+    def test_library_leaves_the_collector_alone(self):
+        code = (
+            "import gc, sortlab, sortlab.montecarlo as mc\n"
+            "config = mc.ExperimentConfig(n=20, trials=3, p_values=(0.5,), master_seed=1)\n"
+            "(cell,) = mc.run_experiment(config)\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"True 0\n", b"")
+
+    def test_failed_cli_import_turns_the_collector_back_on(self):
+        # A None entry in sys.modules makes that import raise ImportError.
+        code = (
+            "import gc, sys; sys.modules['sortlab.report.svg'] = None\n"
+            "try:\n"
+            "    import sortlab.report.cli\n"
+            "except ImportError:\n"
+            "    print(gc.isenabled(), gc.get_freeze_count())\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"True 0\n", b"")
+
+    @pytest.mark.parametrize("mode", ["exchange", "textbook", "inversions"])
+    def test_forked_command_matches_golden(self, tmp_path, mode):
+        # The in-process goldens fork from pytest's heap; this forks the
+        # workers from a real command process, frozen import heap and all.
+        out = tmp_path / "cells.csv"
+        argv = ["simulate", "--n", "50", "--trials", "20", "--seed", "42", "--no-timestamp",
+                "--mode", mode, "--jobs", "2", "--out", str(out)]
+        proc = _sortlab_process(["-m", "sortlab", *argv], subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        golden = Path(__file__).parent / "golden" / f"simulate_{mode}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+
     def test_blas_thread_count_moves_no_artifact_byte(self, tmp_path):
         # The fits and the verdict come from lstsq and QR.
         artifacts = {}
