@@ -29,10 +29,9 @@ _SUBMODULE_NAMES = {
     "distributions": (
         "ContinuousUniform",
         "Geometric",
-        "RandomSource",
         "geometric",
         "mix64",
-        "sample_array",
+        "sample_block",
     ),
     "model_select": ("EmpiricalOVerdict", "SelectionPolicy", "render_verdict", "select_degree"),
     "montecarlo": ("ExperimentConfig", "TrialSummary", "run_cell", "run_experiment"),

@@ -4,17 +4,18 @@ The workbench sorts arrays of iid geometric(p) draws on r = 0, 1, 2, ...
 (the number of failures before the first success).  `ContinuousUniform`
 is only a tag for the closed-form theory; nothing samples it.
 
-All randomness flows through :class:`RandomSource`, a deterministic
-uniform stream.  Identical (algorithm_id, master_seed, call sequence)
-yields an identical stream, and independent substreams for parallel
-workers are derived with a fixed mixing function (:func:`mix64`), so
-every downstream artifact is reproducible byte for byte.
+:func:`sample_block` is the pipeline's sampler.  It draws many trials of
+a cell at once: trial t is the inverse-CDF draws from numpy's
+``PCG64(mix64(cell_seed, t))``, where :func:`mix64` derives every
+substream seed with a fixed mixing function, so every downstream artifact
+is reproducible byte for byte whatever the scheduling.  It hashes the
+trial seeds into their ``SeedSequence`` words for the whole block with
+array arithmetic, and numpy seeds each trial's PCG64 from its words, so
+no trial pays for a ``SeedSequence``.
 
-:func:`sample_block` draws many trials of a cell at once from the
-streams ``RandomSource(mix64(cell_seed, t))``: it hashes the trial seeds
-into their ``SeedSequence`` words for the whole block with array
-arithmetic, and numpy seeds each trial's PCG64 from its words, so no
-trial pays for a ``SeedSequence``.
+:class:`RandomSource` with :func:`sample_array` is the per-trial
+definition ``sample_block`` must match.  It leaves the seeding to numpy,
+so it shares none of ``sample_block``'s seed hashing.
 """
 
 from __future__ import annotations
@@ -145,43 +146,19 @@ def _uniforms_in_place(raw: np.ndarray) -> np.ndarray:
 
 
 class RandomSource:
-    """Deterministic stream of uniform deviates in [0, 1).
+    """One trial's generator: numpy's PCG64, seeded by numpy from `master_seed`.
 
-    Backed by numpy's PCG64 bit generator.  Doubles are built directly
-    from the raw 64-bit outputs (top 53 bits), so the stream depends
-    only on the PCG64 bit stream, which numpy keeps stable across
-    releases.  ``uniform()`` and ``uniforms(k)`` consume the same
-    stream: one raw output per deviate.
-
-    Single-stream, stateful, not meant to be shared across concurrent
-    workers; give each worker its own source, seeded by :func:`mix64`.
+    :func:`sample_array` reads its raw 64-bit outputs, one per draw.
+    Stateful and single-stream; give each trial its own source, seeded by
+    :func:`mix64`.
     """
-
-    algorithm_id = ALGORITHM_ID
 
     def __init__(self, master_seed: int):
         if not isinstance(master_seed, int) or isinstance(master_seed, bool):
             raise TypeError(f"master_seed must be an int, got {type(master_seed).__name__}")
         if not 0 <= master_seed <= _MASK64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-        self.master_seed = master_seed
         self._bitgen = np.random.PCG64(master_seed)
-
-    def __repr__(self) -> str:
-        return f"RandomSource(algorithm_id={self.algorithm_id!r}, master_seed={self.master_seed})"
-
-    def uniform(self) -> float:
-        """Next deviate in [0, 1)."""
-        raw = self._bitgen.random_raw()
-        return (raw >> 11) * 2.0**-53
-
-    def uniforms(self, k: int) -> np.ndarray:
-        """Next `k` deviates in [0, 1) as a float64 array."""
-        if k < 0:
-            raise ValueError(f"k must be nonnegative, got {k}")
-        if k == 0:
-            return np.empty(0, dtype=np.float64)
-        return _uniforms_in_place(self._bitgen.random_raw(k))
 
 
 @dataclass(frozen=True)
@@ -239,10 +216,10 @@ def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
     if model.p >= 1.0:
-        src.uniforms(n)  # keep stream consumption identical to p < 1
+        src._bitgen.random_raw(n)  # keep stream consumption identical to p < 1
         return np.zeros(n, dtype=np.int64)
     _check_inverse_p(model.p)
-    return _geometric_in_place(src.uniforms(n), model.p)
+    return _geometric_in_place(_uniforms_in_place(src._bitgen.random_raw(n)), model.p)
 
 
 def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:

@@ -15,8 +15,8 @@ p-grid index, trial seeds from the cell seed and the trial index, and
 trials are reduced in trial-index order.  Output is therefore
 bit-identical whether cells run serially or in forked worker processes.
 Each block is drawn by one :func:`~sortlab.distributions.sample_block`
-call, and trial t's stream is still exactly
-``RandomSource(mix64(cell_seed, t))``.
+call, and trial t is the inverse-CDF draws from numpy's
+``PCG64(mix64(cell_seed, t))``.
 
 Cells fan out by a direct fork, without a pool: cell i belongs to share
 ``i % workers``, the calling process runs share 0 itself, and each other

@@ -62,11 +62,11 @@ def write_scatter_svg(
     points: Sequence[DataPoint],
     curve: tuple[str, PolyModel],
     *,
-    metadata: RunMetadata | None = None,
-    title: str | None = None,
+    metadata: RunMetadata,
+    title: str,
     include_points: bool = True,
 ) -> None:
-    """Write one figure: optionally the scatter, plus the polyline of one model.
+    """Write one titled figure: optionally the scatter, plus the polyline of one model.
 
     `curve` pairs a legend label with a fitted polynomial, which is sampled
     across the x-range of `points`; they must be nonempty (they fix the
@@ -114,18 +114,14 @@ def write_scatter_svg(
             "viewBox": f"0 0 {_WIDTH:.0f} {_HEIGHT:.0f}",
         },
     )
-    if metadata is not None:
-        desc = ET.SubElement(root, "desc")
-        desc.text = "; ".join(
-            line.lstrip("# ") for line in metadata.comment_lines()
-        )
+    desc = ET.SubElement(root, "desc")
+    desc.text = "; ".join(line.lstrip("# ") for line in metadata.comment_lines())
     ET.SubElement(
         root,
         "rect",
         {"x": "0", "y": "0", "width": f"{_WIDTH:.0f}", "height": f"{_HEIGHT:.0f}", "fill": "white"},
     )
-    if title:
-        _text(root, f"{_WIDTH / 2:.1f}", "24", title, "middle", "15")
+    _text(root, f"{_WIDTH / 2:.1f}", "24", title, "middle", "15")
 
     _line(root, _M_LEFT, bottom, _WIDTH - _M_RIGHT, bottom)
     _line(root, _M_LEFT, _M_TOP, _M_LEFT, bottom)

@@ -4,9 +4,16 @@ Each function here is the plain, obviously-correct form of something the
 package computes in bulk: the two selection sorts as their double loops
 (and the textbook sort once more as one numpy pass per slot), the
 inversion count by brute force over all pairs (and once more by a merge
-sort, for long rows), the inverse-CDF sampler one variate at a time (and
-a cell's trials one source at a time), and the geometric mass function.  The batched kernels and the bulk samplers
-must agree with them exactly, count for count and draw for draw.
+sort, for long rows), and the geometric mass function.  The batched
+kernels must agree with them exactly, count for count.
+
+The sampling oracles read numpy's own ``PCG64(seed)`` directly: the top
+53 bits of each raw output make one uniform deviate, and the inverse CDF
+maps it to one geometric variate.  They share no code with the package's
+samplers, so ``sample_block`` and ``sample_array`` must agree with them
+draw for draw.  :func:`per_trial_rows` is the other reference
+for ``sample_block``: its per-trial definition, one ``sample_array`` call
+per trial on a source that numpy seeds itself.
 """
 
 from __future__ import annotations
@@ -118,9 +125,21 @@ def geometric_from_uniform(u: float, p: float) -> int:
     return int(math.log1p(-u) / math.log1p(-p))
 
 
-def sample_geometric_inverse(src: RandomSource, p: float) -> int:
-    """One geometric(p) variate via the inverse CDF; one uniform per draw."""
-    return geometric_from_uniform(src.uniform(), p)
+def uniform_from_raw(raw: int) -> float:
+    """The deviate in [0, 1) one raw 64-bit PCG64 output makes: its top 53 bits times 2**-53."""
+    return (raw >> 11) * 2.0**-53
+
+
+def pcg64_uniforms(seed: int, k: int) -> np.ndarray:
+    """The first k deviates of numpy's ``PCG64(seed)``, as :func:`uniform_from_raw`
+    makes them, as float64 (a 53-bit integer converts exactly)."""
+    return (np.random.PCG64(seed).random_raw(k) >> np.uint64(11)) * 2.0**-53
+
+
+def sample_geometric_inverse(bitgen: np.random.PCG64, p: float) -> int:
+    """One geometric(p) variate from a numpy bit generator by the inverse
+    CDF; one raw output per draw."""
+    return geometric_from_uniform(uniform_from_raw(bitgen.random_raw()), p)
 
 
 def geometric_pmf(p: float, r: int) -> float:
@@ -148,5 +167,5 @@ def scalar_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -
     rows = []
     for t in range(start, stop):
         raw = np.random.PCG64(mix64(cell_seed, t)).random_raw(n).tolist()
-        rows.append([geometric_from_uniform((r >> 11) * 2.0**-53, p) for r in raw])
+        rows.append([geometric_from_uniform(uniform_from_raw(r), p) for r in raw])
     return np.array(rows, dtype=np.int64)

@@ -15,6 +15,7 @@ from oracles import (
     per_trial_rows,
     sample_geometric_inverse,
     scalar_trial_rows,
+    uniform_from_raw,
 )
 from sortlab import distributions
 from sortlab.distributions import (
@@ -26,6 +27,7 @@ from sortlab.distributions import (
     _mix64_block,
     _seed_sequence_words,
     _TrialSeed,
+    _uniforms_in_place,
     geometric,
     mix64,
     sample_array,
@@ -68,35 +70,36 @@ class TestRandomSource:
     def test_same_seed_same_stream(self):
         a = RandomSource(7)
         b = RandomSource(7)
-        assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+        model = geometric(0.3)
+        whole = sample_array(a, model, 100)
+        assert whole.tolist() == sample_array(b, model, 100).tolist()
+        # Successive calls continue one stream.
+        c = RandomSource(7)
+        parts = np.concatenate([sample_array(c, model, 60), sample_array(c, model, 40)])
+        assert parts.tolist() == whole.tolist()
 
-    def test_uniforms_matches_scalar_stream(self):
-        a = RandomSource(7)
-        b = RandomSource(7)
-        assert a.uniforms(50).tolist() == [b.uniform() for _ in range(50)]
-
-    def test_uniforms_of_zero_draws_nothing_and_negative_is_refused(self):
-        src = RandomSource(7)
-        empty = src.uniforms(0)
-        assert empty.dtype == np.float64 and empty.shape == (0,)
-        with pytest.raises(ValueError, match="nonnegative"):
-            src.uniforms(-1)
-        assert src.uniform() == RandomSource(7).uniform()
+    def test_bulk_uniforms_match_scalar_stream(self):
+        # The in-place map sample_array applies to the source's raw outputs.
+        raw = np.random.PCG64(7).random_raw(50)
+        scalar = [uniform_from_raw(r) for r in raw.tolist()]
+        assert _uniforms_in_place(raw).tolist() == scalar
 
     def test_unit_interval(self):
-        u = RandomSource(3).uniforms(10_000)
-        assert float(u.min()) >= 0.0
-        assert float(u.max()) < 1.0
+        raw = np.append(np.random.PCG64(3).random_raw(10_000), np.array([0, 2**64 - 1], dtype=np.uint64))
+        u = _uniforms_in_place(raw)
+        assert float(u.min()) == 0.0
+        assert float(u.max()) == 1.0 - 2.0**-53
 
     def test_substream_differs_from_parent_and_siblings(self):
-        s0 = RandomSource(mix64(11, 0)).uniforms(8).tolist()
-        s1 = RandomSource(mix64(11, 1)).uniforms(8).tolist()
-        parent = RandomSource(11).uniforms(8).tolist()
+        model = geometric(1e-3)
+        s0 = sample_array(RandomSource(mix64(11, 0)), model, 8).tolist()
+        s1 = sample_array(RandomSource(mix64(11, 1)), model, 8).tolist()
+        parent = sample_array(RandomSource(11), model, 8).tolist()
         assert s0 != s1
         assert s0 != parent
 
     def test_uniform_goodness_of_fit(self):
-        u = RandomSource(2024).uniforms(1_000_000)
+        u = _uniforms_in_place(np.random.PCG64(2024).random_raw(1_000_000))
         assert abs(float(u.mean()) - 0.5) < 0.002
         counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
         expected = 1_000_000 / 20
@@ -162,8 +165,8 @@ class TestSamplerAgreement:
     @pytest.mark.parametrize("seed", [5, 99])
     def test_bulk_inverse_equals_scalar_inverse(self, seed):
         bulk = sample_array(RandomSource(seed), geometric(0.3), 30)
-        src = RandomSource(seed)
-        scalar = [sample_geometric_inverse(src, 0.3) for _ in range(30)]
+        bitgen = np.random.PCG64(seed)
+        scalar = [sample_geometric_inverse(bitgen, 0.3) for _ in range(30)]
         assert bulk.tolist() == scalar
 
     @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
@@ -171,7 +174,9 @@ class TestSamplerAgreement:
         src = RandomSource(1)
         with pytest.raises(ValueError, match="too small"):
             sample_array(src, geometric(p), 5)
-        assert src.uniform() == RandomSource(1).uniform()
+        # The refusal drew nothing: the source still starts at its first output.
+        after = sample_array(src, geometric(0.5), 5)
+        assert after.tolist() == sample_array(RandomSource(1), geometric(0.5), 5).tolist()
 
     def test_bulk_inverse_samples_tiny_p_within_int64(self):
         draws = sample_array(RandomSource(1), geometric(1e-12), 1000)
@@ -186,9 +191,10 @@ class TestSamplerAgreement:
         # A p = 1 cell leaves the source where any other p would.
         src = RandomSource(1)
         sample_array(src, geometric(1.0), 5)
-        ahead = RandomSource(1)
-        ahead.uniforms(5)
-        assert src.uniform() == ahead.uniform()
+        ahead = np.random.PCG64(1)
+        ahead.random_raw(5)
+        after = sample_array(src, geometric(0.5), 3).tolist()
+        assert after == [sample_geometric_inverse(ahead, 0.5) for _ in range(3)]
 
     @pytest.mark.parametrize("p", [4e-18, 1e-17, 1e-12, 1e-3])
     def test_accepted_p_maps_the_largest_uniform_within_int64(self, p):
@@ -280,6 +286,23 @@ class TestVectorisedSeeding:
     def test_trial_seed_refuses_other_word_requests(self, n_words, dtype):
         with pytest.raises(ValueError, match="holds 4 uint64 seed words"):
             _TrialSeed(np.zeros(4, dtype=np.uint64)).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_sample_array_leaves_seeding_to_numpy(self, monkeypatch, seed):
+        # sample_array is the definition the benchmark's output check draws
+        # its inputs by, so it must not share sample_block's seed hashing:
+        # otherwise that check would test the hashing against itself.
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_array went through sample_block's seeding")
+
+        # A class, so that registering it as an ISeedSequence still works.
+        refused_trial_seed = type("RefusedTrialSeed", (), {"__init__": refuse})
+        monkeypatch.setattr(distributions, "_seed_sequence_words", refuse)
+        monkeypatch.setattr(distributions, "_TrialSeed", refused_trial_seed)
+        p, n = 0.3, 200
+        got = sample_array(RandomSource(seed), geometric(p), n)
+        raw = np.random.PCG64(seed).random_raw(n).tolist()
+        assert got.tolist() == [geometric_from_uniform(uniform_from_raw(r), p) for r in raw]
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS + [42, 12345])
     @pytest.mark.parametrize("start,stop", [(0, 1), (0, 300), (7, 19), (2**40, 2**40 + 5)])

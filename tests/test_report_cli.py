@@ -227,7 +227,14 @@ class TestSvg:
     def test_points_can_be_hidden(self, tmp_path):
         points = reference_points()
         path = tmp_path / "fig.svg"
-        write_scatter_svg(path, points, ("fit", fit(points, 3)), include_points=False)
+        write_scatter_svg(
+            path,
+            points,
+            ("fit", fit(points, 3)),
+            metadata=metadata_for_tests(),
+            title="cells",
+            include_points=False,
+        )
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
         assert len(root.findall(".//svg:circle", ns)) == 0
@@ -235,12 +242,20 @@ class TestSvg:
 
     def test_requires_points(self, tmp_path):
         with pytest.raises(ValueError):
-            write_scatter_svg(tmp_path / "fig.svg", [], ("fit", PolyModel(0, (1.0,))))
+            write_scatter_svg(
+                tmp_path / "fig.svg",
+                [],
+                ("fit", PolyModel(0, (1.0,))),
+                metadata=metadata_for_tests(),
+                title="cells",
+            )
 
     def test_no_scripting(self, tmp_path):
         points = reference_points()
         path = tmp_path / "fig.svg"
-        write_scatter_svg(path, points, ("fit", fit(points, 2)))
+        write_scatter_svg(
+            path, points, ("fit", fit(points, 2)), metadata=metadata_for_tests(), title="cells"
+        )
         content = path.read_text()
         assert "<script" not in content
 
@@ -498,6 +513,29 @@ def test_smallest_positive_float_p_still_parses():
     assert cli._parse_p_values("5e-324") == (5e-324,)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["simulate", "--seed", "1", "--p", "0.1,,0.2"], "empty p segment"),
+        (["simulate", "--seed", "1", "--p", "0.1..0.5"], "needs a step"),
+        (["simulate", "--seed", "1", "--p", "0.1..x:0.1"], "bad number in range"),
+        (["simulate", "--seed", "1", "--p", "0.5..0.1:0.1"], "runs backwards"),
+        (["simulate", "--seed", "1", "--p", "0.1..0.5:0.3"], "does not divide the span exactly"),
+        (["simulate", "--seed", "1", "--p", "abc"], "bad p value"),
+        (["simulate", "--seed", "1", "--p", "0.5,0.2"], "must be strictly increasing"),
+        (["theory", "--p", "0.1,0.2"], "expected a single p value"),
+        (["simulate", "--seed", "x"], "integer or 'auto'"),
+        (["simulate", "--seed", "18446744073709551616"], "fit in 64 unsigned bits"),
+        (["simulate", "--seed", "1", "--n", "1.5"], "expected an integer"),
+        (["select", "--use-fixture", "--alpha", "x"], "expected a real number"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_refused_argument_exits_2_with_its_message(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 class TestCliTheory:
     def test_geometric(self, capsys):
         assert main(["theory", "--dist", "geometric", "--p", "0.5", "--n", "1000"]) == 0
@@ -583,6 +621,12 @@ class TestCliFit:
         rc = main(["fit", "--input", str(path), "--degree", "1"])
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
+
+    def test_csv_without_rows_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(CSV_HEADER + "\n")
+        assert main(["fit", "--input", str(path), "--degree", "1"]) == 1
+        assert "input CSV contains no data rows" in capsys.readouterr().err
 
     def test_missing_input_flags_exit_2(self, capsys):
         assert main(["fit", "--degree", "3"]) == 2

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sortlab.distributions import ContinuousUniform, RandomSource, geometric
+from oracles import pcg64_uniforms
+from sortlab.distributions import ContinuousUniform, geometric
 from sortlab.theory import (
     TheoryPrediction,
     expected_interchanges,
@@ -71,8 +72,7 @@ class TestInterchangeProbability:
     def test_monte_carlo_oracle(self):
         # Empirical P[X > Y] over seeded iid pairs.
         p = 0.4
-        src = RandomSource(2718)
-        u = src.uniforms(2_000_000)
+        u = pcg64_uniforms(2718, 2_000_000)
         draws = np.floor(np.log1p(-u) / np.log1p(-p)).astype(np.int64).reshape(-1, 2)
         frac = float(np.mean(draws[:, 0] > draws[:, 1]))
         prob = interchange_probability(geometric(p))
