@@ -4,13 +4,14 @@
 interchange count the Monte Carlo experiments measure;
 :func:`textbook_selection_sort` is minimum-of-suffix selection; and
 :func:`count_inversions` counts the pairs i < j with a[i] > a[j].  Each
-runs through one ndarray kernel for a (trials, n) batch, one trial per
+counts through one ndarray kernel for a (trials, n) batch, one trial per
 row (:func:`exchange_sort_batch`, :func:`textbook_sort_batch`,
-:func:`count_inversions_batch`), which counts by an identity its
-docstring proves rather than by running the loop.  A 1-d ndarray goes
-through as a one-row batch; any other input is converted by
-``np.asarray`` first (to an object array where numpy would change a
-value), and a list comes back as a list.  The literal loops live in the
+:func:`count_inversions_batch`), which returns only the count vector and
+counts by an identity its docstring proves rather than by running the
+loop.  A 1-d ndarray goes through as a one-row batch; any other input is
+converted by ``np.asarray`` first (to an object array where numpy would
+change a value), and a list comes back as a list.  The sorts' sorted copy
+is numpy's stable sort of that array.  The literal loops live in the
 tests, as the oracles the kernels must match count for count.
 
 Neither sort is stable.  All operations are pure: the input sequence is
@@ -57,6 +58,7 @@ def _check_batch(batch: np.ndarray) -> None:
 
 
 def _one_trial(kernel, seq: Sequence | np.ndarray) -> tuple[np.ndarray, int]:
+    # The 1-d array the kernel counts, and its count.
     arr = np.asarray(seq)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d array, got shape {arr.shape}")
@@ -64,13 +66,13 @@ def _one_trial(kernel, seq: Sequence | np.ndarray) -> tuple[np.ndarray, int]:
     # next to a string into strings; such input is compared as objects.
     if not isinstance(seq, np.ndarray) and arr.tolist() != list(seq):
         arr = np.array(seq, dtype=object)
-    out, counts = kernel(arr[np.newaxis])
-    return out[0], int(counts[0])
+    return arr, int(kernel(arr[np.newaxis])[0])
 
 
 def _sort_one(kernel, seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
     # An ndarray comes back as an ndarray, anything else as a list.
-    out, swaps = _one_trial(kernel, seq)
+    arr, swaps = _one_trial(kernel, seq)
+    out = np.sort(arr, kind="stable")
     n = len(out)
     counters = OpCounters(comparisons=n * (n - 1) // 2, interchanges=swaps)
     return (out if isinstance(seq, np.ndarray) else out.tolist()), counters
@@ -97,24 +99,24 @@ def _sort_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _dense_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The rows sorted on _narrow_dtype keys, and the dense rank (0, 1, ...
-    # over a row's distinct values) of each sorted and each input value.
+def _dense_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The dense rank (0, 1, ... over a row's distinct values) of each value
+    # of the rows sorted on _narrow_dtype keys, and of each input value.
     keys = batch.astype(_narrow_dtype(batch), copy=False)
     flat = _sort_order(keys)
     keys = keys.ravel()[flat]
     sorted_ranks = np.zeros(batch.shape, dtype=np.int32)
     np.cumsum(keys[:, 1:] != keys[:, :-1], axis=1, out=sorted_ranks[:, 1:])
+    del keys
     ranks = np.empty(batch.shape, dtype=np.int32)
     ranks.ravel()[flat] = sorted_ranks
-    return keys, sorted_ranks, ranks
+    return sorted_ranks, ranks
 
 
-def _table_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None:
-    # The rows sorted, the 1-based dense rank of each value and the largest
-    # rank, read from a table of each row's value counts; None unless the
-    # batch holds integers at most n apart, so that the table is no larger
-    # than the batch.
+def _table_ranks(batch: np.ndarray) -> tuple[np.ndarray, int] | None:
+    # The 1-based dense rank of each value and the largest rank, read from a
+    # table of each row's value counts; None unless the batch holds integers
+    # at most n apart, so that the table is no larger than the batch.
     trials, n = batch.shape
     if batch.dtype.kind not in "iu":
         return None
@@ -127,26 +129,21 @@ def _table_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int] | None
     lo = np.asarray(lo).astype(np.intp)
     row_offsets = np.arange(0, trials * width, width) - lo
     index = np.add(batch, row_offsets[:, np.newaxis], dtype=np.intp, casting="unsafe")
-    counts = np.bincount(index.ravel(), minlength=trials * width)
-    table = np.cumsum(counts.reshape(trials, width) > 0, axis=1, dtype=np.min_scalar_type(width))
+    seen = np.bincount(index.ravel(), minlength=trials * width) > 0
+    table = np.cumsum(seen.reshape(trials, width), axis=1, dtype=np.min_scalar_type(width))
     top = int(table[:, -1].max())
-    ranks = table.astype(np.min_scalar_type(top)).ravel().take(index)
-    del index
-    grid = (np.arange(width, dtype=np.intp) + lo).astype(batch.dtype)
-    keys = np.repeat(np.tile(grid, trials), counts).reshape(trials, n)
-    return keys, ranks, top
+    return table.astype(np.min_scalar_type(top)).ravel().take(index), top
 
 
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
-def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort every row of a (trials, n) batch, counting the interchanges of
-    the swap-eager double loop (``for i < j: if a[i] > a[j]: swap``).
+def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
+    """Count, for every row of a (trials, n) batch, the interchanges of the
+    swap-eager double loop (``for i < j: if a[i] > a[j]: swap``).
 
-    Returns the sorted rows and each row's interchange count (int64), in
-    row order; the input is left untouched.  The literal loop is the test
-    oracle.
+    Returns each row's interchange count (int64), in row order; the input
+    is left untouched.  The literal loop is the test oracle.
 
     The count comes from an identity rather than from running the loop:
     the loop swaps exactly once for each pair i < j with a[i] > a[j] in
@@ -187,16 +184,15 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trials, n = batch.shape
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
-        return batch.copy(), swaps
+        return swaps
     ranked = _table_ranks(batch)
     if ranked is None:
-        keys, sorted_ranks, ranks = _dense_ranks(batch)
+        sorted_ranks, ranks = _dense_ranks(batch)
         top = int(sorted_ranks[:, -1].max()) + 1
         del sorted_ranks  # freed before the loop, which holds the peak memory
         ranks = np.add(ranks, 1, dtype=np.min_scalar_type(top), casting="unsafe")
-        keys = keys.astype(batch.dtype, copy=False)
     else:
-        keys, ranks, top = ranked
+        ranks, top = ranked
     for base in range(0, top, 64):
         # Bit b of the word stands for rank base + b + 1, so a[k] sets bit
         # shift[k] - 1 and seen >> shift[k] keeps the ranks above its own.
@@ -216,7 +212,7 @@ def exchange_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.bitwise_or.accumulate(seen, axis=1, out=seen)
         np.right_shift(seen, shift, out=seen)
         swaps += np.bitwise_count(seen).sum(axis=1, dtype=np.int64)
-    return keys, swaps
+    return swaps
 
 
 def exchange_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
@@ -229,11 +225,11 @@ def exchange_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarr
     return _sort_one(exchange_sort_batch, seq)
 
 
-def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     """Run minimum-of-suffix selection on every row of a (trials, n) batch.
 
-    Returns the sorted rows and each row's interchange count (int64), in
-    row order; the input is left untouched.  The literal loop
+    Returns each row's interchange count (int64), in row order; the input
+    is left untouched.  The literal loop
     (``for i: m = first minimum of a[i:]; swap a[i], a[m] if m != i``) is
     the test oracle.
 
@@ -265,7 +261,7 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_batch(batch)
     trials, n = batch.shape
     if n < 2 or trials == 0:
-        return batch.copy(), np.zeros(trials, dtype=np.int64)
+        return np.zeros(trials, dtype=np.int64)
     size = trials * n
     index = np.int32 if size < 2**31 else np.int64
     keys = batch.astype(_narrow_dtype(batch), copy=False)
@@ -277,6 +273,7 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     starts = np.empty(size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
     starts[::n] = True  # so that ranks restart at 0 in every row
+    del keys
     # One block per (row, value), in row-major order; rank = the value's
     # index among its row's distinct values.  Ordered by (rank, row) and
     # expanded to one entry per element, the blocks of rank d end at
@@ -339,8 +336,7 @@ def textbook_sort_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # order, "element j moved" lands in its row.
     swapped = np.empty(size, dtype=bool)
     swapped[slots] = where != slots
-    swaps = swapped.reshape(trials, n).sum(axis=1, dtype=np.int64)
-    return keys.reshape(trials, n).astype(batch.dtype, copy=False), swaps
+    return swapped.reshape(trials, n).sum(axis=1, dtype=np.int64)
 
 
 def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:
@@ -354,11 +350,11 @@ def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarr
     return _sort_one(textbook_sort_batch, seq)
 
 
-def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     """Count the inversions of every row of a (trials, n) batch.
 
-    Returns the sorted rows and each row's inversion count (int64), in row
-    order; the input is left untouched.  Checking every pair is the oracle.
+    Returns each row's inversion count (int64), in row order; the input is
+    left untouched.  Checking every pair is the oracle.
 
     With r a value's dense rank in its row (0..D-1) and S_b(j) element j's
     position in the stable sort of its row by r >> b, the count is the sum
@@ -379,8 +375,8 @@ def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _check_batch(batch)
     trials, n = batch.shape
     if n < 2 or trials == 0:
-        return batch.copy(), np.zeros(trials, dtype=np.int64)
-    keys, sorted_ranks, ranks = _dense_ranks(batch)
+        return np.zeros(trials, dtype=np.int64)
+    sorted_ranks, ranks = _dense_ranks(batch)
     top = int(sorted_ranks[:, -1].max())
     # weight[i], i's factor in the count (|.| < 32; the int64 product is exact):
     # popcount(i-th sorted rank) less, over b, bit b of the i-th rank in S_{b+1}.
@@ -392,7 +388,7 @@ def count_inversions_batch(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         key = (ranks >> b).astype(np.min_scalar_type(top >> b), copy=False)
         weight -= (key if order is None else key.ravel()[order]) & 1
         order = _sort_order(key) if b else None
-    return keys.astype(batch.dtype, copy=False), weight @ np.arange(n, dtype=np.int64)
+    return weight @ np.arange(n, dtype=np.int64)
 
 
 def count_inversions(seq: Sequence | np.ndarray) -> int:

@@ -57,10 +57,11 @@ COUNTER_MODES = tuple(_KERNELS)
 BLOCK_VALUES = 1 << 18
 
 #: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel, output included (textbook 29-34, exchange 11-28, inversions
-#: 20-23 by tracemalloc), plus the 8 of the int64 block it is given.  The
-#: block sampler's own peak (at most 24) comes before.  A tracemalloc test
-#: pins a whole block of each mode within this figure.
+#: kernel (textbook 20-33, exchange 9-20, inversions 19-21 by tracemalloc
+#: on 262 x 1000 geometric blocks, p = 0.001-0.9), plus the 8 of the int64
+#: block it is given.  The block sampler's own peak (at most 24) comes
+#: before.  A tracemalloc test pins a whole block of each mode within this
+#: figure.
 BYTES_PER_VALUE = 72
 
 #: Most bytes one trial may need.  A block holds at least one trial, so an
@@ -131,7 +132,7 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
     for start in range(0, config.trials, per_block):
         stop = min(start + per_block, config.trials)
         batch = sample_block(model, config.n, cell_seed, start, stop)
-        counts = kernel(batch)[1]
+        counts = kernel(batch)
         for count in counts.tolist():
             total += count
             squares += count * count
