@@ -8,7 +8,14 @@ counts through one ndarray kernel for a (trials, n) batch, one trial per
 row (:func:`exchange_sort_batch`, :func:`textbook_sort_batch`,
 :func:`count_inversions_batch`), which returns only the count vector and
 counts by an identity its docstring proves rather than by running the
-loop.  A 1-d ndarray goes through as a one-row batch; any other input is
+loop.  All three first rank each row in one shared step: by a table of
+each row's value counts when the batch holds integers at most n apart,
+else by one sort.  A value with no place in an order is refused there,
+before any comparison: a complex array raises TypeError, and a value not
+equal to itself (NaN) raises ValueError.  Rows shorter than 2 make no
+comparison and count 0.
+
+A 1-d ndarray goes through as a one-row batch; any other input is
 converted by ``np.asarray`` first (to an object array where numpy would
 change a value), and a list comes back as a list.  The sorts' sorted copy
 is numpy's stable sort of that array.  The literal loops live in the
@@ -99,40 +106,53 @@ def _sort_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _dense_ranks(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The dense rank (0, 1, ... over a row's distinct values) of each value
-    # of the rows sorted on _narrow_dtype keys, and of each input value.
+def _ranks(batch: np.ndarray) -> tuple[np.ndarray, int]:
+    # Each value's 1-based dense rank in its row (1, 2, ... over the row's
+    # distinct values), in the narrowest unsigned type, and the largest rank.
+    # An integer batch whose values lie at most n apart is ranked from a
+    # table of each row's value counts, no larger than the batch, with no
+    # sort; any other batch by one stable sort of each row on _narrow_dtype
+    # keys.  Values with no place in an order are refused before any
+    # comparison; integers, which always have one, are not scanned for them.
+    trials, n = batch.shape
+    if batch.dtype.kind in "iu":
+        lo, hi = batch.min(), batch.max()
+        width = int(hi) - int(lo) + 1
+        if width <= n:
+            # Offsets from the min are taken after the cast to intp, which wraps
+            # uint64 values and the min alike, so the differences come out exact.
+            lo = np.asarray(lo).astype(np.intp)
+            row_offsets = np.arange(0, trials * width, width) - lo
+            index = np.add(batch, row_offsets[:, np.newaxis], dtype=np.intp, casting="unsafe")
+            seen = np.bincount(index.ravel(), minlength=trials * width) > 0
+            table = np.cumsum(seen.reshape(trials, width), axis=1, dtype=np.min_scalar_type(width))
+            top = int(table[:, -1].max())
+            return table.astype(np.min_scalar_type(top)).ravel().take(index), top
+    elif batch.dtype.kind == "c":
+        raise TypeError(f"complex values have no order, got a {batch.dtype} array")
+    elif (unordered := batch != batch).any():
+        value = batch[unordered].tolist()[0]
+        raise ValueError(f"{value!r} is not equal to itself, so it has no place in an order")
     keys = batch.astype(_narrow_dtype(batch), copy=False)
     flat = _sort_order(keys)
     keys = keys.ravel()[flat]
-    sorted_ranks = np.zeros(batch.shape, dtype=np.int32)
-    np.cumsum(keys[:, 1:] != keys[:, :-1], axis=1, out=sorted_ranks[:, 1:])
+    # new[t, i]: slot i of sorted row t holds a value that slot i - 1 does not.
+    new = np.ones(batch.shape, dtype=bool)
+    np.not_equal(keys[:, 1:], keys[:, :-1], out=new[:, 1:])
     del keys
-    ranks = np.empty(batch.shape, dtype=np.int32)
+    sorted_ranks = np.cumsum(new, axis=1, dtype=np.min_scalar_type(n))
+    del new
+    top = int(sorted_ranks[:, -1].max())
+    ranks = np.empty(batch.shape, dtype=np.min_scalar_type(top))
     ranks.ravel()[flat] = sorted_ranks
-    return sorted_ranks, ranks
+    return ranks, top
 
 
-def _table_ranks(batch: np.ndarray) -> tuple[np.ndarray, int] | None:
-    # The 1-based dense rank of each value and the largest rank, read from a
-    # table of each row's value counts; None unless the batch holds integers
-    # at most n apart, so that the table is no larger than the batch.
-    trials, n = batch.shape
-    if batch.dtype.kind not in "iu":
-        return None
-    lo, hi = batch.min(), batch.max()
-    width = int(hi) - int(lo) + 1
-    if width > n:
-        return None
-    # Offsets from the min are taken after the cast to intp, which wraps
-    # uint64 values and the min alike, so the differences come out exact.
-    lo = np.asarray(lo).astype(np.intp)
-    row_offsets = np.arange(0, trials * width, width) - lo
-    index = np.add(batch, row_offsets[:, np.newaxis], dtype=np.intp, casting="unsafe")
-    seen = np.bincount(index.ravel(), minlength=trials * width) > 0
-    table = np.cumsum(seen.reshape(trials, width), axis=1, dtype=np.min_scalar_type(width))
-    top = int(table[:, -1].max())
-    return table.astype(np.min_scalar_type(top)).ravel().take(index), top
+def _rank_counts(ranks: np.ndarray, top: int) -> np.ndarray:
+    # counts[t, r - 1]: how many values of row t have rank r, for r <= top.
+    trials = len(ranks)
+    index = np.add(ranks, np.arange(-1, trials * top - 1, top)[:, np.newaxis], dtype=np.intp)
+    return np.bincount(index.ravel(), minlength=trials * top).reshape(trials, top)
 
 
 _WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
@@ -167,12 +187,12 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
     #{k : a[k] < w}.  Summed over the passes, value w gives
     #{k > f_w : a[k] < w} swaps.
 
-    Each row is ranked densely (1, 2, ... over its distinct values).  An
-    integer batch whose value range is at most n wide, as geometric draws
-    are at the default sizes, is ranked by a table of each row's value
-    counts, with no sort; any other batch by one sort.  Then, up to 64
-    ranks per machine word, an or-scan along the row gives the set seen of
-    ranks met up to position k, and the k-th term is
+    Each row is ranked densely (1, 2, ... over its distinct values) by the
+    step all three kernels share: an integer batch whose value range is at
+    most n wide, as geometric draws are at the default sizes, by a table of
+    each row's value counts, with no sort; any other batch by one sort.
+    Then, up to 64 ranks per machine word, an or-scan along the row gives
+    the set seen of ranks met up to position k, and the k-th term is
     popcount(seen >> rank(a[k])).  A window of ranks takes the narrowest
     unsigned word that holds it (uint8 for up to 8 ranks), and only rows
     with more than 64 distinct values need the ranks clipped to their
@@ -185,14 +205,7 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
         return swaps
-    ranked = _table_ranks(batch)
-    if ranked is None:
-        sorted_ranks, ranks = _dense_ranks(batch)
-        top = int(sorted_ranks[:, -1].max()) + 1
-        del sorted_ranks  # freed before the loop, which holds the peak memory
-        ranks = np.add(ranks, 1, dtype=np.min_scalar_type(top), casting="unsafe")
-    else:
-        ranks, top = ranked
+    ranks, top = _ranks(batch)
     for base in range(0, top, 64):
         # Bit b of the word stands for rank base + b + 1, so a[k] sets bit
         # shift[k] - 1 and seen >> shift[k] keeps the ranks above its own.
@@ -252,11 +265,14 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
 
     The blocks of every row's d-th smallest distinct value form step d, so
     there are D steps, D being the largest number of distinct values in a
-    row.  One sort of each row on :func:`_narrow_dtype` keys gives the
-    blocks' slots.  Each step sorts the current positions of its elements,
+    row.  The shared ranking step (a table of value counts, else one sort
+    of each row) gives each value's rank; the count of each (row, rank)
+    gives the blocks' slots, and one stable sort of the ranks their
+    elements.  Each step sorts the current positions of its elements,
     follows the chains above by pointer doubling (one round per doubling of
-    the longest chain) and moves the displaced elements.  Cost: the row
-    sort plus O(N log N) element work over the D steps, N = trials * n.
+    the longest chain) and moves the displaced elements.  Cost: the ranking
+    and the sort of the ranks plus O(N log N) element work over the D
+    steps, N = trials * n.
     """
     _check_batch(batch)
     trials, n = batch.shape
@@ -264,45 +280,35 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
         return np.zeros(trials, dtype=np.int64)
     size = trials * n
     index = np.int32 if size < 2**31 else np.int64
-    keys = batch.astype(_narrow_dtype(batch), copy=False)
-    # Positions are flat (row * n + column).  flat[t] is the input position
-    # of the element that ends in slot t; any order of ties gives the same
-    # blocks.
-    flat = _sort_order(keys).astype(index).ravel()
-    keys = keys.ravel()[flat]
-    starts = np.empty(size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
-    starts[::n] = True  # so that ranks restart at 0 in every row
-    del keys
-    # One block per (row, value), in row-major order; rank = the value's
-    # index among its row's distinct values.  Ordered by (rank, row) and
-    # expanded to one entry per element, the blocks of rank d end at
-    # bounds[d].
-    first = np.flatnonzero(starts).astype(index)
-    del starts
-    lens = np.diff(first, append=index(size))
-    row_first = np.flatnonzero(first % n == 0).astype(index)
-    rank = np.arange(len(first), dtype=index)
-    rank -= np.repeat(row_first, np.diff(row_first, append=index(len(first))))
-    order = np.argsort(rank.astype(_narrow_dtype(rank), copy=False), kind="stable")
-    rank = rank[order]
-    first = first[order]
-    lens = lens[order]
-    del order
+    ranks, top = _ranks(batch)
+    counts = _rank_counts(ranks, top).astype(index)
+    # Positions are flat (row * n + column).  Element j is the j-th in
+    # (rank, row, column) order; where[j]: its current position, at first
+    # its input position.
+    where = np.argsort(ranks.ravel(), kind="stable").astype(index)
+    del ranks
+    # The block of (row t, rank r) fills the slots from first[t, r] on, in
+    # the input order of its elements.  Ordered by (rank, row), the blocks
+    # are the entries of the transposed count table (a rank missing from a
+    # row gives an empty block), and expanded to one entry per element,
+    # those of rank d end at bounds[d].
+    first = np.cumsum(counts, axis=1, dtype=index)
+    first -= counts
+    first += np.arange(0, size, n, dtype=index)[:, np.newaxis]
+    first = first.T.ravel()
+    lens = counts.T.ravel()
+    del counts
     ends = np.cumsum(lens, dtype=index)
-    bounds = ends[np.flatnonzero(rank[1:] != rank[:-1])].tolist() + [size]
-    del rank
-    # Element j of the expanded arrays belongs to the block that fills
-    # slots[j]; end[j] is the first slot past that block.
+    bounds = ends[trials - 1 :: trials].tolist()
+    # Element j belongs to the block that fills slots[j]; end[j] is the
+    # first slot past that block.
     end = np.repeat(first + lens, lens)
     first += lens - ends
     slots = np.repeat(first, lens)
     del first, lens, ends
     ident = np.arange(size, dtype=index)
     slots += ident
-    # where[j]: current position of element j; who[q]: element at position q.
-    where = flat[slots]
-    del flat
+    # who[q]: element at position q.
     who = np.empty(size, dtype=index)
     who[where] = ident
     del ident
@@ -368,24 +374,30 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     on by the number of clear elements of its group that follow it.
 
     The groups of equal r >> b fill the same positions in the sort by r, so
-    the S_b terms sum to that of i * popcount(i-th sorted rank).  The S_{b+1}
-    terms take one stable sort of r >> (b+1) per bit below the top one, a
-    radix sort on 8- or 16-bit keys while D <= 2**17.  Cost: O(N log D).
+    the S_b terms sum to popcount(r) * (c*s + c*(c-1)/2) over each row's
+    rank blocks, the block of r starting at s = #{values of rank < r} and
+    holding c = #{values of rank r}: the count of each (row, rank) gives
+    them, with no sort.  The S_{b+1} terms take one stable sort of
+    r >> (b+1) per bit below the top one, B - 1 sorts, each a radix sort on
+    8- or 16-bit keys while D <= 2**17.  The ranks come from the shared
+    ranking step, with no sort on a batch of integers at most n apart and
+    with one otherwise.  Cost: O(N log D).
     """
     _check_batch(batch)
     trials, n = batch.shape
     if n < 2 or trials == 0:
         return np.zeros(trials, dtype=np.int64)
-    sorted_ranks, ranks = _dense_ranks(batch)
-    top = int(sorted_ranks[:, -1].max())
-    # weight[i], i's factor in the count (|.| < 32; the int64 product is exact):
-    # popcount(i-th sorted rank) less, over b, bit b of the i-th rank in S_{b+1}.
-    weight = np.bitwise_count(sorted_ranks).view(np.int8)
-    del sorted_ranks
-    ranks = ranks.astype(np.min_scalar_type(top), copy=False)
+    ranks, top = _ranks(batch)
+    # weight[i], i's factor in the count (|.| < 64; the int64 product is exact):
+    # popcount(i-th sorted rank), repeated from each (row, rank) count, less,
+    # over b, bit b of the i-th rank in S_{b+1}.
+    popcounts = np.bitwise_count(np.arange(top)).astype(np.int8)
+    weight = np.repeat(np.tile(popcounts, trials), _rank_counts(ranks, top).ravel())
+    weight = weight.reshape(trials, n)
+    ranks -= 1  # r = rank - 1, 0 to D - 1
     order = None  # S_B is the input order
-    for b in range(top.bit_length() - 1, -1, -1):
-        key = (ranks >> b).astype(np.min_scalar_type(top >> b), copy=False)
+    for b in range((top - 1).bit_length() - 1, -1, -1):
+        key = (ranks >> b).astype(np.min_scalar_type((top - 1) >> b), copy=False)
         weight -= (key if order is None else key.ravel()[order]) & 1
         order = _sort_order(key) if b else None
     return weight @ np.arange(n, dtype=np.int64)

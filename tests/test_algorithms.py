@@ -20,7 +20,7 @@ from oracles import (
 from sortlab.algorithms import (
     OpCounters,
     _narrow_dtype,
-    _table_ranks,
+    _ranks,
     count_inversions,
     count_inversions_batch,
     exchange_selection_sort,
@@ -33,12 +33,14 @@ from sortlab.distributions import geometric, mix64, sample_block
 # Small nonnegative ints force ties, the regime that separates the two sorts.
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
 
-# (trials, n) batches of the same tied values, one trial per row.  n up to 70
-# keeps the literal loops quick.
+# (trials, n) batches of tied values, one trial per row.  n up to 70 keeps the
+# literal loops quick.  Mostly 0..6, so long rows are ranked by the value
+# table; a value from the wider range can span more than n, so that long rows
+# are ranked by a sort too.
 tied_batches = arrays(
     np.int64,
     st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=70)),
-    elements=st.integers(min_value=0, max_value=6),
+    elements=st.integers(min_value=0, max_value=6) | st.integers(min_value=-40, max_value=120),
 )
 
 
@@ -380,6 +382,30 @@ def argsort_dtypes(monkeypatch) -> list:
     return calls
 
 
+def argsorts_after_ranking(kernel, top: int) -> int:
+    """The argsorts a kernel makes once the shared step has ranked its batch,
+    whose largest rank is top: none for the exchange kernel, one on the rank
+    keys for the textbook kernel, one per rank bit below the top one for the
+    inversion kernel."""
+    if kernel is count_inversions_batch:
+        return max((top - 1).bit_length() - 1, 0)
+    return int(kernel is textbook_sort_batch)
+
+
+def assert_kernels_match_literal_loops(batch: np.ndarray, ranking_sorts: int, monkeypatch) -> None:
+    """Every kernel's counts against the literal loops, and its argsorts:
+    ranking_sorts to rank the batch, plus those it makes after ranking."""
+    top = _ranks(batch)[1]
+    for kernel, want in literal_counts(batch).items():
+        calls = argsort_dtypes(monkeypatch)
+        counts = kernel(batch)
+        monkeypatch.undo()
+        assert counts.tolist() == want, kernel.__name__
+        assert len(calls) == ranking_sorts + argsorts_after_ranking(kernel, top), kernel.__name__
+    for kernel in LITERAL_LOOPS:
+        assert_matches_literal_loop(kernel, batch)
+
+
 def row_over_range(rng, n: int, distinct: int, lo: int) -> list:
     """n ints holding each of lo, ..., lo + distinct - 1, in random order."""
     values = np.concatenate([np.arange(distinct), rng.integers(0, distinct, n - distinct)])
@@ -389,11 +415,12 @@ def row_over_range(rng, n: int, distinct: int, lo: int) -> list:
 class TestExchangeKernelValueTable:
     """Integer batches whose values lie at most n apart are ranked from a
     table of each row's value counts, with no sort; any other batch by a sort.
+    All three kernels rank through this one step.
 
-    Rows are chosen at the value range where the kernel switches between
-    the two, at the numbers D of distinct values where the word type
-    changes or a row's ranks need a second 64-rank word, and at the ends of
-    the integer types.
+    Rows are chosen at the value range where the ranking switches between
+    the two (every kernel), at the numbers D of distinct values where the
+    exchange kernel's word type changes or a row's ranks need a second
+    64-rank word, and at the ends of the integer types (every kernel).
     """
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -403,10 +430,7 @@ class TestExchangeKernelValueTable:
         rng = np.random.default_rng(width)
         batch = rng.integers(3, 9, size=(5, n))
         batch[0, 7], batch[3, 0] = 0, width - 1
-        calls = argsort_dtypes(monkeypatch)
-        assert_matches_literal_loop(exchange_sort_batch, batch)
-        assert len(calls) == (0 if width <= n else 1)
-        assert (_table_ranks(batch) is None) == (width > n)
+        assert_kernels_match_literal_loops(batch, int(width > n), monkeypatch)
 
     @pytest.mark.parametrize("distinct", [8, 9, 16, 17, 32, 33, 64, 65, 128, 129])
     def test_word_boundaries_match_literal_loop(self, distinct, monkeypatch):
@@ -419,7 +443,7 @@ class TestExchangeKernelValueTable:
         assert_matches_literal_loop(exchange_sort_batch, batch)
         assert_matches_literal_loop(exchange_sort_batch, batch[::-1].copy())
         assert calls == []
-        assert _table_ranks(batch)[1] == distinct
+        assert _ranks(batch)[1] == distinct
 
     @pytest.mark.parametrize(
         "dtype,lo,distinct",
@@ -439,20 +463,25 @@ class TestExchangeKernelValueTable:
         rng = np.random.default_rng(distinct)
         n = distinct + 4
         batch = np.array([row_over_range(rng, n, distinct, lo) for _ in range(3)], dtype=dtype)
-        calls = argsort_dtypes(monkeypatch)
-        assert_matches_literal_loop(exchange_sort_batch, batch)
-        assert calls == []
+        assert_kernels_match_literal_loops(batch, 0, monkeypatch)
 
     @pytest.mark.parametrize("p", [k / 10 for k in range(1, 10)])
     def test_default_grid_is_ranked_without_a_sort(self, p, monkeypatch):
         # A default-grid block (n = 1000, 100 trials); as floats the same
-        # values are ranked by a sort.
+        # values are ranked by a sort.  The exchange kernel sorts nothing, the
+        # inversion kernel only by its rank bits, and the textbook kernel once,
+        # on its rank keys.
         batch = sample_block(geometric(p), 1000, mix64(3, 0), 0, 100)
-        calls = argsort_dtypes(monkeypatch)
-        counts = exchange_sort_batch(batch)
-        monkeypatch.undo()
-        assert calls == []
-        assert counts.tolist() == exchange_sort_batch(batch.astype(np.float64)).tolist()
+        ranks, top = _ranks(batch)
+        for kernel in KERNELS:
+            calls = argsort_dtypes(monkeypatch)
+            counts = kernel(batch)
+            monkeypatch.undo()
+            assert len(calls) == argsorts_after_ranking(kernel, top), kernel.__name__
+            assert all(dtype in (np.uint8, np.uint16) for dtype in calls), kernel.__name__
+            if kernel is textbook_sort_batch:
+                assert calls == [ranks.dtype]
+            assert counts.tolist() == kernel(batch.astype(np.float64)).tolist(), kernel.__name__
 
 
 class TestTextbookKernelValueBlocks:
@@ -607,14 +636,20 @@ class TestInversionKernelRankBits:
     def test_sorts_once_per_rank_bit_on_narrow_keys(self, distinct, monkeypatch):
         # numpy's stable argsort is a radix sort on 8- and 16-bit keys only;
         # wider keys would fall back to a timsort at every level.
+        # Rows of up to 3 distinct values span at most n, so they are ranked
+        # by the value table with no sort; wider ones by one sort.  Then one
+        # sort per rank bit below the top one: B - 1 of B = bit_length(D - 1).
         rng = np.random.default_rng(distinct)
         batch = row_with_distinct_values(rng, distinct + 100, distinct)[np.newaxis]
+        sort_ranked = int(np.ptp(batch)) + 1 > batch.shape[1]
+        assert sort_ranked == (distinct > 3)
         calls = argsort_dtypes(monkeypatch)
         counts = count_inversions_batch(batch)
         monkeypatch.undo()
         assert counts.tolist() == merge_inversions_batch(batch)[1].tolist()
-        assert 1 <= len(calls) <= (distinct - 1).bit_length() + 1
-        assert all(dtype in (np.uint8, np.uint16) for dtype in calls[1:])
+        per_bit = max((distinct - 1).bit_length() - 1, 0)
+        assert len(calls) == per_bit + sort_ranked
+        assert all(dtype in (np.uint8, np.uint16) for dtype in calls[sort_ranked:])
 
 
 class TestSwapInversionIdentity:
@@ -675,3 +710,77 @@ class TestSwapInversionIdentity:
         inversions = count_inversions_batch(batch)
         assert np.all(swaps <= inversions)
         assert swaps.sum() < inversions.sum()
+
+
+NAN = float("nan")
+ONE_ROW_COUNTERS = {
+    exchange_selection_sort: lambda seq: exchange_selection_sort(seq)[1].interchanges,
+    textbook_selection_sort: lambda seq: textbook_selection_sort(seq)[1].interchanges,
+    count_inversions: count_inversions,
+}
+
+
+class TestUnorderedValues:
+    """A value not equal to itself (NaN) or a complex value has no place in
+    an order: the literal loops give counts no ranking reproduces (1 swap
+    and 1 inversion on [nan, 1.0, 0.0]) or raise at their first >.  Every
+    kernel refuses such input before any comparison; rows shorter than 2
+    compare nothing and still count 0.
+    """
+
+    @pytest.mark.parametrize("counter", ONE_ROW_COUNTERS)
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            [NAN, 1.0, 0.0],
+            [2, 0, NAN, 1],
+            np.array([NAN, 1.0, 0.0]),
+            np.array([1.0, 0.5, NAN], dtype=np.float32),
+            np.array([2, NAN, 0], dtype=object),
+        ],
+        ids=["list", "int-list", "ndarray", "float32", "object-array"],
+    )
+    def test_nan_is_refused(self, counter, seq):
+        with pytest.raises(ValueError, match="nan is not equal to itself"):
+            counter(seq)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_nan_in_a_batch_is_refused(self, kernel):
+        batch = np.zeros((3, 4))
+        batch[2, 1] = NAN
+        for rows in (batch, batch.astype(object)):
+            with pytest.raises(ValueError, match="nan is not equal to itself"):
+                kernel(rows)
+
+    @pytest.mark.parametrize("counter", ONE_ROW_COUNTERS)
+    def test_complex_is_refused(self, counter):
+        for seq in ([1j, 2, 0], np.array([2, 1j, 0]), np.array([3, 1], dtype=np.complex64)):
+            with pytest.raises(TypeError, match="complex"):
+                counter(seq)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_complex_batch_is_refused(self, kernel):
+        with pytest.raises(TypeError, match="complex"):
+            kernel(np.array([[1, 2, 0], [2, 1j, 0]]))
+
+    def test_short_rows_compare_nothing(self):
+        for seq in ([NAN], np.array([NAN]), np.array([1j]), np.array([NAN], dtype=object)):
+            for counter in ONE_ROW_COUNTERS.values():
+                assert counter(seq) == 0
+        for kernel in KERNELS:
+            assert kernel(np.array([[NAN], [1.0]])).tolist() == [0, 0]
+            assert kernel(np.array([[1j], [2]])).tolist() == [0, 0]
+
+    @given(st.lists(st.sampled_from([NAN, 0, 1, 2, 3]), min_size=2, max_size=7))
+    def test_lists_are_refused_or_match_literal_loop(self, items):
+        oracles = {
+            exchange_selection_sort: lambda seq: exchange_sort_list(seq)[1],
+            textbook_selection_sort: lambda seq: textbook_sort_list(seq)[1],
+            count_inversions: brute_force_inversions,
+        }
+        for counter, count in ONE_ROW_COUNTERS.items():
+            if NAN in items:
+                with pytest.raises(ValueError, match="nan"):
+                    count(items)
+            else:
+                assert count(items) == oracles[counter](items)
