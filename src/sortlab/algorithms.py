@@ -12,7 +12,7 @@ loop.  All three first rank each row in one shared step: by a table of
 each row's value counts when the batch holds integers at most n apart,
 else by one sort.  A value with no place in an order is refused there,
 before any comparison: a complex array raises TypeError, and a value not
-equal to itself (NaN) raises ValueError.  Rows shorter than 2 make no
+equal to itself (NaN, NaT) raises ValueError.  Rows shorter than 2 make no
 comparison and count 0.
 
 A 1-d ndarray goes through as a one-row batch; any other input is
@@ -85,19 +85,6 @@ def _sort_one(kernel, seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, Op
     return (out if isinstance(seq, np.ndarray) else out.tolist()), counters
 
 
-def _narrow_dtype(batch: np.ndarray) -> np.dtype:
-    # The smallest integer type numpy picks for the batch min and max: uint8
-    # for geometric draws, whose stable argsort numpy runs as a radix sort.
-    # Kept only when it is an integer type no wider than the input, so the
-    # cast is exact (negatives mixed with values >= 2**63 promote to float64).
-    if batch.dtype.kind not in "iu" or batch.size == 0:
-        return batch.dtype
-    narrow = np.result_type(np.min_scalar_type(batch.min()), np.min_scalar_type(batch.max()))
-    if narrow.kind in "iu" and narrow.itemsize <= batch.dtype.itemsize:
-        return narrow
-    return batch.dtype
-
-
 def _sort_order(keys: np.ndarray) -> np.ndarray:
     # Flat indices of each row's stable sort order (quicker to apply than a
     # take_along_axis index); "stable" is a radix sort on 8- and 16-bit keys.
@@ -111,16 +98,19 @@ def _ranks(batch: np.ndarray) -> tuple[np.ndarray, int]:
     # distinct values), in the narrowest unsigned type, and the largest rank.
     # An integer batch whose values lie at most n apart is ranked from a
     # table of each row's value counts, no larger than the batch, with no
-    # sort; any other batch by one stable sort of each row on _narrow_dtype
-    # keys.  Values with no place in an order are refused before any
-    # comparison; integers, which always have one, are not scanned for them.
+    # sort; any other batch by one stable sort of each row.  Values with no
+    # place in an order are refused before any comparison; integers, which
+    # always have one, are not scanned for them.
     trials, n = batch.shape
+    keys = batch
     if batch.dtype.kind in "iu":
         lo, hi = batch.min(), batch.max()
         width = int(hi) - int(lo) + 1
+        # Both branches work on offsets from the min, taken after a cast to a
+        # type that spans every offset: intp for the table's index, else the
+        # narrowest unsigned type as the sort keys.  The cast wraps each value
+        # and the min alike modulo 2**bits, so the differences come out exact.
         if width <= n:
-            # Offsets from the min are taken after the cast to intp, which wraps
-            # uint64 values and the min alike, so the differences come out exact.
             lo = np.asarray(lo).astype(np.intp)
             row_offsets = np.arange(0, trials * width, width) - lo
             index = np.add(batch, row_offsets[:, np.newaxis], dtype=np.intp, casting="unsafe")
@@ -128,12 +118,13 @@ def _ranks(batch: np.ndarray) -> tuple[np.ndarray, int]:
             table = np.cumsum(seen.reshape(trials, width), axis=1, dtype=np.min_scalar_type(width))
             top = int(table[:, -1].max())
             return table.astype(np.min_scalar_type(top)).ravel().take(index), top
+        keys = np.subtract(batch, lo, dtype=np.min_scalar_type(width - 1), casting="unsafe")
     elif batch.dtype.kind == "c":
         raise TypeError(f"complex values have no order, got a {batch.dtype} array")
     elif (unordered := batch != batch).any():
-        value = batch[unordered].tolist()[0]
-        raise ValueError(f"{value!r} is not equal to itself, so it has no place in an order")
-    keys = batch.astype(_narrow_dtype(batch), copy=False)
+        # tolist() gives None for NaT, the one unordered time value.
+        value = "NaT" if batch.dtype.kind in "mM" else repr(batch[unordered].tolist()[0])
+        raise ValueError(f"{value} is not equal to itself, so it has no place in an order")
     flat = _sort_order(keys)
     keys = keys.ravel()[flat]
     # new[t, i]: slot i of sorted row t holds a value that slot i - 1 does not.
@@ -399,7 +390,9 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     for b in range((top - 1).bit_length() - 1, -1, -1):
         key = (ranks >> b).astype(np.min_scalar_type((top - 1) >> b), copy=False)
         weight -= (key if order is None else key.ravel()[order]) & 1
-        order = _sort_order(key) if b else None
+        order = None  # dropped before the next order is built, not after
+        if b:
+            order = _sort_order(key)
     return weight @ np.arange(n, dtype=np.int64)
 
 

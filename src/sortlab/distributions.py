@@ -21,6 +21,7 @@ so it shares none of ``sample_block``'s seed hashing.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,18 +134,6 @@ class _TrialSeed:
         return self.words
 
 
-def _uniforms_in_place(raw: np.ndarray) -> np.ndarray:
-    """Deviates in [0, 1) from contiguous raw PCG64 outputs (top 53 bits), in raw's buffer."""
-    flat = raw.reshape(-1)
-    np.right_shift(flat, np.uint64(11), out=flat)
-    uniforms = flat.view(np.float64)
-    # A ufunc with out= would first copy an input that overlaps an output of
-    # another dtype; a 1-d copyto casts element by element, in place.
-    np.copyto(uniforms, flat, casting="unsafe")
-    np.multiply(uniforms, 2.0**-53, out=uniforms)
-    return uniforms.reshape(raw.shape)
-
-
 class RandomSource:
     """One trial's generator: numpy's PCG64, seeded by numpy from `master_seed`.
 
@@ -165,15 +154,16 @@ class RandomSource:
 class Geometric:
     """iid geometric(p) input on r = 0, 1, 2, ...
 
-    Accepts 0 < p <= 1.  p = 1 is the degenerate all-zeros input; p <= 0
-    is rejected because no trial would ever succeed.
+    Accepts any real 0 < p <= 1 but a bool (numpy scalars too) and stores
+    it as a float.  p = 1 is the degenerate all-zeros input; p <= 0 is
+    rejected because no trial would ever succeed.
     """
 
     p: float
 
     def __post_init__(self):
         p = self.p
-        if not (isinstance(p, (int, float)) and math.isfinite(p)):
+        if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p)):
             raise ValueError(f"p must be a finite real, got {p!r}")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"p must be in (0,1], got {p}")
@@ -196,17 +186,25 @@ def _check_inverse_p(p: float) -> None:
         raise ValueError(f"p={p!r} is too small: geometric draws would overflow int64")
 
 
-def _geometric_in_place(u: np.ndarray, p: float) -> np.ndarray:
-    """floor(log1p(-u) / log1p(-p)) for p < 1 and contiguous u, as int64 in u's buffer."""
-    flat = u.reshape(-1)
-    np.negative(flat, out=flat)
-    np.log1p(flat, out=flat)
-    np.divide(flat, math.log1p(-p), out=flat)
+def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
+    """floor(log1p(-u) / log1p(-p)) for p < 1, u the deviate in [0, 1) that each
+    contiguous raw PCG64 output makes (its top 53 bits times 2**-53), as int64
+    in raw's buffer."""
+    flat = raw.reshape(-1)
+    np.right_shift(flat, np.uint64(11), out=flat)
+    values = flat.view(np.float64)
+    # A ufunc with out= would first copy an input that overlaps an output of
+    # another dtype; a 1-d copyto casts element by element, in place.
+    np.copyto(values, flat, casting="unsafe")
+    # Scaling by a power of two is exact, so this is -u bit for bit.
+    np.multiply(values, -(2.0**-53), out=values)
+    np.log1p(values, out=values)
+    np.divide(values, math.log1p(-p), out=values)
     # The quotient is >= +0.0 for 0 <= u < 1, so the cast's truncation is
     # the floor.
     draws = flat.view(np.int64)
-    np.copyto(draws, flat, casting="unsafe")  # in place, as in _uniforms_in_place
-    return draws.reshape(u.shape)
+    np.copyto(draws, values, casting="unsafe")
+    return draws.reshape(raw.shape)
 
 
 def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
@@ -219,7 +217,7 @@ def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
         src._bitgen.random_raw(n)  # keep stream consumption identical to p < 1
         return np.zeros(n, dtype=np.int64)
     _check_inverse_p(model.p)
-    return _geometric_in_place(_uniforms_in_place(src._bitgen.random_raw(n)), model.p)
+    return _geometric_in_place(src._bitgen.random_raw(n), model.p)
 
 
 def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
@@ -230,8 +228,9 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     ``SeedSequence`` words are computed for the whole block at once
     (:func:`_seed_sequence_words`), and numpy seeds each trial's PCG64
     from its words, so every draw still comes from numpy's PCG64.  The
-    block is filled as raw uint64 and mapped to geometric draws in place
-    (about 8 bytes per value, output included).  Refusals (n < 1, a bad start/stop,
+    block is filled as raw uint64, and :func:`_geometric_in_place` maps each
+    raw word to its draw in the block's buffer (about 8 bytes per value,
+    output included).  Refusals (n < 1, a bad start/stop,
     a model that is not `Geometric`, a p whose draws would overflow int64)
     raise before any draw.
     """
@@ -248,4 +247,4 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     raw = np.empty((stop - start, n), dtype=np.uint64)
     for row, words in zip(raw, _seed_sequence_words(_mix64_block(cell_seed, start, stop))):
         row[:] = np.random.PCG64(_TrialSeed(words)).random_raw(n)
-    return _geometric_in_place(_uniforms_in_place(raw), model.p)
+    return _geometric_in_place(raw, model.p)

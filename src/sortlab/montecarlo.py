@@ -28,6 +28,7 @@ it forks no child.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import pickle
 import signal
@@ -57,7 +58,7 @@ COUNTER_MODES = tuple(_KERNELS)
 BLOCK_VALUES = 1 << 18
 
 #: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel (textbook 20-33, exchange 9-20, inversions 19-21 by tracemalloc
+#: kernel (textbook 20-33, exchange 9-20, inversions 13-18 by tracemalloc
 #: on 262 x 1000 geometric blocks, p = 0.001-0.9), plus the 8 of the int64
 #: block it is given.  The block sampler's own peak (at most 24) comes
 #: before.  A tracemalloc test pins a whole block of each mode within this
@@ -67,6 +68,16 @@ BYTES_PER_VALUE = 72
 #: Most bytes one trial may need.  A block holds at least one trial, so an
 #: n with n * BYTES_PER_VALUE above this is refused before any draw.
 TRIAL_MEMORY_BUDGET = 1 << 32
+
+
+def _as_int(name: str, value) -> int:
+    # An integer of any kind (numpy's too) as a Python int; bool is refused.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -80,15 +91,18 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # Stored as Python numbers, each p as the float Geometric checks and
+        # keeps, so that numpy scalars neither leak into the CSV as
+        # np.float64(...) nor overflow the seed arithmetic.
+        for name in ("n", "trials", "master_seed"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+        object.__setattr__(self, "p_values", tuple(geometric(p).p for p in self.p_values))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
-        for p in self.p_values:
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"p must be in (0,1], got {p}")
         if any(a >= b for a, b in zip(self.p_values, self.p_values[1:])):
             raise ValueError(f"p_values must be strictly increasing, got {self.p_values}")
         if self.counter_mode not in COUNTER_MODES:
@@ -164,6 +178,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
     process's own share fails, the children are killed before the error
     propagates.  Every child is reaped and every pipe closed on each path.
     """
+    jobs = _as_int("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]

@@ -17,9 +17,9 @@ from oracles import (
     textbook_sort_list,
     textbook_sort_passes,
 )
+from sortlab import algorithms
 from sortlab.algorithms import (
     OpCounters,
-    _narrow_dtype,
     _ranks,
     count_inversions,
     count_inversions_batch,
@@ -317,30 +317,50 @@ class TestExchangeKernelScanAndNarrowing:
             assert_matches_literal_loop(exchange_sort_batch, rng.integers(0, 7, size=(trials, n)))
 
     @pytest.mark.parametrize(
-        "rows,dtype,narrow",
+        "rows,dtype,keys",
         [
-            ([list(range(255, -1, -1)), list(range(0, 256, 2)) * 2], np.int64, np.uint8),
-            ([list(range(256, -1, -1)), list(range(0, 257))], np.int64, np.uint16),
-            ([list(range(255, -1, -1))], np.uint8, np.uint8),
-            ([[-3, -1, -128, -1, -7], [-1, -2, -3, -128, -128]], np.int64, np.int8),
-            # A nonnegative max reads as unsigned, so a sign takes int16.
-            ([[3, -1, 0, 127, -1, 5], [7, 6, 5, -1, -1, 0]], np.int64, np.int16),
-            ([[3, -128, 0, 255, -1, 5], [-128, 6, -128, 1, 0, 0]], np.int32, np.int16),
-            ([[3, -129, 0, 127, -1, 5], [-129, 6, -128, 255, 0, 0]], np.int64, np.int16),
-            # As float64 (what -1 and 2**63 - 1 promote to), 2**63 - 1 and
-            # 2**63 - 2 would merge and the row give 3 swaps instead of 5.
-            ([[-1, 2**63 - 1, 5, 2**63 - 2, 0]], np.int64, np.int64),
-            # int64 would hold these too, but it is wider than the input.
-            ([[-1, 2**31 - 1, 5, 2**31 - 2, 0]], np.int32, np.int32),
+            # Values at most n apart are ranked by the value table: no sort.
+            ([list(range(255, -1, -1)), list(range(0, 256, 2)) * 2], np.int64, None),
+            ([list(range(256, -1, -1)), list(range(0, 257))], np.int64, None),
+            ([list(range(255, -1, -1))], np.uint8, None),
+            ([[-3, -1, -128, -1, -7], [-1, -2, -3, -128, -128]], np.int64, np.uint8),
+            # Offsets from the min are unsigned, so a sign costs no wider key.
+            ([[3, -1, 0, 127, -1, 5], [7, 6, 5, -1, -1, 0]], np.int64, np.uint8),
+            # Offsets up to 128 wrap in int8 but not in the uint8 keys.
+            ([[127, -1, 0, 127, -1, 5]], np.int8, np.uint8),
+            ([[3, -128, 0, 255, -1, 5], [-128, 6, -128, 1, 0, 0]], np.int32, np.uint16),
+            ([[3, -129, 0, 127, -1, 5], [-129, 6, -128, 255, 0, 0]], np.int64, np.uint16),
+            # As float64, 2**63 - 1 and 2**63 - 2 would merge and the row give
+            # 3 swaps instead of 5.
+            ([[-1, 2**63 - 1, 5, 2**63 - 2, 0]], np.int64, np.uint64),
+            ([[-1, 2**31 - 1, 5, 2**31 - 2, 0]], np.int32, np.uint32),
             ([[2**64 - 1, 2**63, 3, 2**63 + 1, 0], [2**63, 1, 2**63, 0, 7]], np.uint64, np.uint64),
             ([[2**63 - 1, 4, 2**62, 0, 9]], np.int64, np.uint64),
+            # The full int64 and uint64 spans: offsets up to 2**64 - 1.
+            ([[-(2**63), 2**63 - 1, 0, -1, 2**63 - 1, -(2**63)]], np.int64, np.uint64),
+            ([[0, 2**64 - 1, 1, 2**64 - 2, 2**63, 0]], np.uint64, np.uint64),
             ([[0.5, -1.25, 3.0, -1.25, 0.0]], np.float64, np.float64),
         ],
     )
-    def test_narrowing_is_exact(self, rows, dtype, narrow):
+    def test_narrowing_is_exact(self, rows, dtype, keys, monkeypatch):
+        # The keys the ranking step sorts on: an integer batch sorts as the
+        # offsets from its min, in the narrowest unsigned type that holds
+        # them; a float batch on its own values.
         batch = np.array(rows, dtype=dtype)
-        assert _narrow_dtype(batch) == narrow
-        assert_matches_literal_loop(exchange_sort_batch, batch)
+        sorted_keys = []
+        sort_order = algorithms._sort_order
+
+        def spy(keys):
+            sorted_keys.append(keys.dtype)
+            return sort_order(keys)
+
+        monkeypatch.setattr(algorithms, "_sort_order", spy)
+        exchange_sort_batch(batch)
+        monkeypatch.undo()
+        assert sorted_keys == ([] if keys is None else [keys])
+        if keys is not None and batch.dtype.kind in "iu":
+            assert keys == np.min_scalar_type(int(batch.max()) - int(batch.min()))
+        assert_kernels_match_literal_loops(batch, int(keys is not None), monkeypatch)
 
     @pytest.mark.parametrize("length", range(8))
     def test_every_row_over_three_values(self, length):
@@ -599,16 +619,18 @@ class TestInversionKernelRankBits:
         # One row holding fewer distinct values rides in the same batch.
         batch = np.array(rows + [row_with_distinct_values(rng, n, max(distinct // 2, 1))])
         want = [brute_force_inversions(row) for row in batch.tolist()]
-        # Shifted past 2**31, the values are uint32 keys, which numpy sorts
-        # by timsort rather than by radix sort.
+        # Shifted past 2**31, the values still sort as the same narrow
+        # offsets from their min.
         for shifted in (batch, batch + 50 + 2**31):
             assert count_inversions_batch(shifted).tolist() == want
 
     @pytest.mark.parametrize("distinct", [65535, 65536, 65537, 2**17, 2**18 + 1])
     @pytest.mark.parametrize("offset", [-50, 2**31])
     def test_wide_rank_boundaries_match_merge_oracle(self, distinct, offset):
-        # The offset 2**31 makes the values uint32 keys; above 2**17
-        # distinct values, so are the keys of some levels.
+        # Values three apart span more than 2**16, so their offsets from the
+        # min, shifted or not, are uint32 keys, which numpy sorts by timsort
+        # rather than by radix sort; above 2**17 distinct values, so are the
+        # keys of some levels.
         rng = np.random.default_rng(distinct)
         row = row_with_distinct_values(rng, distinct + 3000, distinct) + 50 + offset
         batch = np.array([row, rng.permutation(row)])
@@ -650,6 +672,19 @@ class TestInversionKernelRankBits:
         per_bit = max((distinct - 1).bit_length() - 1, 0)
         assert len(calls) == per_bit + sort_ranked
         assert all(dtype in (np.uint8, np.uint16) for dtype in calls[sort_ranked:])
+
+
+    @pytest.mark.parametrize("p", [0.1, 0.9])
+    def test_peak_memory_per_value(self, p):
+        # Measured 13 B/value at both p: one sort order is held at a time.
+        batch = np.random.default_rng(7).geometric(p, size=(262, 1000)) - 1
+        tracemalloc.start()
+        try:
+            count_inversions_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * batch.size
 
 
 class TestSwapInversionIdentity:
@@ -757,6 +792,15 @@ class TestUnorderedValues:
         for seq in ([1j, 2, 0], np.array([2, 1j, 0]), np.array([3, 1], dtype=np.complex64)):
             with pytest.raises(TypeError, match="complex"):
                 counter(seq)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("dtype", ["datetime64[D]", "timedelta64[s]"])
+    def test_nat_is_refused_by_name(self, kernel, dtype):
+        batch = np.array([[1, 0, 2], [2, 0, 1]]).astype(dtype)
+        assert kernel(batch).tolist() == literal_counts(batch.astype(np.int64))[kernel]
+        batch[1, 2] = np.datetime64("NaT") if dtype.startswith("datetime") else np.timedelta64("NaT")
+        with pytest.raises(ValueError, match="^NaT is not equal to itself"):
+            kernel(batch)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_complex_batch_is_refused(self, kernel):

@@ -27,7 +27,6 @@ from sortlab.distributions import (
     _mix64_block,
     _seed_sequence_words,
     _TrialSeed,
-    _uniforms_in_place,
     geometric,
     mix64,
     sample_array,
@@ -37,7 +36,6 @@ from sortlab.distributions import (
 # Upper-tail chi-square critical values at alpha=0.001.
 CHI2_CRIT_DF3 = 16.2662
 CHI2_CRIT_DF16 = 39.2524
-CHI2_CRIT_DF19 = 43.8202
 
 
 class TestMix64:
@@ -81,14 +79,18 @@ class TestRandomSource:
     def test_bulk_uniforms_match_scalar_stream(self):
         # The in-place map sample_array applies to the source's raw outputs.
         raw = np.random.PCG64(7).random_raw(50)
-        scalar = [uniform_from_raw(r) for r in raw.tolist()]
-        assert _uniforms_in_place(raw).tolist() == scalar
+        for p in (1e-12, 1e-3, 0.3, 0.9):
+            scalar = [geometric_from_uniform(uniform_from_raw(r), p) for r in raw.tolist()]
+            assert _geometric_in_place(raw.copy(), p).tolist() == scalar
 
     def test_unit_interval(self):
+        # Raw 0 and 2**64 - 1 make the deviates 0 and 1 - 2**-53, the ends of
+        # [0, 1), so their draws are 0 and the largest any raw word gives.
         raw = np.append(np.random.PCG64(3).random_raw(10_000), np.array([0, 2**64 - 1], dtype=np.uint64))
-        u = _uniforms_in_place(raw)
-        assert float(u.min()) == 0.0
-        assert float(u.max()) == 1.0 - 2.0**-53
+        p = 1e-3
+        draws = _geometric_in_place(raw, p)
+        assert int(draws.min()) == int(draws[-2]) == 0
+        assert int(draws.max()) == int(draws[-1]) == geometric_from_uniform(1.0 - 2.0**-53, p)
 
     def test_substream_differs_from_parent_and_siblings(self):
         model = geometric(1e-3)
@@ -97,14 +99,6 @@ class TestRandomSource:
         parent = sample_array(RandomSource(11), model, 8).tolist()
         assert s0 != s1
         assert s0 != parent
-
-    def test_uniform_goodness_of_fit(self):
-        u = _uniforms_in_place(np.random.PCG64(2024).random_raw(1_000_000))
-        assert abs(float(u.mean()) - 0.5) < 0.002
-        counts, _ = np.histogram(u, bins=20, range=(0.0, 1.0))
-        expected = 1_000_000 / 20
-        chi2 = float(((counts - expected) ** 2 / expected).sum())
-        assert chi2 < CHI2_CRIT_DF19
 
 
 class TestGeometric:
@@ -119,6 +113,17 @@ class TestGeometric:
         assert geometric(0.3) == Geometric(0.3)
         with pytest.raises(dataclasses.FrozenInstanceError):
             geometric(0.3).p = 0.5
+
+    @pytest.mark.parametrize("p", [np.float32(0.5), np.float64(0.25), np.int64(1), np.uint8(1)])
+    def test_numpy_reals_are_accepted_as_floats(self, p):
+        model = geometric(p)
+        assert type(model.p) is float and model.p == float(p)
+        assert model == Geometric(float(p))
+
+    @pytest.mark.parametrize("p", [True, np.True_, "0.5", None, 0.5j, np.float64("inf"), np.float32(2.0)])
+    def test_bools_and_non_reals_are_refused(self, p):
+        with pytest.raises(ValueError, match="p must be"):
+            geometric(p)
 
     # The oracle pmf the goodness-of-fit tests below read.
     def test_pmf_matches_formula_and_sums_to_one(self):
@@ -201,8 +206,8 @@ class TestSamplerAgreement:
         # The overflow check admits p exactly when the largest deviate,
         # 1 - 2**-53, still lands in int64 instead of wrapping negative.
         _check_inverse_p(p)
-        u = np.array([1.0 - 2.0**-53, 0.0])
-        top, bottom = _geometric_in_place(u, p).tolist()
+        raw = np.array([(2**53 - 1) << 11, 0], dtype=np.uint64)  # u = 1 - 2**-53 and 0
+        top, bottom = _geometric_in_place(raw, p).tolist()
         assert bottom == 0
         assert 0 <= top < 2**63
         assert top == geometric_from_uniform(1.0 - 2.0**-53, p)
@@ -213,10 +218,13 @@ class TestSamplerAgreement:
     def test_truncating_cast_is_the_floor(self, p):
         # The quotient is never negative, so the cast truncates as floor does;
         # the edge uniforms give -0.0 / log1p(-p) = +0.0 and the largest draw.
+        # Each u is a multiple m * 2**-53 (numpy's random() deviates are too),
+        # so it is the deviate the raw word m << 11 makes.
         edges = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
         u = np.concatenate([edges, np.random.default_rng(17).random(20_000)])
+        raw = (u * 2.0**53).astype(np.uint64) << np.uint64(11)
         want = np.floor(np.log1p(-u) / math.log1p(-p)).astype(np.int64)
-        assert np.array_equal(_geometric_in_place(u.copy(), p), want)
+        assert np.array_equal(_geometric_in_place(raw, p), want)
 
     def test_goodness_of_fit(self):
         p = 0.3

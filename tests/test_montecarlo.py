@@ -15,6 +15,7 @@ from sortlab import montecarlo
 from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
 from sortlab.report.cli import main
+from sortlab.report.csvio import RunMetadata, format_summaries_csv, parse_summaries_csv
 from sortlab.theory import expected_interchanges
 
 
@@ -48,6 +49,54 @@ class TestExperimentConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             ExperimentConfig(**base)
+
+    def test_numpy_scalars_give_the_python_number_csv(self):
+        # Stored as Python numbers, they write a CSV that reads back, byte
+        # for byte the one the same Python numbers write.
+        given = ExperimentConfig(
+            n=np.int64(10),
+            trials=np.uint16(3),
+            p_values=tuple(np.linspace(0.1, 0.9, 3)),
+            master_seed=np.uint64(2**64 - 1),
+        )
+        plain = ExperimentConfig(n=10, trials=3, p_values=(0.1, 0.5, 0.9), master_seed=2**64 - 1)
+        assert given == plain
+        assert [type(v) for v in (given.n, given.trials, given.master_seed)] == [int] * 3
+        assert all(type(p) is float for p in given.p_values)
+        meta = RunMetadata.create("test", master_seed=given.master_seed, no_timestamp=True)
+        text = format_summaries_csv(run_experiment(given), meta)
+        assert text == format_summaries_csv(run_experiment(plain), meta)
+        summaries, _ = parse_summaries_csv(text)
+        assert summaries == run_experiment(plain)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n", 10.5),
+            ("n", np.float64(10.0)),
+            ("trials", True),
+            ("master_seed", 1.5),
+            ("master_seed", True),
+            ("master_seed", "3"),
+        ],
+    )
+    def test_non_integers_and_bools_are_refused_by_name(self, field, value):
+        base = dict(n=10, trials=5, p_values=(0.2, 0.5), master_seed=1)
+        base[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must be an int"):
+            ExperimentConfig(**base)
+
+    @pytest.mark.parametrize("p_values", [(0.5, True), ("0.5",), (0.2, float("nan"))])
+    def test_p_values_must_be_finite_reals(self, p_values):
+        with pytest.raises(ValueError, match="^p must be a finite real"):
+            ExperimentConfig(n=10, trials=5, p_values=p_values, master_seed=1)
+
+    @pytest.mark.parametrize("jobs", [1.5, True, "2"])
+    def test_jobs_must_be_an_int(self, jobs):
+        config = ExperimentConfig(n=10, trials=5, p_values=(0.5,), master_seed=1)
+        with pytest.raises(TypeError, match="^jobs must be an int"):
+            run_experiment(config, jobs=jobs)
+        assert run_experiment(config, jobs=np.int64(1)) == run_experiment(config)
 
     def test_oversized_trial_is_refused_before_sampling(self, monkeypatch):
         def no_draws(*args, **kwargs):
