@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,16 @@ _MASK32 = (1 << 32) - 1
 
 #: Name of the underlying generator, recorded in all output metadata.
 ALGORITHM_ID = "pcg64"
+
+
+def _as_int(name: str, value) -> int:
+    # An integer of any kind (numpy's too) as a Python int; bool is refused.
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 def mix64(seed: int, index: int) -> int:
@@ -163,7 +174,8 @@ class Geometric:
 
     def __post_init__(self):
         p = self.p
-        if isinstance(p, bool) or not (isinstance(p, numbers.Real) and math.isfinite(p)):
+        # Finite by comparison: math.isfinite overflows on an int past the float range.
+        if isinstance(p, bool) or not (isinstance(p, numbers.Real) and abs(p) < math.inf):
             raise ValueError(f"p must be a finite real, got {p!r}")
         if not 0.0 < p <= 1.0:
             raise ValueError(f"p must be in (0,1], got {p}")
@@ -230,12 +242,15 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     from its words, so every draw still comes from numpy's PCG64.  The
     block is filled as raw uint64, and :func:`_geometric_in_place` maps each
     raw word to its draw in the block's buffer (about 8 bytes per value,
-    output included).  Refusals (n < 1, a bad start/stop,
-    a model that is not `Geometric`, a p whose draws would overflow int64)
-    raise before any draw.
+    output included).  Refusals (n < 1, a `cell_seed` that is not an int
+    in [0, 2**64), a bad start/stop, a model that is not `Geometric`, a p
+    whose draws would overflow int64) raise before any draw.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    cell_seed = _as_int("cell_seed", cell_seed)
+    if not 0 <= cell_seed <= _MASK64:
+        raise ValueError(f"cell_seed must be a 64-bit unsigned integer, got {cell_seed}")
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     if not isinstance(model, Geometric):

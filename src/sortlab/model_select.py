@@ -121,7 +121,7 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
                 accepted, reason = False, "degree cap reached, extension untestable"
             else:
                 ext_report = _report_for(points, d + 1, cache)
-                ext_sig = None if ext_report.exact_fit else ext_report.highest_order_row.sig
+                ext_sig = ext_report.highest_order_row.sig
                 accepted = ext_sig is not None and ext_sig >= policy.alpha
                 if accepted:
                     reason = f"top term significant, extension term not, at alpha={policy.alpha:g}"

@@ -28,14 +28,13 @@ it forks no child.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import pickle
 import signal
 from dataclasses import dataclass
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import geometric, mix64, sample_block
+from .distributions import _as_int, geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -68,16 +67,6 @@ BYTES_PER_VALUE = 72
 #: Most bytes one trial may need.  A block holds at least one trial, so an
 #: n with n * BYTES_PER_VALUE above this is refused before any draw.
 TRIAL_MEMORY_BUDGET = 1 << 32
-
-
-def _as_int(name: str, value) -> int:
-    # An integer of any kind (numpy's too) as a Python int; bool is refused.
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

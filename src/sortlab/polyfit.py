@@ -124,8 +124,7 @@ class RegressionReport:
 
     @property
     def highest_order_row(self) -> CoefficientRow:
-        if self.model.degree == 0:
-            return self.coefficients[-1]  # intercept-only model
+        # At degree 0 the index is -1: the intercept, the only row.
         return self.coefficients[self.model.degree - 1]
 
 
@@ -195,6 +194,12 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     around the response mean (intercept models), standardized betas use
     sample standard deviations of the raw power columns and of y, and
     significances come from the t and F upper tails.
+
+    An exact fit (no residual variation to machine precision, or no
+    residual degrees of freedom) reports R^2 and adjusted R^2 of 1, a
+    residual mean square, standard error of the estimate and coefficient
+    standard errors of 0, and None for F, every t and every sig.  Every
+    other statistic comes from the same formula as for any fit.
     """
     x, y = _as_arrays(points)
     m = x.size
@@ -214,27 +219,13 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
 
     exact = ss_tot == 0.0 or ss_res <= ss_tot * _EXACT_FIT_RTOL or df_res == 0
 
-    if exact:
-        r_squared = 1.0
-        adjusted = 1.0
-        see = 0.0
-        ms_reg = ss_reg / df_reg if df_reg > 0 else None
-        ms_res: float | None = 0.0
-        f_stat: float | None = None
-        f_p: float | None = None
-    else:
-        r_squared = 1.0 - ss_res / ss_tot
-        adjusted = 1.0 - (1.0 - r_squared) * df_tot / df_res
-        ms_res = ss_res / df_res
-        see = float(np.sqrt(ms_res))
-        if df_reg > 0:
-            ms_reg = ss_reg / df_reg
-            f_stat = ms_reg / ms_res
-            f_p = f_sig(f_stat, df_reg, df_res)
-        else:
-            ms_reg = None
-            f_stat = None
-            f_p = None
+    r_squared = 1.0 if exact else 1.0 - ss_res / ss_tot
+    adjusted = 1.0 if exact else 1.0 - (1.0 - r_squared) * df_tot / df_res
+    ms_res = 0.0 if exact else ss_res / df_res
+    ms_reg = ss_reg / df_reg if df_reg > 0 else None
+    see = float(np.sqrt(ms_res))
+    f_stat = None if exact or ms_reg is None else ms_reg / ms_res
+    f_p = None if f_stat is None else f_sig(f_stat, df_reg, df_res)
 
     summary = ModelSummaryStats(
         r=float(np.sqrt(max(r_squared, 0.0))),
@@ -260,14 +251,10 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     rows = []
     for j in list(range(1, d + 1)) + [0]:
         b_j = float(coeffs[j])
-        if exact:
-            se_j = 0.0
-            t_j: float | None = None
-            p_j: float | None = None
-        else:
-            se_j = float(np.sqrt(diag[j] * ms_res))
-            t_j = b_j / se_j
-            p_j = student_t_two_sided_sig(t_j, df_res)
+        # Not sqrt(diag * 0.0) for an exact fit: that is NaN where diag overflowed.
+        se_j = 0.0 if exact else float(np.sqrt(diag[j] * ms_res))
+        t_j = None if exact else b_j / se_j
+        p_j = None if t_j is None else student_t_two_sided_sig(t_j, df_res)
         if j == 0:
             beta_j = None
             name = "(constant)"

@@ -270,8 +270,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_fit(args) -> int:
     points, source = _load_points(args)
-    model = fit(points, args.degree)
-    report = diagnostics(points, model)
+    report = diagnostics(points, fit(points, args.degree))
     sys.stdout.write(render_report(report))
     if args.out_json:
         meta = RunMetadata.create(
@@ -331,11 +330,10 @@ def _cmd_reproduce(args) -> int:
     write_summaries_csv(out_dir / "table1_repro.csv", summaries, meta)
     points = [DataPoint(x=s.p, y=s.mean_c) for s in summaries]
 
-    models = {}
+    reports = {}
     for degree in (2, 3, 4):
-        model = fit(points, degree)
-        report = diagnostics(points, model)
-        models[degree] = model
+        report = diagnostics(points, fit(points, degree))
+        reports[degree] = report
         write_report_json(out_dir / f"fit_d{degree}.json", report, meta)
         (out_dir / f"tables_d{degree}.txt").write_text(
             render_report(report), encoding="utf-8"
@@ -354,7 +352,7 @@ def _cmd_reproduce(args) -> int:
         write_scatter_svg(
             out_dir / f"{name}.svg",
             points,
-            (f"degree {degree}", models[degree]),
+            (f"degree {degree}", reports[degree].model),
             metadata=meta,
             title=title,
             include_points=include_points,

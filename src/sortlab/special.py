@@ -78,8 +78,6 @@ def student_t_two_sided_sig(t: float, df: int) -> float:
     """Two-sided tail 2*P(T_df > |t|) via the incomplete-beta identity."""
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    if t == 0.0:
-        return 1.0
     x = df / (df + t * t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
 
@@ -90,7 +88,5 @@ def f_sig(f: float, df1: int, df2: int) -> float:
         raise ValueError(f"degrees of freedom must be >= 1, got ({df1}, {df2})")
     if f < 0.0:
         raise ValueError(f"f must be nonnegative, got {f}")
-    if f == 0.0:
-        return 1.0
     x = df2 / (df2 + df1 * f)
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import ContinuousUniform, Geometric
+from .distributions import ContinuousUniform, Geometric, _as_int
 
 __all__ = [
     "TheoryPrediction",
@@ -54,7 +54,10 @@ def expected_interchanges(model: InputModel, n: int) -> float:
     """n(n-1)/2 pairs times the per-pair interchange probability.
 
     Exact expectation of the inversion count of an n-element iid array.
+    `n` is an integer of any kind (numpy's too); a bool or a non-integer
+    raises TypeError.
     """
+    n = _as_int("n", n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     try:
@@ -77,6 +80,7 @@ class TheoryPrediction:
 
 def predict(model: InputModel, n: int) -> TheoryPrediction:
     """Bundle all closed-form quantities for `model` at array length `n`."""
+    n = _as_int("n", n)
     return TheoryPrediction(
         n=n,
         model=model,

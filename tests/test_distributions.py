@@ -125,6 +125,11 @@ class TestGeometric:
         with pytest.raises(ValueError, match="p must be"):
             geometric(p)
 
+    @pytest.mark.parametrize("p", [10**400, -(10**400)])
+    def test_ints_past_the_float_range_are_out_of_range(self, p):
+        with pytest.raises(ValueError, match=r"^p must be in \(0,1\]"):
+            geometric(p)
+
     # The oracle pmf the goodness-of-fit tests below read.
     def test_pmf_matches_formula_and_sums_to_one(self):
         for r in range(20):
@@ -401,6 +406,25 @@ class TestSampleBlock:
         monkeypatch.setattr(distributions.np.random, "PCG64", no_generator)
         with pytest.raises(error):
             sample_block(model, n, 3, start, stop)
+
+    @pytest.mark.parametrize("cell_seed", [-1, 2**64])
+    def test_refuses_cell_seed_outside_64_bits(self, monkeypatch, cell_seed):
+        def no_generator(seed):
+            raise AssertionError("built a generator before refusing")
+
+        monkeypatch.setattr(distributions.np.random, "PCG64", no_generator)
+        for p in (0.5, 1.0):
+            with pytest.raises(ValueError, match="^cell_seed must be a 64-bit unsigned integer"):
+                sample_block(geometric(p), 5, cell_seed, 0, 3)
+
+    @pytest.mark.parametrize("cell_seed", [1.5, True, "1"])
+    def test_refuses_a_cell_seed_that_is_not_an_int(self, cell_seed):
+        with pytest.raises(TypeError, match="^cell_seed must be an int"):
+            sample_block(geometric(0.5), 5, cell_seed, 0, 3)
+
+    def test_accepts_the_largest_cell_seed(self):
+        got = sample_block(geometric(0.5), 5, 2**64 - 1, 0, 3)
+        assert np.array_equal(got, per_trial_rows(0.5, 5, 2**64 - 1, 0, 3))
 
     @pytest.mark.parametrize("p", [0.1, 0.9])
     def test_peak_memory_per_value(self, p):

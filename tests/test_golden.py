@@ -1,9 +1,12 @@
 """Byte pins: CLI artifacts must match the committed goldens exactly.
 
-The goldens in ``tests/golden/`` were written by the per-trial counters
+The simulate and reproduce goldens at the top of ``tests/golden/`` were
+written by the per-trial counters
 that the batched kernels replaced, so any drift in sampling, counting or
 reduction order shows up here as a byte difference, not only as a
-self-consistency failure.  Regenerate them only for an intended output
+self-consistency failure.  The goldens in ``golden/exact/`` and
+``golden/degenerate/`` pin the reports of exact fits and the verdict on
+a constant response.  Regenerate them only for an intended output
 change, and record that change.
 
 The CSVs hold counts and their moments only, so they are pinned byte for
@@ -61,19 +64,67 @@ def test_reproduce_matches_golden(tmp_path, capsys, jobs):
 FIXTURE = GOLDEN / "fixture"
 
 
-def test_reproduce_fixture_matches_golden(tmp_path, capsys):
-    """Every artifact of `reproduce --use-fixture`: text bytes exact, JSON parsed."""
-    args = ["reproduce", "--use-fixture", "--seed", "42", "--no-timestamp"]
-    rc = main([*args, "--out-dir", str(tmp_path)])
-    assert rc == 0
-    written = sorted(path.name for path in tmp_path.iterdir())
-    assert written == sorted(path.name for path in FIXTURE.iterdir() if path.suffix != ".stdout")
+def assert_artifacts_match(out_dir: Path, golden_dir: Path) -> None:
+    """Every artifact of a `reproduce` run: text bytes exact, JSON parsed."""
+    written = sorted(path.name for path in out_dir.iterdir())
+    assert written == sorted(path.name for path in golden_dir.iterdir() if path.suffix != ".stdout")
     for name in written:
-        got, want = tmp_path / name, FIXTURE / name
+        got, want = out_dir / name, golden_dir / name
         if name.endswith(".json"):
             assert_json_close(json.loads(got.read_text()), json.loads(want.read_text()))
         else:
             assert got.read_bytes() == want.read_bytes(), name
+
+
+def test_reproduce_fixture_matches_golden(tmp_path, capsys):
+    args = ["reproduce", "--use-fixture", "--seed", "42", "--no-timestamp"]
+    rc = main([*args, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert_artifacts_match(tmp_path, FIXTURE)
+
+
+DEGENERATE = GOLDEN / "degenerate"
+
+
+def test_reproduce_degenerate_matches_golden(tmp_path, capsys):
+    """n=1 gives zero counts at every p: exact fits at degrees 2-4, a degenerate verdict."""
+    args = ["reproduce", "--n", "1", "--trials", "2", "--seed", "1", "--no-timestamp"]
+    rc = main([*args, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert_artifacts_match(tmp_path, DEGENERATE)
+    captured = capsys.readouterr()
+    verdict = (DEGENERATE / "verdict.txt").read_text(encoding="utf-8")
+    assert captured.out == f"artifacts written to {tmp_path}\n{verdict}"
+    assert captured.err == ""
+
+
+EXACT = GOLDEN / "exact"
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("fit_linear_d1", ["fit", "--input", "linear.csv", "--degree", "1"]),
+        ("fit_linear_d4", ["fit", "--input", "linear.csv", "--degree", "4"]),
+        ("fit_constant_d0", ["fit", "--input", "constant.csv", "--degree", "0"]),
+        ("select_constant", ["select", "--input", "constant.csv"]),
+    ],
+)
+def test_exact_fit_matches_golden(tmp_path, capsys, monkeypatch, name, args):
+    """Exact fits and a constant response: stdout bytes exact, the JSON artifact parsed.
+
+    The inputs in ``tests/golden/exact/`` are exactly linear and constant
+    responses, so every report here takes the exact-fit path.  The run is
+    made from that directory so that the JSON's config line names the
+    input as written.
+    """
+    monkeypatch.chdir(EXACT)
+    out = tmp_path / "out.json"
+    assert main([*args, "--out-json", str(out), "--no-timestamp"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == (EXACT / f"{name}.stdout").read_text(encoding="utf-8")
+    assert captured.err == ""
+    assert_json_close(json.loads(out.read_text()), json.loads((EXACT / f"{name}.json").read_text()))
 
 
 @pytest.mark.parametrize("flags, golden", [([], "theory.stdout"), (["--json"], "theory_json.stdout")])

@@ -91,6 +91,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="^p must be a finite real"):
             ExperimentConfig(n=10, trials=5, p_values=p_values, master_seed=1)
 
+    @pytest.mark.parametrize("p", [10**400, -(10**400)])
+    def test_p_past_the_float_range_is_out_of_range(self, p):
+        with pytest.raises(ValueError, match=r"^p must be in \(0,1\]"):
+            ExperimentConfig(n=10, trials=5, p_values=(p,), master_seed=1)
+
     @pytest.mark.parametrize("jobs", [1.5, True, "2"])
     def test_jobs_must_be_an_int(self, jobs):
         config = ExperimentConfig(n=10, trials=5, p_values=(0.5,), master_seed=1)

@@ -8,6 +8,7 @@ from numpy.polynomial.polynomial import polyval
 
 from sortlab.polyfit import (
     DataPoint,
+    ModelSummaryStats,
     PolyModel,
     RankDeficientError,
     diagnostics,
@@ -198,6 +199,17 @@ class TestDiagnosticsGeneral:
         report = diagnostics(points, model)
         assert report.anova.df_residual == 0
         assert report.exact_fit
+        assert report.summary == ModelSummaryStats(
+            r=1.0, r_squared=1.0, adjusted_r_squared=1.0, std_error_of_estimate=0.0
+        )
+        anova = report.anova
+        assert (anova.df_regression, anova.df_total) == (3, 3)
+        assert anova.ss_total == 17.0
+        assert anova.ms_regression == anova.ss_regression / 3
+        assert (anova.ms_residual, anova.f, anova.sig) == (0.0, None, None)
+        assert [row.term_name for row in report.coefficients] == ["x", "x^2", "x^3", "(constant)"]
+        for row, b in zip(report.coefficients, model.coefficients[1:] + model.coefficients[:1]):
+            assert (row.b, row.std_error, row.t, row.sig) == (b, 0.0, None, None)
 
     def test_constant_response_exact(self):
         points = [DataPoint(float(x), 7.5) for x in range(5)]
@@ -212,6 +224,7 @@ class TestDiagnosticsGeneral:
         assert report.anova.f is None
         assert len(report.coefficients) == 1
         assert report.coefficients[0].term_name == "(constant)"
+        assert report.highest_order_row is report.coefficients[0]
 
     @given(random_points_strategy())
     @settings(max_examples=60)

@@ -102,6 +102,18 @@ class TestExpectedInterchanges:
         with pytest.raises(ValueError):
             expected_interchanges(geometric(0.5), 0)
 
+    @pytest.mark.parametrize("n", [True, 2.5, "3", None])
+    def test_rejects_bools_and_non_integers_by_name(self, n):
+        for call in (expected_interchanges, predict):
+            with pytest.raises(TypeError, match="^n must be an int"):
+                call(geometric(0.5), n)
+
+    def test_accepts_numpy_ints(self):
+        model = geometric(0.5)
+        assert expected_interchanges(model, np.int64(1000)) == expected_interchanges(model, 1000)
+        pred = predict(model, np.uint16(1000))
+        assert type(pred.n) is int and pred == predict(model, 1000)
+
     @given(st.integers(min_value=1, max_value=10**154))
     def test_pair_count_rounds_like_float_division(self, n):
         model = geometric(0.3)
