@@ -12,8 +12,10 @@ loop.  All three first rank each row in one shared step: by a table of
 each row's value counts when the batch holds integers at most n apart,
 else by one sort.  A value with no place in an order is refused there,
 before any comparison: a complex array raises TypeError, and a value not
-equal to itself (NaN, NaT) raises ValueError.  Rows shorter than 2 make no
-comparison and count 0.
+equal to itself (NaN, NaT) raises ValueError.  The inversion counter then
+sorts each row's ranks, and each row by the ranks' higher bits, one sort
+per bit of the largest rank.  Rows shorter than 2 make no comparison and
+count 0.
 
 A 1-d ndarray goes through as a one-row batch; any other input is
 converted by ``np.asarray`` first (to an object array where numpy would
@@ -139,16 +141,6 @@ def _ranks(batch: np.ndarray) -> tuple[np.ndarray, int]:
     return ranks, top
 
 
-def _rank_counts(ranks: np.ndarray, top: int) -> np.ndarray:
-    # counts[t, r - 1]: how many values of row t have rank r, for r <= top.
-    trials = len(ranks)
-    index = np.add(ranks, np.arange(-1, trials * top - 1, top)[:, np.newaxis], dtype=np.intp)
-    return np.bincount(index.ravel(), minlength=trials * top).reshape(trials, top)
-
-
-_WORDS = (np.uint8, np.uint16, np.uint32, np.uint64)
-
-
 def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
     """Count, for every row of a (trials, n) batch, the interchanges of the
     swap-eager double loop (``for i < j: if a[i] > a[j]: swap``).
@@ -203,7 +195,7 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
         # Ranks below the window clip to shift 0 (no bit; every rank in the
         # window is above) and ranks above it to bits + 1, where both shifts
         # pass the word and give 0, as does shift - 1 wrapped from 0.
-        word = next(w for w in _WORDS if np.iinfo(w).bits >= min(top - base, 64))
+        word = np.min_scalar_type((1 << min(top - base, 64)) - 1).type
         if top <= 64:
             shift = ranks
         else:
@@ -272,7 +264,10 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     size = trials * n
     index = np.int32 if size < 2**31 else np.int64
     ranks, top = _ranks(batch)
-    counts = _rank_counts(ranks, top).astype(index)
+    # counts[t, r - 1]: how many values of row t have rank r.
+    cells = np.add(ranks, np.arange(-1, trials * top - 1, top)[:, np.newaxis], dtype=np.intp)
+    counts = np.bincount(cells.ravel(), minlength=trials * top).reshape(trials, top).astype(index)
+    del cells
     # Positions are flat (row * n + column).  Element j is the j-th in
     # (rank, row, column) order; where[j]: its current position, at first
     # its input position.
@@ -365,27 +360,26 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     on by the number of clear elements of its group that follow it.
 
     The groups of equal r >> b fill the same positions in the sort by r, so
-    the S_b terms sum to popcount(r) * (c*s + c*(c-1)/2) over each row's
-    rank blocks, the block of r starting at s = #{values of rank < r} and
-    holding c = #{values of rank r}: the count of each (row, rank) gives
-    them, with no sort.  The S_{b+1} terms take one stable sort of
-    r >> (b+1) per bit below the top one, B - 1 sorts, each a radix sort on
-    8- or 16-bit keys while D <= 2**17.  The ranks come from the shared
-    ranking step, with no sort on a batch of integers at most n apart and
-    with one otherwise.  Cost: O(N log D).
+    the S_b terms sum to i * popcount(r) over the positions i of each row's
+    ranks sorted by value: one sort of the ranks gives them, a radix sort
+    while D < 2**8.  The S_{b+1} terms take one stable sort of r >> (b+1)
+    per bit below the top one, B - 1 sorts, each a radix sort on 8- or
+    16-bit keys while D <= 2**17.  The ranks come from the shared ranking
+    step, with no sort on a batch of integers at most n apart and with one
+    otherwise.  Cost: O(N log D).
     """
     _check_batch(batch)
     trials, n = batch.shape
     if n < 2 or trials == 0:
         return np.zeros(trials, dtype=np.int64)
     ranks, top = _ranks(batch)
-    # weight[i], i's factor in the count (|.| < 64; the int64 product is exact):
-    # popcount(i-th sorted rank), repeated from each (row, rank) count, less,
-    # over b, bit b of the i-th rank in S_{b+1}.
-    popcounts = np.bitwise_count(np.arange(top)).astype(np.int8)
-    weight = np.repeat(np.tile(popcounts, trials), _rank_counts(ranks, top).ravel())
-    weight = weight.reshape(trials, n)
     ranks -= 1  # r = rank - 1, 0 to D - 1
+    # weight[i], i's factor in the count (|.| < 64; the int64 product is exact):
+    # popcount of the row's i-th rank in sorted order, less, over b, bit b of
+    # the i-th rank in S_{b+1}.  Any sort gives the same sorted values; numpy's
+    # radix sort is the quickest on 8-bit keys, its default sort on wider ones.
+    kind = "stable" if ranks.itemsize == 1 else None
+    weight = np.bitwise_count(np.sort(ranks, axis=1, kind=kind)).astype(np.int8)
     order = None  # S_B is the input order
     for b in range((top - 1).bit_length() - 1, -1, -1):
         key = (ranks >> b).astype(np.min_scalar_type((top - 1) >> b), copy=False)

@@ -69,6 +69,14 @@ def _as_int(name: str, value) -> int:
     raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _as_seed(name: str, value) -> int:
+    # _as_int, then refused unless it fits in 64 unsigned bits.
+    value = _as_int(name, value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 def mix64(seed: int, index: int) -> int:
     """Derive the 64-bit seed of substream `index` from a parent seed.
 
@@ -146,7 +154,8 @@ class _TrialSeed:
 
 
 class RandomSource:
-    """One trial's generator: numpy's PCG64, seeded by numpy from `master_seed`.
+    """One trial's generator: numpy's PCG64, seeded by numpy from `master_seed`,
+    an integer (numpy's too, not a bool) in [0, 2**64).
 
     :func:`sample_array` reads its raw 64-bit outputs, one per draw.
     Stateful and single-stream; give each trial its own source, seeded by
@@ -154,11 +163,7 @@ class RandomSource:
     """
 
     def __init__(self, master_seed: int):
-        if not isinstance(master_seed, int) or isinstance(master_seed, bool):
-            raise TypeError(f"master_seed must be an int, got {type(master_seed).__name__}")
-        if not 0 <= master_seed <= _MASK64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-        self._bitgen = np.random.PCG64(master_seed)
+        self._bitgen = np.random.PCG64(_as_seed("master_seed", master_seed))
 
 
 @dataclass(frozen=True)
@@ -248,9 +253,7 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cell_seed = _as_int("cell_seed", cell_seed)
-    if not 0 <= cell_seed <= _MASK64:
-        raise ValueError(f"cell_seed must be a 64-bit unsigned integer, got {cell_seed}")
+    cell_seed = _as_seed("cell_seed", cell_seed)
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     if not isinstance(model, Geometric):

@@ -150,6 +150,12 @@ def _fmt_sig(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+def _fixed(value: float, places: int) -> str:
+    # value to `places` decimals, unsigned when it rounds to zero: "0.000", not "-0.000".
+    text = f"{value:.{places}f}"
+    return text[1:] if text.startswith("-") and not text.strip("-0.") else text
+
+
 def render_verdict(verdict: EmpiricalOVerdict) -> str:
     """Human-readable verdict: label, scan trace, per-degree fit quality."""
     head = f"empirical order: {verdict.verdict_label}"
@@ -168,7 +174,7 @@ def render_verdict(verdict: EmpiricalOVerdict) -> str:
     for d in sorted(verdict.per_degree_reports):
         rep = verdict.per_degree_reports[d]
         lines.append(
-            f"    degree {d}: R^2 {rep.summary.r_squared:.6f}, "
-            f"adjusted {rep.summary.adjusted_r_squared:.6f}"
+            f"    degree {d}: R^2 {_fixed(rep.summary.r_squared, 6)}, "
+            f"adjusted {_fixed(rep.summary.adjusted_r_squared, 6)}"
         )
     return "\n".join(lines)

@@ -34,7 +34,7 @@ import signal
 from dataclasses import dataclass
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import _as_int, geometric, mix64, sample_block
+from .distributions import _as_int, _as_seed, geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -57,7 +57,7 @@ COUNTER_MODES = tuple(_KERNELS)
 BLOCK_VALUES = 1 << 18
 
 #: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel (textbook 20-33, exchange 9-20, inversions 13-18 by tracemalloc
+#: kernel (textbook 20-33, exchange 9-20, inversions 13-17 by tracemalloc
 #: on 262 x 1000 geometric blocks, p = 0.001-0.9), plus the 8 of the int64
 #: block it is given.  The block sampler's own peak (at most 24) comes
 #: before.  A tracemalloc test pins a whole block of each mode within this
@@ -83,7 +83,7 @@ class ExperimentConfig:
         # Stored as Python numbers, each p as the float Geometric checks and
         # keeps, so that numpy scalars neither leak into the CSV as
         # np.float64(...) nor overflow the seed arithmetic.
-        for name in ("n", "trials", "master_seed"):
+        for name in ("n", "trials"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name)))
         object.__setattr__(self, "p_values", tuple(geometric(p).p for p in self.p_values))
         if self.n < 1:
@@ -98,8 +98,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"counter_mode must be one of {COUNTER_MODES}, got {self.counter_mode!r}"
             )
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {self.master_seed}")
+        object.__setattr__(self, "master_seed", _as_seed("master_seed", self.master_seed))
         if self.n * BYTES_PER_VALUE > TRIAL_MEMORY_BUDGET:
             raise ValueError(
                 f"n={self.n} is too large: one trial would need about "

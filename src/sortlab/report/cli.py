@@ -49,7 +49,7 @@ try:
     from .. import __version__
     from ..distributions import ContinuousUniform, geometric
     from ..model_select import SelectionPolicy, render_verdict, select_degree
-    from ..montecarlo import ExperimentConfig, TrialSummary, run_experiment
+    from ..montecarlo import COUNTER_MODES, ExperimentConfig, TrialSummary, run_experiment
     from ..polyfit import DataPoint, diagnostics, fit
     from ..theory import predict as predict_theory
     from .csvio import (
@@ -75,11 +75,7 @@ __all__ = ["build_parser", "main"]
 class UsageError(ValueError):
     """Bad flag combination detected after argparse; exits with code 2."""
 
-_MODE_MAP = {
-    "exchange": "exchange_interchanges",
-    "textbook": "textbook_interchanges",
-    "inversions": "inversions",
-}
+_MODE_MAP = {mode.partition("_")[0]: mode for mode in COUNTER_MODES}
 _DEFAULT_GRID = "0.1..0.9:0.1"
 
 #: Most points one `a..b:step` range may expand to; a range is checked

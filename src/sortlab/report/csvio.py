@@ -7,7 +7,7 @@ every float bit-for-bit.  The cv field is left empty when undefined
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -59,16 +59,8 @@ class RunMetadata:
         )
 
     def comment_lines(self) -> list[str]:
-        lines = [
-            f"# tool_version: {self.tool_version}",
-            f"# algorithm_id: {self.algorithm_id}",
-            f"# config: {self.config}",
-        ]
-        if self.master_seed is not None:
-            lines.append(f"# master_seed: {self.master_seed}")
-        if self.timestamp is not None:
-            lines.append(f"# timestamp: {self.timestamp}")
-        return lines
+        """One `# field: value` line per field that is set, in field order."""
+        return [f"# {key}: {value}" for key, value in asdict(self).items() if value is not None]
 
 
 def _field(value: float | None) -> str:

@@ -1,12 +1,14 @@
 """Plain-text rendering of regression reports in the classic three-table layout.
 
 Display rounds to 3 decimals; significances below 0.0005 render as
-".000" and fractional statistics drop the leading zero, mirroring
-standard statistical-package output.  Full precision lives in the JSON.
+".000", a value that rounds to zero prints without a minus sign, and
+fractional statistics drop the leading zero, mirroring standard
+statistical-package output.  Full precision lives in the JSON.
 """
 
 from __future__ import annotations
 
+from ..model_select import _fixed
 from ..polyfit import RegressionReport
 
 __all__ = ["format_bounded", "format_sig", "render_report"]
@@ -31,11 +33,11 @@ def format_sig(value: float | None) -> str:
 
 def format_bounded(value: float) -> str:
     """3-decimal display without a leading zero (correlations, betas)."""
-    return _strip_zero(f"{value:.3f}")
+    return _strip_zero(_fixed(value, 3))
 
 
 def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.3f}"
+    return "" if value is None else _fixed(value, 3)
 
 
 def _table(rows: list[list[str]]) -> list[str]:

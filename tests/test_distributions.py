@@ -58,12 +58,21 @@ class TestMix64:
 
 class TestRandomSource:
     def test_rejects_bad_seeds(self):
-        with pytest.raises(ValueError):
-            RandomSource(-1)
-        with pytest.raises(ValueError):
-            RandomSource(2**64)
-        with pytest.raises((TypeError, ValueError)):
-            RandomSource(1.5)
+        for seed, error, message in [
+            (True, TypeError, "master_seed must be an int, got bool"),
+            (1.5, TypeError, "master_seed must be an int, got float"),
+            (-1, ValueError, "master_seed must be a 64-bit unsigned integer, got -1"),
+            (2**64, ValueError, f"master_seed must be a 64-bit unsigned integer, got {2**64}"),
+        ]:
+            with pytest.raises(error) as caught:
+                RandomSource(seed)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize("seed", [np.uint64(5), np.int64(5), np.uint8(5)])
+    def test_numpy_integer_seed_draws_as_the_int(self, seed):
+        model = geometric(0.3)
+        given_draws = sample_array(RandomSource(seed), model, 100)
+        assert given_draws.tolist() == sample_array(RandomSource(5), model, 100).tolist()
 
     def test_same_seed_same_stream(self):
         a = RandomSource(7)

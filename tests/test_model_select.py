@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sortlab.model_select import SelectionPolicy, render_verdict, select_degree
+from sortlab.model_select import SelectionPolicy, _fixed, render_verdict, select_degree
 from sortlab.polyfit import DataPoint
 from sortlab.report.fixture import reference_points
 
@@ -17,6 +17,19 @@ def quadratic_points(noise_sd_fraction: float = 0.0, seed: int = 12345):
     span = max(clean) - min(clean)
     noise = rng.normal(0.0, noise_sd_fraction * span, size=len(xs))
     return [DataPoint(x, y + e) for x, y, e in zip(xs, clean, noise)]
+
+
+GRID = [round(0.1 * i, 1) for i in range(1, 10)]
+
+
+def alternating_points():
+    # y = 1, -1, 1, ... on p = 0.1..0.9: no polynomial term up to degree 4 explains it.
+    return [DataPoint(p, (-1.0) ** k) for k, p in enumerate(GRID)]
+
+
+def one_bump_points():
+    # y = 5 but 6 at p = 0.5: the linear fit's R^2 is zero up to rounding noise.
+    return [DataPoint(p, 6.0 if p == 0.5 else 5.0) for p in GRID]
 
 
 class TestSelectionPolicy:
@@ -109,6 +122,19 @@ class TestSelectDegree:
                 assert report.exact_fit or report.highest_order_row.sig < alpha
 
 
+    def test_insignificant_top_term_passes_over_every_degree(self):
+        verdict = select_degree(alternating_points(), SelectionPolicy())
+        assert (verdict.selected_degree, verdict.verdict_label) == (4, "O_emp(p^4)")
+        assert verdict.cap_limited and not verdict.degenerate
+        assert [entry.degree for entry in verdict.decision_trace] == [1, 2, 3, 4]
+        for entry in verdict.decision_trace:
+            assert not entry.accepted
+            assert entry.extension_sig is None
+            assert entry.reason == "own top term not significant at alpha=0.05"
+        sigs = [entry.top_term_sig for entry in verdict.decision_trace]
+        assert sigs == pytest.approx([1.0, 0.5424865615741675, 1.0, 0.4676047546094124])
+
+
 class TestInvariances:
     def test_determinism(self):
         a = select_degree(reference_points(), SelectionPolicy())
@@ -159,6 +185,43 @@ class TestRenderVerdict:
         text = render_verdict(verdict)
         trace_lines = [line for line in text.splitlines() if "top-term sig" in line]
         assert len(trace_lines) == len(verdict.decision_trace)
+
+    def test_insignificant_top_term_lines(self):
+        text = render_verdict(select_degree(alternating_points(), SelectionPolicy()))
+        passed = "extension sig n/a -> passed over (own top term not significant at alpha=0.05)"
+        assert text.splitlines() == [
+            "empirical order: O_emp(p^4)  [cap-limited: no scanned degree was adequate]",
+            f"  degree 1: top-term sig 1.0000, {passed}",
+            f"  degree 2: top-term sig 0.5425, {passed}",
+            f"  degree 3: top-term sig 1.0000, {passed}",
+            f"  degree 4: top-term sig 0.4676, {passed}",
+            "  fit quality by degree:",
+            "    degree 1: R^2 0.000000, adjusted -0.142857",
+            "    degree 2: R^2 0.064935, adjusted -0.246753",
+            "    degree 3: R^2 0.064935, adjusted -0.496104",
+            "    degree 4: R^2 0.194406, adjusted -0.611189",
+        ]
+
+    def test_r_squared_that_rounds_to_zero_prints_unsigned(self):
+        text = render_verdict(select_degree(one_bump_points(), SelectionPolicy()))
+        # The adjusted R^2 is negative after rounding and keeps its sign.
+        assert "    degree 1: R^2 0.000000, adjusted -0.142857" in text.splitlines()
+        assert "-0.000000" not in text
+
+    @pytest.mark.parametrize(
+        "value, places, text",
+        [
+            (-1e-17, 6, "0.000000"),
+            (-0.0, 3, "0.000"),
+            (-0.0004, 3, "0.000"),
+            (-0.0006, 3, "-0.001"),
+            (-0.142857, 6, "-0.142857"),
+            (-400.0, 3, "-400.000"),
+            (2.5e-10, 3, "0.000"),
+        ],
+    )
+    def test_fixed_drops_the_sign_only_of_a_rounded_zero(self, value, places, text):
+        assert _fixed(value, places) == text
 
     def test_degenerate_marker(self):
         points = [DataPoint(0.1 * i, 1.0) for i in range(1, 10)]

@@ -9,6 +9,7 @@ import sys
 import time
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
@@ -171,6 +172,28 @@ class TestRender:
         assert format_bounded(0.991) == ".991"
         assert format_bounded(-0.123) == "-.123"
         assert format_bounded(-5.229) == "-5.229"
+        assert format_bounded(-1e-10) == ".000"
+        assert format_bounded(-0.0006) == "-.001"
+
+    def test_exact_fit_noise_prints_unsigned(self):
+        # The surplus x^2..x^4 coefficients of this exact fit are least-squares
+        # rounding noise, of either sign.
+        summaries, _ = read_summaries_csv(Path(__file__).parent / "golden" / "exact" / "linear.csv")
+        points = [DataPoint(s.p, s.mean_c) for s in summaries]
+        rows = render_report(diagnostics(points, fit(points, 4))).splitlines()
+        start = rows.index("Coefficients") + 3  # past the header and the x row
+        assert rows[start : start + 3] == [
+            "x^2          0.000      0.000        .000",
+            "x^3          0.000      0.000        .000",
+            "x^4          0.000      0.000        .000",
+        ]
+
+    def test_r_square_that_rounds_to_zero_prints_unsigned(self):
+        # y = 5 but 6 at p = 0.5: R^2 is zero up to rounding noise, while the
+        # adjusted R^2 is negative after rounding and keeps its sign.
+        points = [DataPoint(round(0.1 * i, 1), 6.0 if i == 5 else 5.0) for i in range(1, 10)]
+        rows = render_report(diagnostics(points, fit(points, 1))).splitlines()
+        assert rows[2] == ".000   .000       -.143               0.356"
 
     def test_reference_cubic_table_text(self):
         points = reference_points()
@@ -391,6 +414,37 @@ class TestCliSimulate:
         out = capsys.readouterr().out
         assert CSV_HEADER in out
 
+    def test_timestamp_ends_the_comments_in_utc(self, tmp_path):
+        out = tmp_path / "cells.csv"
+        assert main(["simulate", "--n", "5", "--trials", "2", "--p", "0.5", "--seed", "1",
+                     "--out", str(out)]) == 0
+        comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert comments[-1].startswith("# timestamp: ")
+        stamp = datetime.fromisoformat(comments[-1].removeprefix("# timestamp: "))
+        assert stamp.utcoffset() == timedelta(0)
+
+    @pytest.mark.parametrize(
+        "mode, counter_mode",
+        [
+            ("exchange", "exchange_interchanges"),
+            ("inversions", "inversions"),
+            ("textbook", "textbook_interchanges"),
+        ],
+    )
+    def test_mode_runs_its_counter_mode(self, mode, counter_mode, capsys):
+        assert main(["simulate", "--n", "5", "--trials", "2", "--p", "0.5", "--seed", "1",
+                     "--mode", mode, "--no-timestamp"]) == 0
+        _, metadata = parse_summaries_csv(capsys.readouterr().out)
+        assert f" mode={counter_mode} " in metadata["config"]
+
+    def test_modes_are_the_counter_modes(self):
+        assert cli._MODE_MAP == {
+            "exchange": "exchange_interchanges",
+            "inversions": "inversions",
+            "textbook": "textbook_interchanges",
+        }
+        assert sorted(cli._MODE_MAP.values()) == sorted(montecarlo.COUNTER_MODES)
+
     def test_invalid_p_exits_2(self, capsys):
         rc = main(["simulate", "--p", "0", "--seed", "1"])
         assert rc == 2
@@ -603,6 +657,12 @@ class TestCliFit:
         assert doc["model"]["degree"] == 3
         assert doc["anova"]["f"] == pytest.approx(186.660, abs=0.05)
         assert doc["metadata"]["timestamp"] is None
+
+    def test_json_artifact_timestamp_is_utc(self, tmp_path, capsys):
+        out_json = tmp_path / "fit.json"
+        assert main(["fit", "--use-fixture", "--degree", "3", "--out-json", str(out_json)]) == 0
+        stamp = datetime.fromisoformat(json.loads(out_json.read_text())["metadata"]["timestamp"])
+        assert stamp.utcoffset() == timedelta(0)
 
     def test_csv_input(self, tmp_path, capsys):
         path = tmp_path / "cells.csv"
