@@ -361,12 +361,12 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
 
     The groups of equal r >> b fill the same positions in the sort by r, so
     the S_b terms sum to i * popcount(r) over the positions i of each row's
-    ranks sorted by value: one sort of the ranks gives them, a radix sort
-    while D < 2**8.  The S_{b+1} terms take one stable sort of r >> (b+1)
-    per bit below the top one, B - 1 sorts, each a radix sort on 8- or
-    16-bit keys while D <= 2**17.  The ranks come from the shared ranking
-    step, with no sort on a batch of integers at most n apart and with one
-    otherwise.  Cost: O(N log D).
+    ranks sorted by value: one stable sort of the ranks gives them, a radix
+    sort on 8- or 16-bit keys while D < 2**16.  The S_{b+1} terms take one
+    stable sort of r >> (b+1) per bit below the top one, B - 1 sorts, each
+    a radix sort on 8- or 16-bit keys while D <= 2**17.  The ranks come
+    from the shared ranking step, with no sort on a batch of integers at
+    most n apart and with one otherwise.  Cost: O(N log D).
     """
     _check_batch(batch)
     trials, n = batch.shape
@@ -376,10 +376,8 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     ranks -= 1  # r = rank - 1, 0 to D - 1
     # weight[i], i's factor in the count (|.| < 64; the int64 product is exact):
     # popcount of the row's i-th rank in sorted order, less, over b, bit b of
-    # the i-th rank in S_{b+1}.  Any sort gives the same sorted values; numpy's
-    # radix sort is the quickest on 8-bit keys, its default sort on wider ones.
-    kind = "stable" if ranks.itemsize == 1 else None
-    weight = np.bitwise_count(np.sort(ranks, axis=1, kind=kind)).astype(np.int8)
+    # the i-th rank in S_{b+1}.
+    weight = np.bitwise_count(np.sort(ranks, axis=1, kind="stable")).astype(np.int8)
     order = None  # S_B is the input order
     for b in range((top - 1).bit_length() - 1, -1, -1):
         key = (ranks >> b).astype(np.min_scalar_type((top - 1) >> b), copy=False)

@@ -150,8 +150,12 @@ def _fmt_sig(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
-def _fixed(value: float, places: int) -> str:
-    # value to `places` decimals, unsigned when it rounds to zero: "0.000", not "-0.000".
+def format_fixed(value: float, places: int) -> str:
+    """`value` to `places` decimals, unsigned if it rounds to zero ("0.000", not "-0.000").
+
+    The one negative-zero rule of the text output: the verdict's R^2 lines
+    and the tables of :mod:`sortlab.report.render` print through it.
+    """
     text = f"{value:.{places}f}"
     return text[1:] if text.startswith("-") and not text.strip("-0.") else text
 
@@ -174,7 +178,7 @@ def render_verdict(verdict: EmpiricalOVerdict) -> str:
     for d in sorted(verdict.per_degree_reports):
         rep = verdict.per_degree_reports[d]
         lines.append(
-            f"    degree {d}: R^2 {_fixed(rep.summary.r_squared, 6)}, "
-            f"adjusted {_fixed(rep.summary.adjusted_r_squared, 6)}"
+            f"    degree {d}: R^2 {format_fixed(rep.summary.r_squared, 6)}, "
+            f"adjusted {format_fixed(rep.summary.adjusted_r_squared, 6)}"
         )
     return "\n".join(lines)

@@ -8,7 +8,7 @@ statistical-package output.  Full precision lives in the JSON.
 
 from __future__ import annotations
 
-from ..model_select import _fixed
+from ..model_select import format_fixed
 from ..polyfit import RegressionReport
 
 __all__ = ["format_bounded", "format_sig", "render_report"]
@@ -33,11 +33,11 @@ def format_sig(value: float | None) -> str:
 
 def format_bounded(value: float) -> str:
     """3-decimal display without a leading zero (correlations, betas)."""
-    return _strip_zero(_fixed(value, 3))
+    return _strip_zero(format_fixed(value, 3))
 
 
 def _fmt(value: float | None) -> str:
-    return "" if value is None else _fixed(value, 3)
+    return "" if value is None else format_fixed(value, 3)
 
 
 def _table(rows: list[list[str]]) -> list[str]:

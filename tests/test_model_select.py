@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sortlab.model_select import SelectionPolicy, _fixed, render_verdict, select_degree
+from sortlab.model_select import SelectionPolicy, format_fixed, render_verdict, select_degree
 from sortlab.polyfit import DataPoint
 from sortlab.report.fixture import reference_points
 
@@ -221,7 +221,7 @@ class TestRenderVerdict:
         ],
     )
     def test_fixed_drops_the_sign_only_of_a_rounded_zero(self, value, places, text):
-        assert _fixed(value, places) == text
+        assert format_fixed(value, places) == text
 
     def test_degenerate_marker(self):
         points = [DataPoint(0.1 * i, 1.0) for i in range(1, 10)]
