@@ -324,11 +324,8 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
         where[elements] = dest
         who[dest] = elements
         g0 = g1
-    # slots is a permutation of the flat positions: scattered into slot
-    # order, "element j moved" lands in its row.
-    swapped = np.empty(size, dtype=bool)
-    swapped[slots] = where != slots
-    return swapped.reshape(trials, n).sum(axis=1, dtype=np.int64)
+    # Element j moved iff it ends away from its slot, which lies in its row.
+    return np.bincount(slots[where != slots] // n, minlength=trials).astype(np.int64)
 
 
 def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .special import f_sig, student_t_two_sided_sig
+from .special import f_sig
 
 __all__ = [
     "AnovaTable",
@@ -254,7 +254,8 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
         # Not sqrt(diag * 0.0) for an exact fit: that is NaN where diag overflowed.
         se_j = 0.0 if exact else float(np.sqrt(diag[j] * ms_res))
         t_j = None if exact else b_j / se_j
-        p_j = None if t_j is None else student_t_two_sided_sig(t_j, df_res)
+        # T squared is F(1, df): the t test's two-sided sig is an F tail.
+        p_j = None if t_j is None else f_sig(t_j * t_j, 1, df_res)
         if j == 0:
             beta_j = None
             name = "(constant)"

@@ -23,6 +23,7 @@ import json
 import os
 import secrets
 import sys
+from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
@@ -249,13 +250,7 @@ def _cmd_theory(args) -> int:
         model = geometric(args.p)
         model_text = f"geometric(p={args.p!r})"
     pred = predict_theory(model, args.n)
-    fields = {
-        "model": model_text,
-        "n": args.n,
-        "tie_probability": pred.tie_probability,
-        "interchange_probability": pred.interchange_probability,
-        "expected_interchanges": pred.expected_interchanges,
-    }
+    fields = {"model": model_text, **{k: v for k, v in asdict(pred).items() if k != "model"}}
     if args.json:
         print(json.dumps(fields, indent=2))
     else:

@@ -75,11 +75,14 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def student_t_two_sided_sig(t: float, df: int) -> float:
-    """Two-sided tail 2*P(T_df > |t|) via the incomplete-beta identity."""
+    """Two-sided tail 2*P(T_df > |t|).
+
+    T_df squared is F(1, df), so a two-sided t test is an F(1, df) test:
+    the tail is P(F_{1,df} > t*t), and :func:`f_sig` computes it.
+    """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    return f_sig(t * t, 1, df)
 
 
 def f_sig(f: float, df1: int, df2: int) -> float:

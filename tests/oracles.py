@@ -7,6 +7,11 @@ inversion count by brute force over all pairs (and once more by a merge
 sort, for long rows), and the geometric mass function.  The batched
 kernels must agree with them exactly, count for count.
 
+:func:`weak_orders` and :func:`pattern_probability` give the exact small-n
+law of every count: each count depends only on an array's dense-rank
+pattern, so running a literal loop once per pattern, weighted by the
+pattern's probability, gives its exact distribution.
+
 The sampling oracles read numpy's own ``PCG64(seed)`` directly: the top
 53 bits of each raw output make one uniform deviate, and the inverse CDF
 maps it to one geometric variate.  They share no code with the package's
@@ -18,6 +23,7 @@ per trial on a source that numpy seeds itself.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -169,3 +175,45 @@ def scalar_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -
         raw = np.random.PCG64(mix64(cell_seed, t)).random_raw(n).tolist()
         rows.append([geometric_from_uniform(uniform_from_raw(r), p) for r in raw])
     return np.array(rows, dtype=np.int64)
+
+
+def weak_orders(n: int):
+    """Every dense-rank pattern of length n, as a tuple of ranks 0..D-1 that
+    uses each of its D ranks, for D = 1..n (n = 0 gives the empty tuple).
+
+    There are a Fubini number of them: 1, 3, 13, 75, 541, 4683 and 47293
+    for n = 1..7.  The ranks are assigned one at a time, lowest first, to a
+    nonempty subset of the positions still free.
+    """
+    pattern = [0] * n
+
+    def fill(free: tuple, rank: int):
+        if not free:
+            yield tuple(pattern)
+            return
+        for size in range(1, len(free) + 1):
+            for block in itertools.combinations(free, size):
+                for i in block:
+                    pattern[i] = rank
+                yield from fill(tuple(i for i in free if i not in block), rank + 1)
+
+    yield from fill(tuple(range(n)), 0)
+
+
+def pattern_probability(block_sizes, p: float) -> float:
+    """Chance that n iid geometric(p) draws have a given dense-rank pattern,
+    the one whose j-th smallest distinct value occurs block_sizes[j] times.
+
+    With c_1..c_D the block sizes, S_j = c_j + ... + c_D and x = 1 - p:
+    P = p^n * x^(S_2 + ... + S_D) / prod_j (1 - x^(S_j)).  Write the values
+    as v_1 = g_1 and v_j = v_(j-1) + 1 + g_j with every gap g_j >= 0; the
+    mass p^n * x^(sum_j c_j v_j) is then p^n * x^(S_2 + ... + S_D) *
+    prod_j x^(S_j g_j), and each gap's geometric series sums to
+    1 / (1 - x^(S_j)).
+    """
+    x = 1.0 - p
+    tails = list(itertools.accumulate(reversed(block_sizes)))[::-1]  # S_1..S_D
+    prob = p ** tails[0] * x ** sum(tails[1:])
+    for s in tails:
+        prob /= 1.0 - x**s
+    return prob

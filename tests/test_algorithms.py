@@ -560,6 +560,31 @@ class TestTextbookKernelValueBlocks:
         )
         assert_matches_literal_loop(textbook_sort_batch, batch)
 
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    def test_no_row_moves(self, trials):
+        # Sorted rows: no element leaves its slot, and every row still gets
+        # its own 0.
+        rng = np.random.default_rng(trials)
+        batch = np.sort(rng.integers(0, 4, size=(trials, 9)), axis=1)
+        assert_matches_literal_loop(textbook_sort_batch, batch)
+        assert textbook_sort_batch(batch).tolist() == [0] * trials
+
+    def test_every_row_moves(self):
+        # Each row's minimum comes last, so every row swaps at least once.
+        rng = np.random.default_rng(5)
+        batch = rng.integers(1, 5, size=(6, 11))
+        batch[:, -1] = 0
+        batch[0] = np.arange(11)[::-1]
+        assert_matches_literal_loop(textbook_sort_batch, batch)
+        assert (textbook_sort_batch(batch) > 0).all()
+
+    def test_only_some_rows_move(self):
+        # Rows that do not move, first, between and last, still count 0.
+        rows = [[0, 1, 1, 2], [2, 0, 1, 1], [1, 1, 1, 1], [3, 2, 1, 0], [0, 0, 5, 5]]
+        batch = np.array(rows)
+        assert_matches_literal_loop(textbook_sort_batch, batch)
+        assert textbook_sort_batch(batch).tolist() == [0, 3, 0, 2, 0]
+
     @pytest.mark.parametrize(
         "n", sorted({2**k + d for k in range(1, 8) for d in (-1, 0, 1)})
     )

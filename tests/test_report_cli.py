@@ -8,13 +8,14 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import pytest
 
 from sortlab import montecarlo
+from sortlab.distributions import ContinuousUniform, geometric
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
 from sortlab.polyfit import DataPoint, PolyModel, diagnostics, fit
@@ -37,6 +38,7 @@ from sortlab.report.fixture import (
 from sortlab.report.jsonio import report_to_dict, verdict_to_dict
 from sortlab.report.render import format_bounded, format_sig, render_report
 from sortlab.report.svg import write_scatter_svg
+from sortlab.theory import TheoryPrediction, predict
 
 FIXTURE_SHA256 = "07f6a23e204a34f4291c718f54011a9ab969d191d0ca8a016df6a043eabb91fb"
 
@@ -599,6 +601,23 @@ class TestCliTheory:
     def test_continuous(self, capsys):
         assert main(["theory", "--dist", "continuous", "--n", "1000"]) == 0
         assert "249750" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "dist,model,text",
+        [
+            (["--dist", "geometric", "--p", "0.3"], geometric(0.3), "geometric(p=0.3)"),
+            (["--dist", "continuous"], ContinuousUniform(), "continuous uniform"),
+        ],
+    )
+    def test_fields_are_the_prediction_record_in_declaration_order(self, dist, model, text, capsys):
+        pred = predict(model, 1000)
+        names = [f.name for f in fields(TheoryPrediction) if f.name != "model"]
+        assert main(["theory", *dist, "--n", "1000"]) == 0
+        want = [f"model: {text}"] + [f"{name.replace('_', ' ')}: {getattr(pred, name)}" for name in names]
+        assert capsys.readouterr().out.splitlines() == want
+        assert main(["theory", *dist, "--n", "1000", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc.items()) == [("model", text)] + [(name, getattr(pred, name)) for name in names]
 
     def test_p_one_expected_zero(self, capsys):
         assert main(["theory", "--dist", "geometric", "--p", "1", "--n", "10"]) == 0

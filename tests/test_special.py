@@ -106,8 +106,20 @@ class TestStudentTSig:
         assert all(s1 >= s2 - 1e-15 for s1, s2 in zip(sigs, sigs[1:]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            student_t_two_sided_sig(1.0, 0)
+        # Its own message, not f_sig's about (df1, df2): the caller passed one df.
+        for df in (0, -3):
+            with pytest.raises(ValueError, match=rf"^df must be >= 1, got {df}$"):
+                student_t_two_sided_sig(1.0, df)
+
+    @pytest.mark.parametrize("df", range(1, 61))
+    def test_is_the_f_test_with_one_numerator_df_bit_for_bit(self, df):
+        # T_df squared is F(1, df), and f_sig(t * t, 1, df) evaluates the
+        # same incomplete beta as the t tail's own identity, at the same
+        # arguments.
+        for t in (0.0, 1e-8, -1e-8, 0.5, -0.5, 2.7, -2.7, 40.0, -40.0, 1e8, -1e8):
+            former = regularized_incomplete_beta(df / 2, 0.5, df / (df + t * t))
+            assert f_sig(t * t, 1, df) == former
+            assert student_t_two_sided_sig(t, df) == former
 
 
 class TestFSig:
