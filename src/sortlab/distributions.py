@@ -195,12 +195,25 @@ class ContinuousUniform:
     """iid continuous uniform input on [0, 1): a tag for the closed-form theory only."""
 
 
-def _check_inverse_p(p: float) -> None:
+def _inverse_p(model: Geometric, n: int) -> float | None:
+    """The p whose inverse CDF maps a sampler's uniforms, or None at p = 1,
+    where every draw is 0.
+
+    Refuses, in this order: n < 1, a model that is not `Geometric`, and a p
+    whose draws would overflow int64.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not isinstance(model, Geometric):
+        raise TypeError(f"unknown input model: {model!r}")
+    if model.p >= 1.0:
+        return None
     # The largest uniform is 1 - 2**-53, so no draw exceeds this bound; past
     # the int64 range (p below about 4e-18) the cast in _geometric_in_place
     # would wrap.
-    if math.log(2.0**-53) / math.log1p(-p) >= 2.0**63:
-        raise ValueError(f"p={p!r} is too small: geometric draws would overflow int64")
+    if math.log(2.0**-53) / math.log1p(-model.p) >= 2.0**63:
+        raise ValueError(f"p={model.p!r} is too small: geometric draws would overflow int64")
+    return model.p
 
 
 def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
@@ -226,15 +239,9 @@ def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
 
 def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
     """n iid geometric draws from `src` by the inverse CDF, in draw order, as int64."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not isinstance(model, Geometric):
-        raise TypeError(f"unknown input model: {model!r}")
-    if model.p >= 1.0:
-        src._bitgen.random_raw(n)  # keep stream consumption identical to p < 1
-        return np.zeros(n, dtype=np.int64)
-    _check_inverse_p(model.p)
-    return _geometric_in_place(src._bitgen.random_raw(n), model.p)
+    p = _inverse_p(model, n)
+    raw = src._bitgen.random_raw(n)  # drawn at p = 1 too, so every p advances src alike
+    return np.zeros(n, dtype=np.int64) if p is None else _geometric_in_place(raw, p)
 
 
 def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
@@ -247,22 +254,19 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     from its words, so every draw still comes from numpy's PCG64.  The
     block is filled as raw uint64, and :func:`_geometric_in_place` maps each
     raw word to its draw in the block's buffer (about 8 bytes per value,
-    output included).  Refusals (n < 1, a `cell_seed` that is not an int
-    in [0, 2**64), a bad start/stop, a model that is not `Geometric`, a p
-    whose draws would overflow int64) raise before any draw.
+    output included).  Refusals raise before any draw, in this order:
+    :func:`_inverse_p`'s (n < 1, a model that is not `Geometric`, a p whose
+    draws would overflow int64), then a `cell_seed` that is not an int in
+    [0, 2**64), then a bad start/stop.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
-    if not isinstance(model, Geometric):
-        raise TypeError(f"unknown input model: {model!r}")
-    if model.p >= 1.0:
+    if p is None:
         return np.zeros((stop - start, n), dtype=np.int64)
-    _check_inverse_p(model.p)
     np.random.bit_generator.ISeedSequence.register(_TrialSeed)
     raw = np.empty((stop - start, n), dtype=np.uint64)
     for row, words in zip(raw, _seed_sequence_words(_mix64_block(cell_seed, start, stop))):
         row[:] = np.random.PCG64(_TrialSeed(words)).random_raw(n)
-    return _geometric_in_place(raw, model.p)
+    return _geometric_in_place(raw, p)

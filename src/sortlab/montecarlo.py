@@ -109,7 +109,10 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialSummary:
-    """Aggregated counts for one (p, n) cell; cv_c is None when mean_c is 0."""
+    """Aggregated counts for one (p, n) cell; cv_c is None when mean_c is 0.
+
+    p, mean_c, sd_c and a cv_c that is not None must be finite, and sd_c >= 0.
+    """
 
     p: float
     n: int
@@ -119,6 +122,10 @@ class TrialSummary:
     cv_c: float | None
 
     def __post_init__(self):
+        for name in ("p", "mean_c", "sd_c", "cv_c"):
+            value = getattr(self, name)
+            if not ((name == "cv_c" and value is None) or math.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sd_c < 0.0:
             raise ValueError(f"sd_c must be >= 0, got {self.sd_c}")
 

@@ -26,6 +26,16 @@ _WIDTH, _HEIGHT = 640.0, 440.0
 _M_LEFT, _M_RIGHT, _M_TOP, _M_BOTTOM = 86.0, 26.0, 42.0, 58.0
 
 
+def _span(values: Sequence[float], pad: float) -> tuple[float, float]:
+    """An axis range: min to max of `values`, widened by 0.5 each way if it has no width,
+    then by `pad` of its width each way."""
+    lo, hi = min(values), max(values)
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    margin = pad * (hi - lo)
+    return lo - margin, hi + margin
+
+
 def _curve_points(model: PolyModel, x_lo: float, x_hi: float) -> list[tuple[float, float]]:
     step = (x_hi - x_lo) / (_CURVE_SAMPLES - 1)
     xs = [x_lo + i * step for i in range(_CURVE_SAMPLES)]
@@ -75,25 +85,11 @@ def write_scatter_svg(
     if not points:
         raise ValueError("points must be nonempty; they fix the axis ranges")
 
-    x_lo = min(pt.x for pt in points)
-    x_hi = max(pt.x for pt in points)
-    if x_hi == x_lo:
-        x_lo -= 0.5
-        x_hi += 0.5
+    x_lo, x_hi = _span([pt.x for pt in points], 0.0)
     label, model = curve
     curve_points = _curve_points(model, x_lo, x_hi)
-
-    ys = [pt.y for pt in points] + [y for _, y in curve_points]
-    y_lo, y_hi = min(ys), max(ys)
-    if y_hi == y_lo:
-        y_lo -= 0.5
-        y_hi += 0.5
-    y_pad = 0.05 * (y_hi - y_lo)
-    y_lo -= y_pad
-    y_hi += y_pad
-    x_pad = 0.03 * (x_hi - x_lo)
-    x_lo -= x_pad
-    x_hi += x_pad
+    y_lo, y_hi = _span([pt.y for pt in points] + [y for _, y in curve_points], 0.05)
+    x_lo, x_hi = _span([x_lo, x_hi], 0.03)
 
     plot_w = _WIDTH - _M_LEFT - _M_RIGHT
     plot_h = _HEIGHT - _M_TOP - _M_BOTTOM

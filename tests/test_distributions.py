@@ -22,8 +22,8 @@ from sortlab.distributions import (
     ContinuousUniform,
     Geometric,
     RandomSource,
-    _check_inverse_p,
     _geometric_in_place,
+    _inverse_p,
     _mix64_block,
     _seed_sequence_words,
     _TrialSeed,
@@ -219,7 +219,7 @@ class TestSamplerAgreement:
     def test_accepted_p_maps_the_largest_uniform_within_int64(self, p):
         # The overflow check admits p exactly when the largest deviate,
         # 1 - 2**-53, still lands in int64 instead of wrapping negative.
-        _check_inverse_p(p)
+        assert _inverse_p(geometric(p), 1) == p
         raw = np.array([(2**53 - 1) << 11, 0], dtype=np.uint64)  # u = 1 - 2**-53 and 0
         top, bottom = _geometric_in_place(raw, p).tolist()
         assert bottom == 0
@@ -260,12 +260,18 @@ class TestSampleArray:
         assert int(arr.min()) >= 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_array(RandomSource(8), geometric(0.4), 0)
+        src = RandomSource(8)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample_array(src, geometric(0.4), 0)
+        with pytest.raises(ValueError, match="would overflow int64"):
+            sample_array(src, geometric(5e-324), 10)
         # Continuous input is a theory tag only: no sampler draws it.
         for model in (ContinuousUniform(), object(), 0.4):
             with pytest.raises(TypeError, match="unknown input model"):
-                sample_array(RandomSource(8), model, 10)
+                sample_array(src, model, 10)
+        # Each refusal came before any draw: the source still starts at its first output.
+        first = sample_array(RandomSource(8), geometric(0.4), 5)
+        assert np.array_equal(sample_array(src, geometric(0.4), 5), first)
 
     def test_pinned_values(self):
         assert sample_array(RandomSource(5), geometric(0.3), 10)[:3].tolist() == [4, 4, 2]
@@ -367,6 +373,10 @@ class TestSampleBlock:
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < crit
 
+    def test_model_is_refused_before_cell_seed(self):
+        with pytest.raises(TypeError, match="unknown input model"):
+            sample_block(ContinuousUniform(), 5, -1, 0, 3)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
             sample_block(geometric(0.5), 0, 1, 0, 3)
@@ -377,7 +387,7 @@ class TestSampleBlock:
             with pytest.raises(TypeError, match="unknown input model"):
                 sample_block(model, 5, 1, 0, 3)
 
-    @pytest.mark.parametrize("p", [1e-300, 3.9e-18])
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 3.9e-18])
     def test_refuses_before_any_draw(self, monkeypatch, p):
         draws = []
         pcg64 = np.random.PCG64

@@ -1,5 +1,6 @@
 """Trial harness: exact moments, cell seeding, determinism, parallel parity."""
 
+import dataclasses
 import math
 import os
 import signal
@@ -16,6 +17,7 @@ from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
 from sortlab.report.cli import main
 from sortlab.report.csvio import RunMetadata, format_summaries_csv, parse_summaries_csv
+from sortlab.report.fixture import REFERENCE_ROWS
 from sortlab.theory import expected_interchanges
 
 
@@ -122,6 +124,14 @@ class TestTrialSummary:
     def test_rejects_negative_sd(self):
         with pytest.raises(ValueError):
             TrialSummary(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=-0.1, cv_c=None)
+
+    def test_pipeline_and_fixture_rows_construct(self):
+        # dataclasses.replace runs __post_init__ again on each row; p = 1
+        # gives mean_c = 0 and cv_c = None.
+        config = ExperimentConfig(n=20, trials=3, p_values=(0.5, 1.0), master_seed=1)
+        rows = run_experiment(config) + REFERENCE_ROWS
+        assert rows[1].cv_c is None
+        assert tuple(dataclasses.replace(row) for row in rows) == rows
 
 
 ORACLES = {

@@ -118,6 +118,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match="line 4"):
             parse_summaries_csv(text)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["p", "mean_c", "sd_c", "cv_c"])
+    def test_non_finite_number_has_line_number(self, field, value):
+        row = dict(zip(CSV_HEADER.split(","), ["0.1", "10", "5", "1.0", "0.5", "0.5"]))
+        row[field] = value
+        text = CSV_HEADER + "\n" + ",".join(row.values()) + "\n"
+        with pytest.raises(CsvFormatError, match=f"^line 2: {field} must be finite, got {value}$"):
+            parse_summaries_csv(text)
+
     def test_wrong_field_count_has_line_number(self):
         text = CSV_HEADER + "\n0.1,10,5,1.0\n"
         with pytest.raises(CsvFormatError, match="line 2"):
@@ -274,6 +283,25 @@ class TestSvg:
                 metadata=metadata_for_tests(),
                 title="cells",
             )
+
+    def test_one_point_widens_both_axes(self, tmp_path):
+        # An empty range is widened by 0.5 each way, then padded by 3% (x)
+        # and 5% (y) of its width, so the lone point sits mid-plot.
+        path = tmp_path / "fig.svg"
+        write_scatter_svg(
+            path,
+            [DataPoint(0.5, 3.0)],
+            ("fit", PolyModel(0, (3.0,))),
+            metadata=metadata_for_tests(),
+            title="cells",
+        )
+        root = ET.parse(path).getroot()
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        (circle,) = root.findall(".//svg:circle", ns)
+        assert (circle.get("cx"), circle.get("cy")) == ("350.00", "212.00")
+        ticks = [el.text for el in root.findall(".//svg:text", ns) if el.get("font-size") == "11"]
+        assert ticks[0::2] == ["-0.03", "0.235", "0.5", "0.765", "1.03"]
+        assert ticks[1::2] == ["2.45", "2.725", "3", "3.275", "3.55"]
 
     def test_no_scripting(self, tmp_path):
         points = reference_points()
@@ -701,6 +729,14 @@ class TestCliFit:
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fit", "--degree", "1"], ["select"]])
+    @pytest.mark.parametrize("row", ["0.1,10,5,1.0,nan,", "0.1,10,5,inf,0.5,", "nan,10,5,1.0,0.5,"])
+    def test_non_finite_csv_exits_1_with_line(self, tmp_path, capsys, command, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(CSV_HEADER + "\n" + row + "\n0.2,10,5,2.0,0.5,\n")
+        assert main([command[0], "--input", str(path), *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")
@@ -853,15 +889,15 @@ class TestCliProcess:
         assert proc.stdout == b"[False, False, False, False]\n"
 
     def test_import_sortlab_leaves_numpy_unloaded(self):
-        # The package resolves its names on first access, so the CLI module
-        # body runs before numpy loads; dir() lists them before any access.
+        # The package imports no submodule, so the CLI module body runs
+        # before numpy loads.
         code = (
             "import sys, sortlab\n"
-            "listed = set(sortlab.__all__) <= set(dir(sortlab))\n"
-            "print('numpy' in sys.modules, listed, sortlab.__version__)\n"
+            "loaded = [m for m in sys.modules if m == 'numpy' or m.startswith('sortlab.')]\n"
+            "print(loaded, sortlab.__version__)\n"
         )
         proc = _sortlab_process(["-c", code], subprocess.PIPE)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"False True 0.1.0\n", b"")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"[] 0.1.0\n", b"")
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_cli_import_runs_numpy_on_one_thread(self):

@@ -36,8 +36,10 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["fit", "--input", "tests/golden/exact/linear.csv", "--degree", "4",
      "--out-json", "{out}/fit.json"],
     ["select", "--use-fixture", "--out-json", "{out}/verdict.json"],
+    ["select", "--use-fixture", "--alpha", "0.01"],
     ["simulate", "--seed", "5", "--n", "50", "--trials", "20"],
     ["simulate", "--seed", str(2**64)],
+    ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
     ["simulate", "--seed", "1", "--mode", "nope"],
 ]
 
