@@ -6,7 +6,8 @@ error.  This resolves each target the way ``install`` does, without
 installing anything.  The benchmark's output check draws its inputs
 through ``perfbench/oracle.py``, which must keep drawing what the
 pipeline draws; and every name a module lists in ``__all__`` must exist,
-or ``from ... import *`` breaks.
+or ``from ... import *`` breaks.  Each name the package itself once
+exported stays public in the module that defines it, and only there.
 """
 
 import importlib
@@ -73,3 +74,42 @@ _MODULES = [sortlab] + [
 )
 def test_all_names_resolve(module, name):
     assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}, which it lacks"
+
+
+# The names `sortlab` itself once exported, by the module that defines them.
+_FORMER_PACKAGE_NAMES = {
+    "algorithms": (
+        "OpCounters",
+        "count_inversions",
+        "exchange_selection_sort",
+        "textbook_selection_sort",
+    ),
+    "distributions": ("ContinuousUniform", "Geometric", "geometric", "mix64", "sample_block"),
+    "model_select": ("EmpiricalOVerdict", "SelectionPolicy", "render_verdict", "select_degree"),
+    "montecarlo": ("ExperimentConfig", "TrialSummary", "run_cell", "run_experiment"),
+    "polyfit": (
+        "DataPoint",
+        "PolyModel",
+        "RankDeficientError",
+        "RegressionReport",
+        "diagnostics",
+        "fit",
+    ),
+    "theory": (
+        "TheoryPrediction",
+        "expected_interchanges",
+        "interchange_probability",
+        "tie_probability",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module_name,name",
+    [(module, name) for module, names in _FORMER_PACKAGE_NAMES.items() for name in names],
+    ids=lambda v: v,
+)
+def test_former_package_name_is_public_in_its_module(module_name, name):
+    module = importlib.import_module(f"sortlab.{module_name}")
+    assert name in module.__all__, f"sortlab.{module_name}.__all__ no longer lists {name!r}"
+    assert not hasattr(sortlab, name), f"sortlab.{name} is back; import it from its module"
