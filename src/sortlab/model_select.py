@@ -57,15 +57,19 @@ class EmpiricalOVerdict:
 
     `cap_limited` marks a scan that exhausted its degree range without
     finding an adequate degree; `degenerate` marks constant-response
-    data, which short-circuits to degree 0 without scanning.
+    data, which short-circuits to degree 0 without scanning.  The
+    "O_emp(p^d)" label is derived from `selected_degree`, not stored.
     """
 
     selected_degree: int
-    verdict_label: str
     cap_limited: bool
     degenerate: bool
     decision_trace: tuple[TraceEntry, ...]
     per_degree_reports: dict[int, RegressionReport] = field(repr=False)
+
+    @property
+    def verdict_label(self) -> str:
+        return f"O_emp(p^{self.selected_degree})"
 
 
 def _report_for(
@@ -99,7 +103,6 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
         report = diagnostics(points, fit(points, 0))
         return EmpiricalOVerdict(
             selected_degree=0,
-            verdict_label="O_emp(p^0)",
             cap_limited=False,
             degenerate=True,
             decision_trace=(TraceEntry(0, None, None, True, "constant response, nothing to rank"),),
@@ -138,7 +141,6 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
 
     return EmpiricalOVerdict(
         selected_degree=selected,
-        verdict_label=f"O_emp(p^{selected})",
         cap_limited=cap_limited,
         degenerate=False,
         decision_trace=tuple(trace),

@@ -111,7 +111,8 @@ class ExperimentConfig:
 class TrialSummary:
     """Aggregated counts for one (p, n) cell; cv_c is None when mean_c is 0.
 
-    p, mean_c, sd_c and a cv_c that is not None must be finite, and sd_c >= 0.
+    p, mean_c, sd_c and a cv_c that is not None must be finite, p a valid
+    geometric parameter in (0, 1], n and trials ints >= 1, and sd_c >= 0.
     """
 
     p: float
@@ -126,6 +127,10 @@ class TrialSummary:
             value = getattr(self, name)
             if not ((name == "cv_c" and value is None) or math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
+        geometric(self.p)
+        for name in ("n", "trials"):
+            if _as_int(name, getattr(self, name)) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.sd_c < 0.0:
             raise ValueError(f"sd_c must be >= 0, got {self.sd_c}")
 

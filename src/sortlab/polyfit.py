@@ -12,7 +12,7 @@ back to the raw power basis, which is what the reported tables use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -54,21 +54,21 @@ class DataPoint:
 
 @dataclass(frozen=True)
 class PolyModel:
-    """Polynomial in the raw power basis: coefficients[j] multiplies x**j."""
+    """Polynomial in the raw power basis: coefficients[j] multiplies x**j.
 
-    degree: int
+    Only the coefficients are passed, at least one and each finite;
+    `degree` is derived from them as ``len(coefficients) - 1``.
+    """
+
+    degree: int = field(init=False)
     coefficients: tuple[float, ...]
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be >= 0, got {self.degree}")
-        if len(self.coefficients) != self.degree + 1:
-            raise ValueError(
-                f"expected {self.degree + 1} coefficients for degree {self.degree}, "
-                f"got {len(self.coefficients)}"
-            )
+        if not self.coefficients:
+            raise ValueError("coefficients must be nonempty")
         if not all(np.isfinite(c) for c in self.coefficients):
             raise ValueError("coefficients must be finite")
+        object.__setattr__(self, "degree", len(self.coefficients) - 1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     poly_x = np.polynomial.Polynomial(coef_z)(np.polynomial.Polynomial([-mu / scale, 1.0 / scale]))
     raw = np.zeros(degree + 1)
     raw[: poly_x.coef.size] = poly_x.coef
-    return PolyModel(degree=degree, coefficients=tuple(float(c) for c in raw))
+    return PolyModel(coefficients=tuple(float(c) for c in raw))
 
 
 def _xtx_inverse_diagonal(design: np.ndarray) -> np.ndarray:

@@ -321,33 +321,29 @@ def _cmd_reproduce(args) -> int:
     write_summaries_csv(out_dir / "table1_repro.csv", summaries, meta)
     points = [DataPoint(x=s.p, y=s.mean_c) for s in summaries]
 
-    reports = {}
     for degree in (2, 3, 4):
         report = diagnostics(points, fit(points, degree))
-        reports[degree] = report
         write_report_json(out_dir / f"fit_d{degree}.json", report, meta)
-        (out_dir / f"tables_d{degree}.txt").write_text(
-            render_report(report), encoding="utf-8"
+        (out_dir / f"tables_d{degree}.txt").write_text(render_report(report), encoding="utf-8")
+        curve = (f"degree {degree}", report.model)
+        title = f"mean interchange count vs p, degree-{degree} fit"
+        write_scatter_svg(
+            out_dir / f"fig{degree - 1}.svg", points, curve, metadata=meta, title=title
         )
+        if degree == 3:
+            cubic = curve
+    write_scatter_svg(
+        out_dir / "fig4.svg",
+        points,
+        cubic,
+        metadata=meta,
+        title="fitted cubic alone",
+        include_points=False,
+    )
 
     verdict = select_degree(points, SelectionPolicy(alpha=args.alpha))
     write_verdict_json(out_dir / "verdict.json", verdict, meta)
     (out_dir / "verdict.txt").write_text(render_verdict(verdict) + "\n", encoding="utf-8")
-
-    for name, degree, title, include_points in (
-        ("fig1", 2, "mean interchange count vs p, degree-2 fit", True),
-        ("fig2", 3, "mean interchange count vs p, degree-3 fit", True),
-        ("fig3", 4, "mean interchange count vs p, degree-4 fit", True),
-        ("fig4", 3, "fitted cubic alone", False),
-    ):
-        write_scatter_svg(
-            out_dir / f"{name}.svg",
-            points,
-            (f"degree {degree}", reports[degree].model),
-            metadata=meta,
-            title=title,
-            include_points=include_points,
-        )
 
     _write_comparison(out_dir / "comparison.csv", summaries, meta)
 

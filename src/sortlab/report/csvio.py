@@ -7,7 +7,7 @@ every float bit-for-bit.  The cv field is left empty when undefined
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -33,10 +33,14 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunMetadata:
-    """Provenance stamped into every emitted artifact."""
+    """Provenance stamped into every emitted artifact.
 
-    tool_version: str
-    algorithm_id: str
+    `tool_version` and `algorithm_id` are not passed: every record holds
+    this package's `__version__` and the sampler's `ALGORITHM_ID`.
+    """
+
+    tool_version: str = field(default=__version__, init=False)
+    algorithm_id: str = field(default=ALGORITHM_ID, init=False)
     config: str
     master_seed: int | None = None
     timestamp: str | None = None
@@ -50,13 +54,7 @@ class RunMetadata:
         no_timestamp: bool = False,
     ) -> "RunMetadata":
         stamp = None if no_timestamp else datetime.now(timezone.utc).isoformat()
-        return cls(
-            tool_version=__version__,
-            algorithm_id=ALGORITHM_ID,
-            config=config,
-            master_seed=master_seed,
-            timestamp=stamp,
-        )
+        return cls(config, master_seed=master_seed, timestamp=stamp)
 
     def comment_lines(self) -> list[str]:
         """One `# field: value` line per field that is set, in field order."""

@@ -1,5 +1,7 @@
 """Degree-scan selection: stopping rule, cap, degeneracy, invariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,22 @@ class TestSelectDegree:
         assert verdict.selected_degree == 0
         assert verdict.verdict_label == "O_emp(p^0)"
         assert 0 in verdict.per_degree_reports
+
+    @pytest.mark.parametrize(
+        "points, policy, flags",
+        [
+            (reference_points, SelectionPolicy(alpha=0.01), (False, False)),
+            (reference_points, SelectionPolicy(), (True, False)),
+            (lambda: [DataPoint(p, 42.0) for p in GRID], SelectionPolicy(), (False, True)),
+        ],
+        ids=["normal", "cap-limited", "degenerate"],
+    )
+    def test_label_is_derived_from_the_selected_degree(self, points, policy, flags):
+        verdict = select_degree(points(), policy)
+        assert (verdict.cap_limited, verdict.degenerate) == flags
+        assert verdict.verdict_label == f"O_emp(p^{verdict.selected_degree})"
+        assert "verdict_label" not in {f.name for f in dataclasses.fields(verdict)}
+        assert dataclasses.replace(verdict, selected_degree=7).verdict_label == "O_emp(p^7)"
 
     def test_reports_cover_every_examined_degree(self):
         verdict = select_degree(reference_points(), SelectionPolicy())

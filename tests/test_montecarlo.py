@@ -125,6 +125,25 @@ class TestTrialSummary:
         with pytest.raises(ValueError):
             TrialSummary(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=-0.1, cv_c=None)
 
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("p", 0.0, ValueError),
+            ("p", 1.5, ValueError),
+            ("p", -0.5, ValueError),
+            ("n", 0, ValueError),
+            ("n", -5, ValueError),
+            ("trials", 0, ValueError),
+            ("n", 10.0, TypeError),
+            ("trials", True, TypeError),
+        ],
+    )
+    def test_rejects_out_of_range_cell(self, field, value, error):
+        cell = dict(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=0.1, cv_c=0.1)
+        TrialSummary(**cell)
+        with pytest.raises(error, match=f"^{field} must be"):
+            TrialSummary(**{**cell, field: value})
+
     def test_pipeline_and_fixture_rows_construct(self):
         # dataclasses.replace runs __post_init__ again on each row; p = 1
         # gives mean_c = 0 and cv_c = None.

@@ -1,5 +1,7 @@
 """Polynomial least squares and the diagnostic tables, with cross-oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,12 +47,20 @@ class TestTypes:
             DataPoint(1.0, float("inf"))
 
     def test_polymodel_validation(self):
-        with pytest.raises(ValueError):
-            PolyModel(degree=2, coefficients=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            PolyModel(degree=-1, coefficients=())
-        with pytest.raises(ValueError):
-            PolyModel(degree=0, coefficients=(float("nan"),))
+        with pytest.raises(ValueError, match="^coefficients must be nonempty$"):
+            PolyModel(())
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                PolyModel((1.0, bad))
+
+    def test_polymodel_derives_its_degree(self):
+        assert PolyModel((3.0,)).degree == 0
+        assert PolyModel((1.0, 0.0, 0.0, 2.0)).degree == 3
+        assert fit(reference_points(), 4).degree == 4
+        with pytest.raises(TypeError):
+            PolyModel(degree=1, coefficients=(1.0, 2.0))
+        # Declaration order is the JSON key order: degree, then coefficients.
+        assert list(asdict(PolyModel((1.0, 2.0)))) == ["degree", "coefficients"]
 
 
 class TestFit:

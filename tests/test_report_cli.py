@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from sortlab import montecarlo
-from sortlab.distributions import ContinuousUniform, geometric
+from sortlab import __version__, montecarlo
+from sortlab.distributions import ALGORITHM_ID, ContinuousUniform, geometric
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
 from sortlab.polyfit import DataPoint, PolyModel, diagnostics, fit
@@ -44,13 +44,7 @@ FIXTURE_SHA256 = "07f6a23e204a34f4291c718f54011a9ab969d191d0ca8a016df6a043eabb91
 
 
 def metadata_for_tests() -> RunMetadata:
-    return RunMetadata(
-        tool_version="0.1.0",
-        algorithm_id="pcg64",
-        config="test",
-        master_seed=5,
-        timestamp=None,
-    )
+    return RunMetadata("test", master_seed=5)
 
 
 class TestFixture:
@@ -131,6 +125,48 @@ class TestCsvRoundTrip:
         text = CSV_HEADER + "\n0.1,10,5,1.0\n"
         with pytest.raises(CsvFormatError, match="line 2"):
             parse_summaries_csv(text)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,10,5,1.0,0.5,", r"p must be in \(0,1\], got 0.0"),
+            ("1.5,10,5,1.0,0.5,", r"p must be in \(0,1\], got 1.5"),
+            ("0.1,0,5,1.0,0.5,", "n must be >= 1, got 0"),
+            ("0.1,-5,5,1.0,0.5,", "n must be >= 1, got -5"),
+            ("0.1,10,0,1.0,0.5,", "trials must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_row_has_line_number(self, row, message):
+        text = CSV_HEADER + "\n0.2,10,5,2.0,0.5,\n" + row + "\n"
+        with pytest.raises(CsvFormatError, match=f"^line 3: {message}$"):
+            parse_summaries_csv(text)
+
+
+class TestRunMetadata:
+    def test_constant_fields_come_first(self):
+        meta = RunMetadata("cfg", master_seed=3, timestamp="t")
+        names = [f.name for f in fields(RunMetadata)]
+        assert names == ["tool_version", "algorithm_id", "config", "master_seed", "timestamp"]
+        assert (meta.tool_version, meta.algorithm_id) == (__version__, ALGORITHM_ID)
+        assert meta.comment_lines() == [
+            f"# tool_version: {__version__}",
+            f"# algorithm_id: {ALGORITHM_ID}",
+            "# config: cfg",
+            "# master_seed: 3",
+            "# timestamp: t",
+        ]
+
+    def test_constant_fields_are_not_passed(self):
+        for name in ("tool_version", "algorithm_id"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+                RunMetadata("cfg", **{name: "other"})
+
+    def test_create_passes_config_seed_and_timestamp(self):
+        assert RunMetadata.create("cfg", master_seed=3, no_timestamp=True) == RunMetadata(
+            "cfg", master_seed=3
+        )
+        stamped = RunMetadata.create("cfg")
+        assert datetime.fromisoformat(stamped.timestamp).utcoffset() == timedelta(0)
 
 
 def typed(value):
@@ -279,7 +315,7 @@ class TestSvg:
             write_scatter_svg(
                 tmp_path / "fig.svg",
                 [],
-                ("fit", PolyModel(0, (1.0,))),
+                ("fit", PolyModel((1.0,))),
                 metadata=metadata_for_tests(),
                 title="cells",
             )
@@ -291,7 +327,7 @@ class TestSvg:
         write_scatter_svg(
             path,
             [DataPoint(0.5, 3.0)],
-            ("fit", PolyModel(0, (3.0,))),
+            ("fit", PolyModel((3.0,))),
             metadata=metadata_for_tests(),
             title="cells",
         )
@@ -736,6 +772,17 @@ class TestCliFit:
         path.write_text(CSV_HEADER + "\n" + row + "\n0.2,10,5,2.0,0.5,\n")
         assert main([command[0], "--input", str(path), *command[1:]]) == 1
         assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    @pytest.mark.parametrize("command", [["fit", "--degree", "1"], ["select"]])
+    @pytest.mark.parametrize("row", ["0,10,5,1.0,0.5,", "1.5,10,5,1.0,0.5,", "0.1,-5,0,1.0,0.5,"])
+    def test_out_of_range_csv_exits_1_with_line(self, tmp_path, capsys, command, row):
+        path = tmp_path / "bad.csv"
+        rows = "".join(f"0.{k},10,5,{k}.0,0.5,\n" for k in range(2, 8))
+        path.write_text(CSV_HEADER + "\n" + row + "\n" + rows)
+        assert main([command[0], "--input", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ")
 
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
