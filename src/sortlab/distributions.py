@@ -5,13 +5,12 @@ The workbench sorts arrays of iid geometric(p) draws on r = 0, 1, 2, ...
 is only a tag for the closed-form theory; nothing samples it.
 
 :func:`sample_block` is the pipeline's sampler.  It draws many trials of
-a cell at once: trial t is the inverse-CDF draws from numpy's
-``PCG64(mix64(cell_seed, t))``, where :func:`mix64` derives every
-substream seed with a fixed mixing function, so every downstream artifact
-is reproducible byte for byte whatever the scheduling.  It hashes the
-trial seeds into their ``SeedSequence`` words for the whole block with
-array arithmetic, and numpy seeds each trial's PCG64 from its words, so
-no trial pays for a ``SeedSequence``.
+a cell at once, and its docstring states which generator each trial
+draws from.  :func:`mix64` derives every substream seed with a fixed
+mixing function, so every downstream artifact is reproducible byte for
+byte whatever the scheduling.  The block's trial seeds are hashed into
+their ``SeedSequence`` words with array arithmetic, so no trial pays for
+a ``SeedSequence``.
 
 :class:`RandomSource` with :func:`sample_array` is the per-trial
 definition ``sample_block`` must match.  It leaves the seeding to numpy,
@@ -67,6 +66,13 @@ def _as_int(name: str, value) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _as_count(name: str, value) -> int:
+    # _as_int, then refused unless it is at least 1.
+    if (value := _as_int(name, value)) < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def _as_seed(name: str, value) -> int:
@@ -199,11 +205,10 @@ def _inverse_p(model: Geometric, n: int) -> float | None:
     """The p whose inverse CDF maps a sampler's uniforms, or None at p = 1,
     where every draw is 0.
 
-    Refuses, in this order: n < 1, a model that is not `Geometric`, and a p
-    whose draws would overflow int64.
+    Refuses, in this order: an n that is not an int >= 1 (:func:`_as_count`),
+    a model that is not `Geometric`, and a p whose draws would overflow int64.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _as_count("n", n)
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
     if model.p >= 1.0:
@@ -247,20 +252,23 @@ def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
 def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
     """Trials start..stop-1 of a cell as one (stop - start, n) int64 array.
 
-    Row i draws from ``RandomSource(mix64(cell_seed, t))`` for t = start + i
-    and equals ``sample_array`` on that source: the trial seeds and their
+    Row i is trial t = start + i: the inverse-CDF draws from numpy's
+    ``PCG64(mix64(cell_seed, t))``, equal to ``sample_array`` on
+    ``RandomSource(mix64(cell_seed, t))``.  The trial seeds and their
     ``SeedSequence`` words are computed for the whole block at once
     (:func:`_seed_sequence_words`), and numpy seeds each trial's PCG64
     from its words, so every draw still comes from numpy's PCG64.  The
     block is filled as raw uint64, and :func:`_geometric_in_place` maps each
     raw word to its draw in the block's buffer (about 8 bytes per value,
     output included).  Refusals raise before any draw, in this order:
-    :func:`_inverse_p`'s (n < 1, a model that is not `Geometric`, a p whose
-    draws would overflow int64), then a `cell_seed` that is not an int in
-    [0, 2**64), then a bad start/stop.
+    :func:`_inverse_p`'s (an n that is not an int >= 1, a model that is not
+    `Geometric`, a p whose draws would overflow int64), then a `cell_seed`
+    that is not an int in [0, 2**64), then a start or stop that is not an
+    int (a bool included), then a range without 0 <= start < stop.
     """
     p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)
+    start, stop = _as_int("start", start), _as_int("stop", stop)
     if not 0 <= start < stop:
         raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
     if p is None:

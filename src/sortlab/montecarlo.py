@@ -15,8 +15,7 @@ p-grid index, trial seeds from the cell seed and the trial index, and
 trials are reduced in trial-index order.  Output is therefore
 bit-identical whether cells run serially or in forked worker processes.
 Each block is drawn by one :func:`~sortlab.distributions.sample_block`
-call, and trial t is the inverse-CDF draws from numpy's
-``PCG64(mix64(cell_seed, t))``.
+call, whose docstring states the generator of each trial.
 
 Cells fan out by a direct fork, without a pool: cell i belongs to share
 ``i % workers``, the calling process runs share 0 itself, and each other
@@ -34,7 +33,7 @@ import signal
 from dataclasses import dataclass
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import _as_int, _as_seed, geometric, mix64, sample_block
+from .distributions import _as_count, _as_seed, geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -84,12 +83,8 @@ class ExperimentConfig:
         # keeps, so that numpy scalars neither leak into the CSV as
         # np.float64(...) nor overflow the seed arithmetic.
         for name in ("n", "trials"):
-            object.__setattr__(self, name, _as_int(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         object.__setattr__(self, "p_values", tuple(geometric(p).p for p in self.p_values))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
         if any(a >= b for a, b in zip(self.p_values, self.p_values[1:])):
@@ -113,6 +108,9 @@ class TrialSummary:
 
     p, mean_c, sd_c and a cv_c that is not None must be finite, p a valid
     geometric parameter in (0, 1], n and trials ints >= 1, and sd_c >= 0.
+    They are stored as Python numbers (floats, and n and trials as ints),
+    so that numpy scalars write the CSV that Python numbers write.  The
+    field order is the summary CSV's column order.
     """
 
     p: float
@@ -127,10 +125,11 @@ class TrialSummary:
             value = getattr(self, name)
             if not ((name == "cv_c" and value is None) or math.isfinite(value)):
                 raise ValueError(f"{name} must be finite, got {value}")
-        geometric(self.p)
+            if name != "p" and value is not None:
+                object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "p", geometric(self.p).p)
         for name in ("n", "trials"):
-            if _as_int(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         if self.sd_c < 0.0:
             raise ValueError(f"sd_c must be >= 0, got {self.sd_c}")
 
@@ -178,9 +177,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
     process's own share fails, the children are killed before the error
     propagates.  Every child is reaped and every pipe closed on each path.
     """
-    jobs = _as_int("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    jobs = _as_count("jobs", jobs)
     seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

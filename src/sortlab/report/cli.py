@@ -56,7 +56,7 @@ try:
     from .csvio import (
         CsvFormatError,
         RunMetadata,
-        _field,
+        format_csv,
         format_summaries_csv,
         read_summaries_csv,
         write_summaries_csv,
@@ -288,21 +288,24 @@ def _cmd_select(args) -> int:
     return 0
 
 
+_COMPARISON_NOTES = (
+    "simulated mean interchange counts vs the embedded reference rows and the",
+    "closed-form expectation n(n-1)/2*(1-p)/(2-p); the expectation counts",
+    "out-of-order PAIRS, not executed swaps, and the swap-eager sorter repairs",
+    "many pairs per swap, so mean_c sits far below it: the mean_over_pairs",
+    "column states that theory/measurement gap explicitly",
+)
+
+
 def _write_comparison(path: Path, summaries, metadata: RunMetadata) -> None:
-    lines = metadata.comment_lines()
-    lines.append("# simulated mean interchange counts vs the embedded reference rows and the")
-    lines.append("# closed-form expectation n(n-1)/2*(1-p)/(2-p); the expectation counts")
-    lines.append("# out-of-order PAIRS, not executed swaps, and the swap-eager sorter repairs")
-    lines.append("# many pairs per swap, so mean_c sits far below it: the mean_over_pairs")
-    lines.append("# column states that theory/measurement gap explicitly")
-    lines.append("p,mean_c,reference_mean_c,expected_pairwise,mean_over_pairs")
     reference = {(row.p, row.n): row.mean_c for row in REFERENCE_ROWS}
+    rows = []
     for s in summaries:
         expected = predict_theory(geometric(s.p), s.n).expected_interchanges
         ratio = s.mean_c / expected if expected else None
-        ref = reference.get((s.p, s.n))
-        lines.append(f"{s.p!r},{s.mean_c!r},{_field(ref)},{expected!r},{_field(ratio)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows.append((s.p, s.mean_c, reference.get((s.p, s.n)), expected, ratio))
+    header = "p,mean_c,reference_mean_c,expected_pairwise,mean_over_pairs"
+    path.write_text(format_csv(metadata, header, rows, _COMPARISON_NOTES), encoding="utf-8")
 
 
 def _cmd_reproduce(args) -> int:
@@ -325,13 +328,12 @@ def _cmd_reproduce(args) -> int:
         report = diagnostics(points, fit(points, degree))
         write_report_json(out_dir / f"fit_d{degree}.json", report, meta)
         (out_dir / f"tables_d{degree}.txt").write_text(render_report(report), encoding="utf-8")
-        curve = (f"degree {degree}", report.model)
         title = f"mean interchange count vs p, degree-{degree} fit"
         write_scatter_svg(
-            out_dir / f"fig{degree - 1}.svg", points, curve, metadata=meta, title=title
+            out_dir / f"fig{degree - 1}.svg", points, report.model, metadata=meta, title=title
         )
         if degree == 3:
-            cubic = curve
+            cubic = report.model
     write_scatter_svg(
         out_dir / "fig4.svg",
         points,

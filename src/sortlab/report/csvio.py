@@ -1,13 +1,14 @@
 """Summary CSV format: `#` metadata comments, then one row per grid cell.
 
-Numbers are serialized with repr so a write→read round trip preserves
-every float bit-for-bit.  The cv field is left empty when undefined
-(zero mean count), never NaN.
+Every CSV artifact is written by :func:`format_csv`.  Numbers are
+serialized with repr so a write→read round trip preserves every float
+bit-for-bit.  None, such as the cv of a zero mean count, is an empty
+field, never NaN.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -61,18 +62,19 @@ class RunMetadata:
         return [f"# {key}: {value}" for key, value in asdict(self).items() if value is not None]
 
 
-def _field(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def format_csv(metadata: RunMetadata, header: str, rows: Iterable, notes: Iterable = ()) -> str:
+    """The metadata comment lines, a `# note` line per note, the header, then a line per row.
+
+    Each value of a row is written by repr, and None as an empty field.
+    """
+    lines = metadata.comment_lines() + [f"# {note}" for note in notes]
+    lines.append(header)
+    lines.extend(",".join("" if v is None else repr(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def format_summaries_csv(summaries: Iterable[TrialSummary], metadata: RunMetadata) -> str:
-    lines = metadata.comment_lines()
-    lines.append(CSV_HEADER)
-    for s in summaries:
-        lines.append(
-            f"{s.p!r},{s.n},{s.trials},{s.mean_c!r},{s.sd_c!r},{_field(s.cv_c)}"
-        )
-    return "\n".join(lines) + "\n"
+    return format_csv(metadata, CSV_HEADER, map(astuple, summaries))
 
 
 def write_summaries_csv(

@@ -70,7 +70,7 @@ def _text(
 def write_scatter_svg(
     path: str | Path,
     points: Sequence[DataPoint],
-    curve: tuple[str, PolyModel],
+    model: PolyModel,
     *,
     metadata: RunMetadata,
     title: str,
@@ -78,15 +78,14 @@ def write_scatter_svg(
 ) -> None:
     """Write one titled figure: optionally the scatter, plus the polyline of one model.
 
-    `curve` pairs a legend label with a fitted polynomial, which is sampled
-    across the x-range of `points`; they must be nonempty (they fix the
-    axes even when the scatter itself is hidden).
+    `model` is sampled across the x-range of `points`, and its legend
+    reads ``degree {model.degree}``.  `points` must be nonempty (they fix
+    the axes even when the scatter itself is hidden).
     """
     if not points:
         raise ValueError("points must be nonempty; they fix the axis ranges")
 
     x_lo, x_hi = _span([pt.x for pt in points], 0.0)
-    label, model = curve
     curve_points = _curve_points(model, x_lo, x_hi)
     y_lo, y_hi = _span([pt.y for pt in points] + [y for _, y in curve_points], 0.05)
     x_lo, x_hi = _span([x_lo, x_hi], 0.03)
@@ -146,8 +145,8 @@ def write_scatter_svg(
             "points": " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in curve_points),
         },
     )
-    legend_x = f"{_WIDTH - _M_RIGHT - 6:.1f}"
-    _text(root, legend_x, f"{_M_TOP + 16:.1f}", label, "end", "12", fill=_CURVE_COLOR)
+    legend_x, legend_y = f"{_WIDTH - _M_RIGHT - 6:.1f}", f"{_M_TOP + 16:.1f}"
+    _text(root, legend_x, legend_y, f"degree {model.degree}", "end", "12", fill=_CURVE_COLOR)
 
     if include_points:
         for pt in points:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import ContinuousUniform, Geometric, _as_int
+from .distributions import ContinuousUniform, Geometric, _as_count
 
 __all__ = [
     "TheoryPrediction",
@@ -55,11 +55,9 @@ def expected_interchanges(model: InputModel, n: int) -> float:
 
     Exact expectation of the inversion count of an n-element iid array.
     `n` is an integer of any kind (numpy's too); a bool or a non-integer
-    raises TypeError.
+    raises TypeError, and an n below 1 ValueError.
     """
-    n = _as_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _as_count("n", n)
     try:
         pairs = float(n * (n - 1) // 2)  # the same rounding as n * (n - 1) / 2.0
     except OverflowError:
@@ -80,7 +78,7 @@ class TheoryPrediction:
 
 def predict(model: InputModel, n: int) -> TheoryPrediction:
     """Bundle all closed-form quantities for `model` at array length `n`."""
-    n = _as_int("n", n)
+    n = _as_count("n", n)
     return TheoryPrediction(
         n=n,
         model=model,

@@ -32,6 +32,8 @@ from sortlab.distributions import (
     sample_array,
     sample_block,
 )
+from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_experiment
+from sortlab.theory import expected_interchanges, predict
 
 # Upper-tail chi-square critical values at alpha=0.001.
 CHI2_CRIT_DF3 = 16.2662
@@ -415,8 +417,9 @@ class TestSampleBlock:
             (geometric(0.5), 5, 3, 3, ValueError),
             (geometric(0.5), 5, -1, 2, ValueError),
             (ContinuousUniform(), 5, 0, 3, TypeError),
+            (geometric(0.5), 5, True, 3, TypeError),
         ],
-        ids=["n=0", "empty-range", "negative-start", "continuous"],
+        ids=["n=0", "empty-range", "negative-start", "continuous", "bool-start"],
     )
     def test_other_refusals_build_no_generator(self, monkeypatch, model, n, start, stop, error):
         def no_generator(seed):
@@ -425,6 +428,28 @@ class TestSampleBlock:
         monkeypatch.setattr(distributions.np.random, "PCG64", no_generator)
         with pytest.raises(error):
             sample_block(model, n, 3, start, stop)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("start", True),
+            ("start", False),
+            ("start", 1.5),
+            ("stop", True),
+            ("stop", False),
+            ("stop", 1.5),
+            ("n", 3.0),
+        ],
+    )
+    def test_n_start_and_stop_must_be_ints(self, name, value):
+        # A bool is refused, not taken as 1 or 0.  A bool n is in TestCountCheck.
+        args = {"n": 3, "start": 0, "stop": 3, name: value}
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+            sample_block(geometric(0.5), args["n"], 1, args["start"], args["stop"])
+
+    def test_numpy_ints_are_accepted(self):
+        got = sample_block(geometric(0.5), np.int64(3), 1, np.uint8(1), np.int64(4))
+        assert np.array_equal(got, sample_block(geometric(0.5), 3, 1, 1, 4))
 
     @pytest.mark.parametrize("cell_seed", [-1, 2**64])
     def test_refuses_cell_seed_outside_64_bits(self, monkeypatch, cell_seed):
@@ -456,3 +481,46 @@ class TestSampleBlock:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * block.size
+
+
+# Every entry point that takes a count through _as_count: (argument name, call).
+COUNT_ENTRY_POINTS = {
+    "ExperimentConfig-n": ("n", lambda v: ExperimentConfig(n=v, trials=2, p_values=(0.5,))),
+    "ExperimentConfig-trials": ("trials", lambda v: ExperimentConfig(n=5, trials=v, p_values=(0.5,))),
+    "TrialSummary-n": (
+        "n",
+        lambda v: TrialSummary(p=0.5, n=v, trials=2, mean_c=1.0, sd_c=0.5, cv_c=0.5),
+    ),
+    "TrialSummary-trials": (
+        "trials",
+        lambda v: TrialSummary(p=0.5, n=5, trials=v, mean_c=1.0, sd_c=0.5, cv_c=0.5),
+    ),
+    "run_experiment-jobs": (
+        "jobs",
+        lambda v: run_experiment(ExperimentConfig(n=5, trials=2, p_values=(0.5,)), jobs=v),
+    ),
+    "expected_interchanges-n": ("n", lambda v: expected_interchanges(geometric(0.5), v)),
+    "predict-n": ("n", lambda v: predict(geometric(0.5), v)),
+    "sample_block-n": ("n", lambda v: sample_block(geometric(0.5), v, 1, 0, 2)),
+}
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [True, 1.5])
+    def test_bool_or_float_is_a_type_error(self, entry, value):
+        name, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_below_one_is_a_value_error(self, entry, value):
+        name, call = COUNT_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_numpy_int_is_accepted(self, entry):
+        _, call = COUNT_ENTRY_POINTS[entry]
+        np.testing.assert_equal(call(np.int64(3)), call(3))

@@ -403,11 +403,6 @@ class TestRunExperiment:
         solo = ExperimentConfig(n=40, trials=6, p_values=(0.3,), master_seed=13)
         assert run_experiment(solo)[0] == full[0]
 
-    def test_rejects_bad_jobs(self):
-        config = ExperimentConfig(n=10, trials=2, p_values=(0.5,), master_seed=1)
-        with pytest.raises(ValueError):
-            run_experiment(config, jobs=0)
-
     def test_readme_swap_and_inversion_means(self, exchange_cells, inversion_cells):
         # README: "at n=1000, p=0.1 (100 trials, seed 42) the mean is 30,874
         # swaps against 236,287 inversions"; the fixtures are that run.

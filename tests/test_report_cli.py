@@ -8,10 +8,12 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
+import dataclasses
 from dataclasses import asdict, fields
 from datetime import datetime, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sortlab import __version__, montecarlo
@@ -25,6 +27,8 @@ from sortlab.report.csvio import (
     CSV_HEADER,
     CsvFormatError,
     RunMetadata,
+    format_csv,
+    format_summaries_csv,
     parse_summaries_csv,
     read_summaries_csv,
     write_summaries_csv,
@@ -93,6 +97,23 @@ class TestCsvRoundTrip:
         assert data_line.endswith(",")
         assert "nan" not in data_line.lower()
 
+    def test_numpy_scalar_row_round_trips(self):
+        # Stored as Python numbers, a row built from numpy scalars writes the
+        # CSV its Python twin writes, and reads back equal to both.
+        given = TrialSummary(
+            p=np.float64(0.1),
+            n=np.int64(10),
+            trials=np.int64(5),
+            mean_c=np.float64(2.5),
+            sd_c=np.float64(0.1 + 0.2),
+            cv_c=np.float64(0.12),
+        )
+        plain = TrialSummary(p=0.1, n=10, trials=5, mean_c=2.5, sd_c=0.1 + 0.2, cv_c=0.12)
+        assert [type(v) for v in dataclasses.astuple(given)] == [float, int, int, float, float, float]
+        text = format_summaries_csv([given], metadata_for_tests())
+        assert text == format_summaries_csv([plain], metadata_for_tests())
+        assert parse_summaries_csv(text)[0] == (given,) == (plain,)
+
     def test_reference_rows_round_trip(self, tmp_path):
         path = tmp_path / "fixture.csv"
         write_summaries_csv(path, REFERENCE_ROWS, metadata_for_tests())
@@ -140,6 +161,24 @@ class TestCsvRoundTrip:
         text = CSV_HEADER + "\n0.2,10,5,2.0,0.5,\n" + row + "\n"
         with pytest.raises(CsvFormatError, match=f"^line 3: {message}$"):
             parse_summaries_csv(text)
+
+
+class TestFormatCsv:
+    def test_none_is_an_empty_field_and_numbers_are_repr(self):
+        rows = [(None, 0.1 + 0.2, 1e-300), (7, None, None)]
+        text = format_csv(RunMetadata("cfg"), "a,b,c", rows)
+        assert text.splitlines()[-3:] == ["a,b,c", ",0.30000000000000004,1e-300", "7,,"]
+
+    def test_notes_sit_between_the_metadata_and_the_header(self):
+        meta = RunMetadata("cfg", master_seed=3)
+        text = format_csv(meta, "a,b", [(1, 2)], notes=("first note", "second note"))
+        assert text.splitlines() == meta.comment_lines() + [
+            "# first note",
+            "# second note",
+            "a,b",
+            "1,2",
+        ]
+        assert text.endswith("1,2\n")
 
 
 class TestRunMetadata:
@@ -279,7 +318,7 @@ class TestSvg:
         points = reference_points()
         path = tmp_path / "fig.svg"
         write_scatter_svg(
-            path, points, ("degree 3", fit(points, 3)), metadata=metadata_for_tests(), title="cells"
+            path, points, fit(points, 3), metadata=metadata_for_tests(), title="cells"
         )
         root = ET.parse(path).getroot()
         ns = {"svg": "http://www.w3.org/2000/svg"}
@@ -294,13 +333,28 @@ class TestSvg:
         desc = root.find("svg:desc", ns)
         assert desc is not None and "pcg64" in desc.text
 
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_legend_names_the_model_degree(self, tmp_path, degree):
+        path = tmp_path / "fig.svg"
+        model = PolyModel(tuple(float(j + 1) for j in range(degree + 1)))
+        write_scatter_svg(
+            path, reference_points(), model, metadata=metadata_for_tests(), title="cells"
+        )
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        legends = [
+            el.text
+            for el in ET.parse(path).getroot().findall(".//svg:text", ns)
+            if el.get("font-size") == "12"
+        ]
+        assert legends == [f"degree {degree}"]
+
     def test_points_can_be_hidden(self, tmp_path):
         points = reference_points()
         path = tmp_path / "fig.svg"
         write_scatter_svg(
             path,
             points,
-            ("fit", fit(points, 3)),
+            fit(points, 3),
             metadata=metadata_for_tests(),
             title="cells",
             include_points=False,
@@ -315,7 +369,7 @@ class TestSvg:
             write_scatter_svg(
                 tmp_path / "fig.svg",
                 [],
-                ("fit", PolyModel((1.0,))),
+                PolyModel((1.0,)),
                 metadata=metadata_for_tests(),
                 title="cells",
             )
@@ -327,7 +381,7 @@ class TestSvg:
         write_scatter_svg(
             path,
             [DataPoint(0.5, 3.0)],
-            ("fit", PolyModel((3.0,))),
+            PolyModel((3.0,)),
             metadata=metadata_for_tests(),
             title="cells",
         )
@@ -343,7 +397,7 @@ class TestSvg:
         points = reference_points()
         path = tmp_path / "fig.svg"
         write_scatter_svg(
-            path, points, ("fit", fit(points, 2)), metadata=metadata_for_tests(), title="cells"
+            path, points, fit(points, 2), metadata=metadata_for_tests(), title="cells"
         )
         content = path.read_text()
         assert "<script" not in content
