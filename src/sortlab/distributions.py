@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,21 +57,14 @@ _MASK32 = (1 << 32) - 1
 ALGORITHM_ID = "pcg64"
 
 
-def _as_int(name: str, value) -> int:
-    # An integer of any kind (numpy's too) as a Python int; bool is refused.
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
-def _as_count(name: str, value) -> int:
-    # _as_int, then refused unless it is at least 1.
-    if (value := _as_int(name, value)) < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
+def _as_int(name: str, value, minimum: int | None = None) -> int:
+    # An integer of any kind (numpy's too) as a Python int.  A bool is refused
+    # like any non-integer, and so is a value below `minimum` if one is given.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def _as_seed(name: str, value) -> int:
@@ -88,8 +80,11 @@ def mix64(seed: int, index: int) -> int:
 
     SplitMix64 finalizer applied to ``seed + (index + 1) * gamma``; the
     same function is used for cell and trial substreams so results do
-    not depend on worker scheduling.
+    not depend on worker scheduling.  Refuses a `seed` that is not an int
+    in [0, 2**64) and an `index` that is not an int >= 0 (a bool is not an
+    int for either), rather than wrapping them mod 2**64.
     """
+    seed, index = _as_seed("seed", seed), _as_int("index", index, minimum=0)
     z = (seed + (index + 1) * _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -205,10 +200,10 @@ def _inverse_p(model: Geometric, n: int) -> float | None:
     """The p whose inverse CDF maps a sampler's uniforms, or None at p = 1,
     where every draw is 0.
 
-    Refuses, in this order: an n that is not an int >= 1 (:func:`_as_count`),
+    Refuses, in this order: an n that is not an int >= 1 (:func:`_as_int`),
     a model that is not `Geometric`, and a p whose draws would overflow int64.
     """
-    _as_count("n", n)
+    _as_int("n", n, minimum=1)
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
     if model.p >= 1.0:
@@ -264,7 +259,8 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     :func:`_inverse_p`'s (an n that is not an int >= 1, a model that is not
     `Geometric`, a p whose draws would overflow int64), then a `cell_seed`
     that is not an int in [0, 2**64), then a start or stop that is not an
-    int (a bool included), then a range without 0 <= start < stop.
+    int (:func:`_as_int`; a bool is not one), then a range without
+    0 <= start < stop.
     """
     p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)

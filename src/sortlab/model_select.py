@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .distributions import _as_int
 from .polyfit import DataPoint, RegressionReport, diagnostics, fit
 
 __all__ = [
@@ -25,7 +26,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SelectionPolicy:
-    """Significance threshold and the degree range to scan."""
+    """Significance threshold and the degree range to scan.
+
+    Refuses, in this order: an alpha outside (0, 1), a `d_min` that is not
+    an int >= 1, a `d_max` that is not an int, and a `d_max` below `d_min`.
+    A bool is not an int; a numpy int is stored as the Python int it is.
+    """
 
     alpha: float = 0.05
     d_min: int = 1
@@ -34,8 +40,8 @@ class SelectionPolicy:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.d_min < 1:
-            raise ValueError(f"d_min must be >= 1, got {self.d_min}")
+        object.__setattr__(self, "d_min", _as_int("d_min", self.d_min, minimum=1))
+        object.__setattr__(self, "d_max", _as_int("d_max", self.d_max))
         if self.d_max < self.d_min:
             raise ValueError(f"d_max {self.d_max} must be >= d_min {self.d_min}")
 

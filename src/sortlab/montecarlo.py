@@ -33,7 +33,7 @@ import signal
 from dataclasses import dataclass
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import _as_count, _as_seed, geometric, mix64, sample_block
+from .distributions import _as_int, _as_seed, geometric, mix64, sample_block
 
 __all__ = [
     "COUNTER_MODES",
@@ -83,7 +83,7 @@ class ExperimentConfig:
         # keeps, so that numpy scalars neither leak into the CSV as
         # np.float64(...) nor overflow the seed arithmetic.
         for name in ("n", "trials"):
-            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), minimum=1))
         object.__setattr__(self, "p_values", tuple(geometric(p).p for p in self.p_values))
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
@@ -129,7 +129,7 @@ class TrialSummary:
                 object.__setattr__(self, name, float(value))
         object.__setattr__(self, "p", geometric(self.p).p)
         for name in ("n", "trials"):
-            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), minimum=1))
         if self.sd_c < 0.0:
             raise ValueError(f"sd_c must be >= 0, got {self.sd_c}")
 
@@ -177,7 +177,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummar
     process's own share fails, the children are killed before the error
     propagates.  Every child is reaped and every pipe closed on each path.
     """
-    jobs = _as_count("jobs", jobs)
+    jobs = _as_int("jobs", jobs, minimum=1)
     seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))

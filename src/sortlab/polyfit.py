@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .distributions import _as_int
 from .special import f_sig
 
 __all__ = [
@@ -142,11 +143,11 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     :class:`RankDeficientError` rather than being silently regularized.
     The default of one residual degree of freedom keeps the diagnostic
     tables defined; pass ``min_residual_df=0`` to allow interpolation.
+    `degree` and `min_residual_df` must be ints >= 0 (a bool is not an
+    int): anything else raises TypeError or ValueError before any fitting.
     """
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if min_residual_df < 0:
-        raise ValueError(f"min_residual_df must be >= 0, got {min_residual_df}")
+    degree = _as_int("degree", degree, minimum=0)
+    min_residual_df = _as_int("min_residual_df", min_residual_df, minimum=0)
     x, y = _as_arrays(points)
     m = x.size
     needed = degree + 1 + min_residual_df
@@ -164,7 +165,10 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     mu = float(x.mean())
     scale = float(x.std())
     if scale == 0.0:
-        scale = 1.0  # only reachable for degree 0
+        # Every x equal (so degree 0), or a spread of x below about 1e-154,
+        # where the variance underflows: the rank check below then refuses
+        # any degree above 0.
+        scale = 1.0
     z = (x - mu) / scale
     design = np.vander(z, degree + 1, increasing=True)
     coef_z, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import ContinuousUniform, Geometric, _as_count
+from .distributions import ContinuousUniform, Geometric, _as_int
 
 __all__ = [
     "TheoryPrediction",
@@ -57,7 +57,7 @@ def expected_interchanges(model: InputModel, n: int) -> float:
     `n` is an integer of any kind (numpy's too); a bool or a non-integer
     raises TypeError, and an n below 1 ValueError.
     """
-    n = _as_count("n", n)
+    n = _as_int("n", n, minimum=1)
     try:
         pairs = float(n * (n - 1) // 2)  # the same rounding as n * (n - 1) / 2.0
     except OverflowError:
@@ -78,7 +78,7 @@ class TheoryPrediction:
 
 def predict(model: InputModel, n: int) -> TheoryPrediction:
     """Bundle all closed-form quantities for `model` at array length `n`."""
-    n = _as_count("n", n)
+    n = _as_int("n", n, minimum=1)
     return TheoryPrediction(
         n=n,
         model=model,

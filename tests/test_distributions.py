@@ -32,7 +32,9 @@ from sortlab.distributions import (
     sample_array,
     sample_block,
 )
+from sortlab.model_select import SelectionPolicy
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_experiment
+from sortlab.polyfit import DataPoint, fit
 from sortlab.theory import expected_interchanges, predict
 
 # Upper-tail chi-square critical values at alpha=0.001.
@@ -56,6 +58,24 @@ class TestMix64:
     def test_output_is_64_bit(self, seed, index):
         value = mix64(seed, index)
         assert 0 <= value < 2**64
+
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [
+            (-1, ValueError, "seed must be a 64-bit unsigned integer, got -1"),
+            (2**64, ValueError, f"seed must be a 64-bit unsigned integer, got {2**64}"),
+            (True, TypeError, "seed must be an int, got bool"),
+        ],
+    )
+    def test_refuses_a_seed_outside_64_bits(self, seed, error, message):
+        # Not wrapped mod 2**64: mix64(-1, t) would be mix64(2**64 - 1, t).
+        with pytest.raises(error) as caught:
+            mix64(seed, 0)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), np.uint8(5)])
+    def test_numpy_seed_is_the_int(self, seed):
+        assert mix64(seed, 3) == mix64(int(seed), 3)
 
 
 class TestRandomSource:
@@ -483,44 +503,62 @@ class TestSampleBlock:
         assert peak <= 24 * block.size
 
 
-# Every entry point that takes a count through _as_count: (argument name, call).
-COUNT_ENTRY_POINTS = {
-    "ExperimentConfig-n": ("n", lambda v: ExperimentConfig(n=v, trials=2, p_values=(0.5,))),
-    "ExperimentConfig-trials": ("trials", lambda v: ExperimentConfig(n=5, trials=v, p_values=(0.5,))),
+FIT_POINTS = [DataPoint(x, x * x) for x in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)]
+
+# Every entry point that takes an integer through _as_int: (argument name,
+# minimum or None, call).
+INT_ENTRY_POINTS = {
+    "ExperimentConfig-n": ("n", 1, lambda v: ExperimentConfig(n=v, trials=2, p_values=(0.5,))),
+    "ExperimentConfig-trials": (
+        "trials",
+        1,
+        lambda v: ExperimentConfig(n=5, trials=v, p_values=(0.5,)),
+    ),
     "TrialSummary-n": (
         "n",
+        1,
         lambda v: TrialSummary(p=0.5, n=v, trials=2, mean_c=1.0, sd_c=0.5, cv_c=0.5),
     ),
     "TrialSummary-trials": (
         "trials",
+        1,
         lambda v: TrialSummary(p=0.5, n=5, trials=v, mean_c=1.0, sd_c=0.5, cv_c=0.5),
     ),
     "run_experiment-jobs": (
         "jobs",
+        1,
         lambda v: run_experiment(ExperimentConfig(n=5, trials=2, p_values=(0.5,)), jobs=v),
     ),
-    "expected_interchanges-n": ("n", lambda v: expected_interchanges(geometric(0.5), v)),
-    "predict-n": ("n", lambda v: predict(geometric(0.5), v)),
-    "sample_block-n": ("n", lambda v: sample_block(geometric(0.5), v, 1, 0, 2)),
+    "expected_interchanges-n": ("n", 1, lambda v: expected_interchanges(geometric(0.5), v)),
+    "predict-n": ("n", 1, lambda v: predict(geometric(0.5), v)),
+    "sample_block-n": ("n", 1, lambda v: sample_block(geometric(0.5), v, 1, 0, 2)),
+    "SelectionPolicy-d_min": ("d_min", 1, lambda v: SelectionPolicy(d_min=v)),
+    "SelectionPolicy-d_max": ("d_max", None, lambda v: SelectionPolicy(d_max=v)),
+    "fit-degree": ("degree", 0, lambda v: fit(FIT_POINTS, v)),
+    "fit-min_residual_df": ("min_residual_df", 0, lambda v: fit(FIT_POINTS, 1, min_residual_df=v)),
+    "mix64-index": ("index", 0, lambda v: mix64(1, v)),
 }
 
 
-class TestCountCheck:
-    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+class TestIntCheck:
+    @pytest.mark.parametrize("entry", INT_ENTRY_POINTS)
     @pytest.mark.parametrize("value", [True, 1.5])
     def test_bool_or_float_is_a_type_error(self, entry, value):
-        name, call = COUNT_ENTRY_POINTS[entry]
+        name, _, call = INT_ENTRY_POINTS[entry]
         with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
             call(value)
 
-    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
-    @pytest.mark.parametrize("value", [0, -1])
-    def test_below_one_is_a_value_error(self, entry, value):
-        name, call = COUNT_ENTRY_POINTS[entry]
-        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+    @pytest.mark.parametrize(
+        "entry", [name for name, entry in INT_ENTRY_POINTS.items() if entry[1] is not None]
+    )
+    @pytest.mark.parametrize("below", [1, 2])
+    def test_below_the_minimum_is_a_value_error(self, entry, below):
+        name, minimum, call = INT_ENTRY_POINTS[entry]
+        value = minimum - below
+        with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {value}$"):
             call(value)
 
-    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("entry", INT_ENTRY_POINTS)
     def test_numpy_int_is_accepted(self, entry):
-        _, call = COUNT_ENTRY_POINTS[entry]
+        _, _, call = INT_ENTRY_POINTS[entry]
         np.testing.assert_equal(call(np.int64(3)), call(3))

@@ -1,6 +1,7 @@
 """Degree-scan selection: stopping rule, cap, degeneracy, invariances."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from sortlab.model_select import SelectionPolicy, format_fixed, render_verdict, select_degree
 from sortlab.polyfit import DataPoint
 from sortlab.report.fixture import reference_points
+from sortlab.report.jsonio import verdict_to_dict
 
 
 def quadratic_points(noise_sd_fraction: float = 0.0, seed: int = 12345):
@@ -48,6 +50,16 @@ class TestSelectionPolicy:
             SelectionPolicy(d_min=0)
         with pytest.raises(ValueError):
             SelectionPolicy(d_min=3, d_max=2)
+
+    def test_numpy_degree_bounds_are_stored_as_ints(self):
+        # A numpy d_max must not reach the verdict as np.int64, which the JSON
+        # writer cannot serialise.
+        policy = SelectionPolicy(d_min=np.int64(1), d_max=np.int64(4))
+        assert (type(policy.d_min), type(policy.d_max)) == (int, int)
+        verdict = select_degree(reference_points(), policy)
+        assert type(verdict.selected_degree) is int
+        assert render_verdict(verdict).startswith("empirical order: O_emp(p^4)")
+        assert '"selected_degree": 4,' in json.dumps(verdict_to_dict(verdict))
 
 
 class TestSelectDegree:

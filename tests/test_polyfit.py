@@ -145,6 +145,21 @@ class TestFit:
         model = fit(points, 0)
         assert model.coefficients[0] == pytest.approx(3.0, abs=1e-12)
 
+    def test_degree_zero_at_one_x_is_mean(self):
+        # Every x equal: x.std() is 0.0, and the design is left unscaled.
+        points = [DataPoint(0.5, y) for y in (1.0, 3.0, 8.0)]
+        assert fit(points, 0).coefficients == (4.0,)
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_spread_that_underflows_is_rank_deficient(self, degree):
+        # Distinct x whose spread (about 1e-200) squares to 0.0 in x.std():
+        # the unscaled design's x columns vanish beside the intercept's.
+        points = [DataPoint(k * 1e-200, float(k * k)) for k in range(1, 6)]
+        assert np.std([pt.x for pt in points]) == 0.0
+        with pytest.raises(RankDeficientError, match=f"^design matrix rank 1 < {degree + 1}$"):
+            fit(points, degree)
+        assert fit(points, 0).coefficients[0] == pytest.approx(11.0)
+
 
 @pytest.fixture(scope="module")
 def report():

@@ -142,6 +142,15 @@ class TestCsvRoundTrip:
         with pytest.raises(CsvFormatError, match=f"^line 2: {field} must be finite, got {value}$"):
             parse_summaries_csv(text)
 
+    def test_blank_lines_are_skipped_but_counted(self):
+        row = "0.1,10,5,1.0,0.5,0.5"
+        text = "# master_seed: 5\n\n" + CSV_HEADER + "\n  \n" + row + "\n\n"
+        summaries, metadata = parse_summaries_csv(text)
+        assert summaries == parse_summaries_csv(CSV_HEADER + "\n" + row + "\n")[0]
+        assert metadata == {"master_seed": "5"}
+        with pytest.raises(CsvFormatError, match="^line 7: expected 6 fields, got 1$"):
+            parse_summaries_csv(text + "0.2\n")
+
     def test_wrong_field_count_has_line_number(self):
         text = CSV_HEADER + "\n0.1,10,5,1.0\n"
         with pytest.raises(CsvFormatError, match="line 2"):
@@ -837,6 +846,17 @@ class TestCliFit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 2: ")
+
+    def test_x_spread_that_underflows_exits_1(self, tmp_path, capsys):
+        # p = 1e-200 ... 5e-200: the spread of p squares to 0.0, so no
+        # degree above 0 can be fitted; the refusal is a RankDeficientError.
+        path = tmp_path / "tiny.csv"
+        rows = "".join(f"{k}e-200,10,5,{k * k}.0,0.5,\n" for k in range(1, 6))
+        path.write_text(CSV_HEADER + "\n" + rows)
+        assert main(["fit", "--input", str(path), "--degree", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: design matrix rank 1 < 3\n"
 
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

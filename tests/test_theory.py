@@ -1,6 +1,7 @@
 """Closed-form tie/interchange expectations against independent oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,11 @@ class TestTieProbability:
 
     def test_degenerate_p_one(self):
         assert tie_probability(geometric(1.0)) == 1.0
+
+    @pytest.mark.parametrize("model", ["geometric", 0.5, None])
+    def test_unknown_model_is_a_type_error(self, model):
+        with pytest.raises(TypeError, match=f"^unknown input model: {re.escape(repr(model))}$"):
+            tie_probability(model)
 
     @given(st.floats(min_value=0.001, max_value=1.0))
     def test_bounds(self, p):
