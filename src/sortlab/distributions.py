@@ -78,21 +78,29 @@ def _as_seed(name: str, value) -> int:
 def mix64(seed: int, index: int) -> int:
     """Derive the 64-bit seed of substream `index` from a parent seed.
 
-    SplitMix64 finalizer applied to ``seed + (index + 1) * gamma``; the
-    same function is used for cell and trial substreams so results do
-    not depend on worker scheduling.  Refuses a `seed` that is not an int
-    in [0, 2**64) and an `index` that is not an int >= 0 (a bool is not an
-    int for either), rather than wrapping them mod 2**64.
+    SplitMix64 finalizer applied to ``seed + (index + 1) * gamma``, computed
+    by :func:`_mix64_block`; the same function is used for cell and trial
+    substreams so results do not depend on worker scheduling.  Refuses a
+    `seed` that is not an int in [0, 2**64) and an `index` that is not an
+    int in [0, 2**64 - 2] (a bool is not an int for either), rather than
+    wrapping them mod 2**64.
     """
     seed, index = _as_seed("seed", seed), _as_int("index", index, minimum=0)
-    z = (seed + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    return int(_mix64_block(seed, index, index + 1)[0])
 
 
 def _mix64_block(seed: int, start: int, stop: int) -> np.ndarray:
-    """``mix64(seed, t)`` for t in [start, stop), as uint64 (arithmetic wraps mod 2**64)."""
+    """``mix64(seed, t)`` for t in [start, stop), as uint64.
+
+    Refuses a range without 0 <= start < stop, and any t above 2**64 - 2,
+    whose multiplier t + 1 would not fit in 64 bits and would wrap (t = 2**64
+    would repeat t = 0's seed).  Past those checks the arithmetic wraps mod
+    2**64, as SplitMix64's does.
+    """
+    if not 0 <= start < stop:
+        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    if stop > _MASK64:
+        raise ValueError(f"index must be <= {_MASK64 - 1}, got {stop - 1}")
     z = np.arange(start + 1, stop + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
@@ -255,22 +263,21 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     from its words, so every draw still comes from numpy's PCG64.  The
     block is filled as raw uint64, and :func:`_geometric_in_place` maps each
     raw word to its draw in the block's buffer (about 8 bytes per value,
-    output included).  Refusals raise before any draw, in this order:
-    :func:`_inverse_p`'s (an n that is not an int >= 1, a model that is not
-    `Geometric`, a p whose draws would overflow int64), then a `cell_seed`
-    that is not an int in [0, 2**64), then a start or stop that is not an
-    int (:func:`_as_int`; a bool is not one), then a range without
-    0 <= start < stop.
+    output included).  Refusals raise before any draw, at p = 1 too, in
+    this order: :func:`_inverse_p`'s (an n that is not an int >= 1, a model
+    that is not `Geometric`, a p whose draws would overflow int64), then a
+    `cell_seed` that is not an int in [0, 2**64), then a start or stop that
+    is not an int (:func:`_as_int`; a bool is not one), then
+    :func:`_mix64_block`'s (a range without 0 <= start < stop, a trial
+    index above 2**64 - 2).
     """
     p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)
-    start, stop = _as_int("start", start), _as_int("stop", stop)
-    if not 0 <= start < stop:
-        raise ValueError(f"need 0 <= start < stop, got start={start}, stop={stop}")
+    seeds = _mix64_block(cell_seed, _as_int("start", start), _as_int("stop", stop))
     if p is None:
-        return np.zeros((stop - start, n), dtype=np.int64)
+        return np.zeros((len(seeds), n), dtype=np.int64)
     np.random.bit_generator.ISeedSequence.register(_TrialSeed)
-    raw = np.empty((stop - start, n), dtype=np.uint64)
-    for row, words in zip(raw, _seed_sequence_words(_mix64_block(cell_seed, start, stop))):
+    raw = np.empty((len(seeds), n), dtype=np.uint64)
+    for row, words in zip(raw, _seed_sequence_words(seeds)):
         row[:] = np.random.PCG64(_TrialSeed(words)).random_raw(n)
     return _geometric_in_place(raw, p)

@@ -48,7 +48,7 @@ _gc_was_enabled = gc.isenabled()
 gc.disable()
 try:
     from .. import __version__
-    from ..distributions import ContinuousUniform, geometric
+    from ..distributions import ContinuousUniform, _as_int, _as_seed, geometric
     from ..model_select import SelectionPolicy, render_verdict, select_degree
     from ..montecarlo import COUNTER_MODES, ExperimentConfig, TrialSummary, run_experiment
     from ..polyfit import DataPoint, diagnostics, fit
@@ -142,58 +142,58 @@ def _parse_p_values(text: str) -> tuple[float, ...]:
 _DEFAULT_P_VALUES = _parse_p_values(_DEFAULT_GRID)
 
 
-def _p_grid_arg(text: str) -> tuple[float, ...]:
-    try:
-        return _parse_p_values(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-def _p_single_arg(text: str) -> float:
-    values = _p_grid_arg(text)
+def _one_p(text: str) -> float:
+    values = _parse_p_values(text)
     if len(values) != 1:
-        raise argparse.ArgumentTypeError(f"expected a single p value, got {text!r}")
+        raise ValueError(f"expected a single p value, got {text!r}")
     return values[0]
 
 
-def _seed_arg(text: str):
-    if text == "auto":
-        return "auto"
+def _number(kind, text: str, expected: str):
+    # Text to a number.  Only this step has a message of the CLI's own; every
+    # range is the library's check's.
     try:
-        value = int(text)
+        return kind(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer or 'auto', got {text!r}")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text}")
-    return value
+        raise ValueError(f"{expected}, got {text!r}") from None
 
 
-def _int_arg(minimum: int):
-    """An argparse type for integers of at least `minimum`."""
+def _arg(check):
+    """An argparse type that runs `check` on the text.  The check's
+    ValueError or TypeError becomes a usage error (exit code 2) that prints
+    the check's own message after ``argument --FLAG:``."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {value}")
-        return value
+            return check(text)
+        except (ValueError, TypeError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
 
     return parse
 
 
-_positive_int = _int_arg(1)
+def _integer(text: str) -> int:
+    return _number(int, text, "expected an integer")
 
 
-def _alpha_arg(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must be in (0,1), got {text}")
-    return value
+def _int_arg(name: str, minimum: int):
+    return _arg(lambda text: _as_int(name, _integer(text), minimum))
+
+
+def _seed(text: str):
+    if text == "auto":
+        return text
+    return _as_seed("seed", _number(int, text, "seed must be an integer or 'auto'"))
+
+
+def _alpha(text: str) -> float:
+    return SelectionPolicy(alpha=_number(float, text, "expected a real number")).alpha
+
+
+def _d_max(text: str) -> int:
+    # Checked against the default d_min, 1, the least there is; _cmd_select
+    # checks it against --d-min.
+    return SelectionPolicy(d_max=_integer(text)).d_max
 
 
 def _resolve_seed(seed) -> int:
@@ -364,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument(
-        "--seed", type=_seed_arg, required=True, help="64-bit unsigned seed, or 'auto'"
+        "--seed", type=_arg(_seed), required=True, help="64-bit unsigned seed, or 'auto'"
     )
-    run.add_argument("--n", type=_positive_int, default=1000, help="array length")
-    run.add_argument("--trials", type=_positive_int, default=100, help="trials per cell")
-    run.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    run.add_argument("--n", type=_int_arg("n", 1), default=1000, help="array length")
+    run.add_argument("--trials", type=_int_arg("trials", 1), default=100, help="trials per cell")
+    run.add_argument("--jobs", type=_int_arg("jobs", 1), default=1, help="worker processes")
     run.add_argument("--no-timestamp", action="store_true")
 
     points = argparse.ArgumentParser(add_help=False)
@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument(
         "--p",
-        type=_p_grid_arg,
+        type=_arg(_parse_p_values),
         default=_DEFAULT_P_VALUES,
         metavar="GRID",
         help=f"p grid: value, comma list, or a..b:step (default {_DEFAULT_GRID})",
@@ -400,19 +400,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     thy = sub.add_parser("theory", help="closed-form tie/interchange predictions")
     thy.add_argument("--dist", choices=("geometric", "continuous"), default="geometric")
-    thy.add_argument("--p", type=_p_single_arg, default=None)
-    thy.add_argument("--n", type=_positive_int, default=1000)
+    thy.add_argument("--p", type=_arg(_one_p), default=None)
+    thy.add_argument("--n", type=_int_arg("n", 1), default=1000)
     thy.add_argument("--json", action="store_true")
     thy.set_defaults(func=_cmd_theory)
 
     fit_cmd = sub.add_parser("fit", parents=[points], help="polynomial fit with full diagnostics")
-    fit_cmd.add_argument("--degree", type=_int_arg(0), required=True)
+    fit_cmd.add_argument("--degree", type=_int_arg("degree", 0), required=True)
     fit_cmd.set_defaults(func=_cmd_fit)
 
     sel = sub.add_parser("select", parents=[points], help="empirical growth-order selection")
-    sel.add_argument("--alpha", type=_alpha_arg, default=0.05)
-    sel.add_argument("--d-min", type=_positive_int, default=1)
-    sel.add_argument("--d-max", type=_positive_int, default=4)
+    sel.add_argument("--alpha", type=_arg(_alpha), default=0.05)
+    sel.add_argument("--d-min", type=_int_arg("d_min", 1), default=1)
+    sel.add_argument("--d-max", type=_arg(_d_max), default=4)
     sel.set_defaults(func=_cmd_select)
 
     rep = sub.add_parser(
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="full pipeline: simulate, fit degrees 2-4, select, figures",
     )
     rep.add_argument("--out-dir", default="repro_out")
-    rep.add_argument("--alpha", type=_alpha_arg, default=0.05)
+    rep.add_argument("--alpha", type=_arg(_alpha), default=0.05)
     rep.add_argument(
         "--use-fixture",
         action="store_true",
@@ -457,7 +457,3 @@ def main(argv=None) -> int:
         # process ended without reporting its cells.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

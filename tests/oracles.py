@@ -18,7 +18,8 @@ maps it to one geometric variate.  They share no code with the package's
 samplers, so ``sample_block`` and ``sample_array`` must agree with them
 draw for draw.  :func:`per_trial_rows` is the other reference
 for ``sample_block``: its per-trial definition, one ``sample_array`` call
-per trial on a source that numpy seeds itself.
+per trial on a source that numpy seeds itself.  :func:`splitmix64` is
+``mix64`` in Python ints, with no numpy.
 """
 
 from __future__ import annotations
@@ -155,6 +156,16 @@ def geometric_pmf(p: float, r: int) -> float:
     return p * (1.0 - p) ** int(r)
 
 
+def splitmix64(seed: int, index: int) -> int:
+    """Seed of substream `index`: the SplitMix64 finalizer (Steele, Lea & Flood,
+    OOPSLA 2014) of seed + (index + 1) * gamma, each step mod 2**64."""
+    mask = (1 << 64) - 1
+    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
 def per_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
     """Trials start..stop-1 of a cell, each drawn by ``sample_array`` on its
     own ``RandomSource(mix64(cell_seed, t))``."""
@@ -168,11 +179,12 @@ def scalar_trial_rows(p: float, n: int, cell_seed: int, start: int, stop: int) -
     ``PCG64(mix64(cell_seed, t))``: the top 53 bits of every raw output
     make one uniform, mapped by :func:`geometric_from_uniform`.
 
-    Shares no array code with the package's samplers.
+    Shares no code with the package's samplers or its seed derivation
+    (:func:`splitmix64` stands for ``mix64``).
     """
     rows = []
     for t in range(start, stop):
-        raw = np.random.PCG64(mix64(cell_seed, t)).random_raw(n).tolist()
+        raw = np.random.PCG64(splitmix64(cell_seed, t)).random_raw(n).tolist()
         rows.append([geometric_from_uniform(uniform_from_raw(r), p) for r in raw])
     return np.array(rows, dtype=np.int64)
 

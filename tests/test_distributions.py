@@ -15,6 +15,7 @@ from oracles import (
     per_trial_rows,
     sample_geometric_inverse,
     scalar_trial_rows,
+    splitmix64,
     uniform_from_raw,
 )
 from sortlab import distributions
@@ -76,6 +77,26 @@ class TestMix64:
     @pytest.mark.parametrize("seed", [np.uint64(2**64 - 1), np.int64(5), np.uint8(5)])
     def test_numpy_seed_is_the_int(self, seed):
         assert mix64(seed, 3) == mix64(int(seed), 3)
+
+    @pytest.mark.parametrize("index", [2**64 - 1, 2**64, 2**64 + 5, 2**70])
+    def test_refuses_an_index_whose_multiplier_would_wrap(self, index):
+        # Not wrapped mod 2**64: index 2**64 - 1 would be index -1, and
+        # 2**64 + k would repeat index k.
+        with pytest.raises(ValueError) as caught:
+            mix64(5, index)
+        assert str(caught.value) == f"index must be <= {2**64 - 2}, got {index}"
+
+    def test_refuses_the_index_that_would_alias_index_0(self):
+        assert splitmix64(5, 2**64) == splitmix64(5, 0)  # the aliasing pair, wrapped
+        with pytest.raises(ValueError, match="^index must be <="):
+            mix64(5, 2**64)
+
+    def test_largest_index_is_unchanged(self):
+        assert mix64(5, 2**64 - 2) == 16861065833068299987 == splitmix64(5, 2**64 - 2)
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=2**64 - 2))
+    def test_matches_the_python_oracle(self, seed, index):
+        assert mix64(seed, index) == splitmix64(seed, index)
 
 
 class TestRandomSource:
@@ -359,7 +380,7 @@ class TestVectorisedSeeding:
     def test_mix64_block_matches_scalar(self, seed, start, stop):
         got = _mix64_block(seed, start, stop)
         assert got.dtype == np.uint64
-        assert got.tolist() == [mix64(seed, t) for t in range(start, stop)]
+        assert got.tolist() == [splitmix64(seed, t) for t in range(start, stop)]
 
 
 class TestSampleBlock:
@@ -438,8 +459,20 @@ class TestSampleBlock:
             (geometric(0.5), 5, -1, 2, ValueError),
             (ContinuousUniform(), 5, 0, 3, TypeError),
             (geometric(0.5), 5, True, 3, TypeError),
+            (geometric(0.5), 3, 2**64 - 1, 2**64, ValueError),
+            (geometric(0.5), 3, 2**64, 2**64 + 1, ValueError),
+            (geometric(1.0), 3, 2**64 - 1, 2**64, ValueError),
         ],
-        ids=["n=0", "empty-range", "negative-start", "continuous", "bool-start"],
+        ids=[
+            "n=0",
+            "empty-range",
+            "negative-start",
+            "continuous",
+            "bool-start",
+            "index-2**64-1",
+            "index-2**64",
+            "index-2**64-1-at-p=1",
+        ],
     )
     def test_other_refusals_build_no_generator(self, monkeypatch, model, n, start, stop, error):
         def no_generator(seed):
@@ -466,6 +499,11 @@ class TestSampleBlock:
         args = {"n": 3, "start": 0, "stop": 3, name: value}
         with pytest.raises(TypeError, match=f"^{name} must be an int, got {type(value).__name__}$"):
             sample_block(geometric(0.5), args["n"], 1, args["start"], args["stop"])
+
+    def test_largest_trial_index_still_samples(self):
+        got = sample_block(geometric(0.5), 3, 1, 2**64 - 2, 2**64 - 1)
+        assert got.tolist() == [[0, 2, 0]]
+        assert np.array_equal(got, scalar_trial_rows(0.5, 3, 1, 2**64 - 2, 2**64 - 1))
 
     def test_numpy_ints_are_accepted(self):
         got = sample_block(geometric(0.5), np.int64(3), 1, np.uint8(1), np.int64(4))

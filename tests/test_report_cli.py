@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sortlab import __version__, montecarlo
-from sortlab.distributions import ALGORITHM_ID, ContinuousUniform, geometric
+from sortlab.distributions import ALGORITHM_ID, ContinuousUniform, geometric, mix64
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
 from sortlab.polyfit import DataPoint, PolyModel, diagnostics, fit
@@ -708,7 +708,7 @@ def test_smallest_positive_float_p_still_parses():
         (["simulate", "--seed", "1", "--p", "0.5,0.2"], "must be strictly increasing"),
         (["theory", "--p", "0.1,0.2"], "expected a single p value"),
         (["simulate", "--seed", "x"], "integer or 'auto'"),
-        (["simulate", "--seed", "18446744073709551616"], "fit in 64 unsigned bits"),
+        (["simulate", "--seed", "18446744073709551616"], "must be a 64-bit unsigned integer"),
         (["simulate", "--seed", "1", "--n", "1.5"], "expected an integer"),
         (["select", "--use-fixture", "--alpha", "x"], "expected a real number"),
     ],
@@ -717,6 +717,65 @@ def test_smallest_positive_float_p_still_parses():
 def test_refused_argument_exits_2_with_its_message(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _refusal(call) -> str:
+    with pytest.raises(ValueError) as caught:
+        call()
+    return str(caught.value)
+
+
+def _config(**fields):
+    return montecarlo.ExperimentConfig(**{"n": 5, "trials": 2, "p_values": (0.5,), **fields})
+
+
+# Every numeric flag at its first refused value, with the library call whose
+# check refuses that value.
+NUMERIC_FLAG_REFUSALS = [
+    *[
+        (cmd, flag, text, check)
+        for cmd in ("simulate", "reproduce")
+        for flag, text, check in [
+            ("--n", "0", lambda: _config(n=0)),
+            ("--trials", "0", lambda: _config(trials=0)),
+            ("--jobs", "0", lambda: montecarlo.run_experiment(_config(), jobs=0)),
+            ("--seed", "-1", lambda: mix64(-1, 0)),
+            ("--seed", str(2**64), lambda: mix64(2**64, 0)),
+        ]
+    ],
+    ("theory", "--n", "0", lambda: predict(geometric(0.5), 0)),
+    ("fit", "--degree", "-1", lambda: fit(reference_points(), -1)),
+    ("select", "--d-min", "0", lambda: SelectionPolicy(d_min=0)),
+    ("select", "--d-max", "0", lambda: SelectionPolicy(d_max=0)),
+    *[
+        (cmd, "--alpha", text, lambda text=text: SelectionPolicy(alpha=float(text)))
+        for cmd in ("select", "reproduce")
+        for text in ("0", "1", "nan")
+    ],
+]
+_REQUIRED_ARGS = {
+    "simulate": ["--seed", "1"],
+    "reproduce": ["--seed", "1"],
+    "theory": ["--p", "0.5"],
+    "fit": ["--use-fixture"],
+    "select": ["--use-fixture"],
+}
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, text, check",
+    NUMERIC_FLAG_REFUSALS,
+    ids=[" ".join(case[:3]) for case in NUMERIC_FLAG_REFUSALS],
+)
+def test_numeric_flag_refused_with_the_library_message(cmd, flag, text, check, capsys, tmp_path):
+    # The flag under test comes last, so it overrides a required --seed.
+    out_dir = ["--out-dir", str(tmp_path / "out")] if cmd == "reproduce" else []
+    argv = [cmd, *_REQUIRED_ARGS[cmd], *out_dir, flag, text]
+    message = _refusal(check)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"sortlab {cmd}: error: argument {flag}: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestCliTheory:

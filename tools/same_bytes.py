@@ -43,6 +43,13 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
     ["simulate", "--seed", "1", "--mode", "nope"],
+    # Refused arguments: only stderr and the exit code to compare.
+    ["simulate", "--seed", "-1"],
+    ["simulate", "--seed", "1", "--n", "0"],
+    ["theory", "--p", "0.5", "--n", "0"],
+    ["fit", "--use-fixture", "--degree", "-1"],
+    ["select", "--use-fixture", "--alpha", "1"],
+    ["select", "--use-fixture", "--d-max", "0"],
 ]
 
 
