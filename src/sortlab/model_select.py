@@ -1,14 +1,16 @@
 """Empirical growth-order selection over polynomial degrees.
 
-Scans degrees in ascending order and picks the smallest degree whose
-highest-order term is itself significant while the next degree's new
-term is not.  The resulting verdict carries an "O_emp(p^d)" label, a
-decision trace, and the per-degree regression reports, so a selection
-can be audited rather than taken on faith.
+Scans degrees d in ascending order on one number per degree, s_d: the
+significance of the x^d term of the degree-d fit, None when that fit is
+exact.  The smallest d whose fit is exact, or whose s_d is below alpha
+while s_(d+1) is not, is selected.  The resulting verdict carries an
+"O_emp(p^d)" label, a decision trace, and the per-degree regression
+reports, so a selection can be audited rather than taken on faith.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,9 +30,11 @@ __all__ = [
 class SelectionPolicy:
     """Significance threshold and the degree range to scan.
 
-    Refuses, in this order: an alpha outside (0, 1), a `d_min` that is not
-    an int >= 1, a `d_max` that is not an int, and a `d_max` below `d_min`.
-    A bool is not an int; a numpy int is stored as the Python int it is.
+    Refuses, in this order: an alpha that is not a real number (TypeError)
+    or is outside (0, 1), a `d_min` that is not an int >= 1, a `d_max` that
+    is not an int, and a `d_max` below `d_min`.  A bool is neither a real
+    nor an int; any other real alpha (a Fraction, a numpy float) is stored
+    as a float, and a numpy int degree as the Python int it is.
     """
 
     alpha: float = 0.05
@@ -38,8 +42,11 @@ class SelectionPolicy:
     d_max: int = 4
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, numbers.Real):
+            raise TypeError(f"alpha must be a real number, got {type(self.alpha).__name__}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "d_min", _as_int("d_min", self.d_min, minimum=1))
         object.__setattr__(self, "d_max", _as_int("d_max", self.d_max))
         if self.d_max < self.d_min:
@@ -78,24 +85,19 @@ class EmpiricalOVerdict:
         return f"O_emp(p^{self.selected_degree})"
 
 
-def _report_for(
-    points: Sequence[DataPoint], degree: int, cache: dict[int, RegressionReport]
-) -> RegressionReport:
-    if degree not in cache:
-        cache[degree] = diagnostics(points, fit(points, degree))
-    return cache[degree]
-
-
 def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> EmpiricalOVerdict:
     """Scan degrees `policy.d_min`..`policy.d_max` and pick the first adequate one.
 
-    A degree d is adequate when its own x^d term has sig < alpha
-    (strictly) and the x^(d+1) term of the degree d+1 fit has
-    sig >= alpha.  An exact fit is terminal: nothing is left for a
-    higher term to explain.  If no scanned degree qualifies, the
-    verdict is the degree cap itself, flagged cap-limited, never a
-    silently extended search.  Constant-response data cannot rank
-    degrees at all and comes back as a flagged degree-0 verdict.
+    The scan reads one number per degree: s_d, the sig of the x^d term of
+    the degree-d fit, which is None exactly when that fit is exact.  At
+    each d in turn, an exact fit (s_d None) is selected, since nothing is
+    left for a higher term to explain; s_d >= alpha passes d over; at
+    d = d_max the extension is untestable and d is passed over; otherwise
+    d is selected when s_(d+1) is not None and s_(d+1) >= alpha.  If no
+    scanned degree is selected, the verdict is the degree cap itself,
+    flagged cap-limited, never a silently extended search.  Each degree is
+    fitted at most once.  Constant-response data cannot rank degrees at
+    all and comes back as a flagged degree-0 verdict.
     """
     m = len(points)
     if m < policy.d_max + 2:
@@ -104,53 +106,51 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
             f"{policy.d_max + 2} points, got {m}"
         )
 
-    y_values = {pt.y for pt in points}
-    if len(y_values) == 1:
-        report = diagnostics(points, fit(points, 0))
+    reports: dict[int, RegressionReport] = {}
+
+    def top_sig(d: int) -> float | None:
+        if d not in reports:
+            reports[d] = diagnostics(points, fit(points, d))
+        return reports[d].highest_order_row.sig
+
+    if len({pt.y for pt in points}) == 1:
+        top_sig(0)
         return EmpiricalOVerdict(
             selected_degree=0,
             cap_limited=False,
             degenerate=True,
             decision_trace=(TraceEntry(0, None, None, True, "constant response, nothing to rank"),),
-            per_degree_reports={0: report},
+            per_degree_reports=reports,
         )
 
-    cache: dict[int, RegressionReport] = {}
     trace: list[TraceEntry] = []
     for d in range(policy.d_min, policy.d_max + 1):
-        report = _report_for(points, d, cache)
-        own_sig = ext_sig = None
-        if report.exact_fit:
+        s_d, s_next = top_sig(d), None
+        if s_d is None:
             accepted, reason = True, "exact fit, no residual variation left"
+        elif s_d >= policy.alpha:
+            accepted, reason = False, f"own top term not significant at alpha={policy.alpha:g}"
+        elif d == policy.d_max:
+            accepted, reason = False, "degree cap reached, extension untestable"
         else:
-            own_sig = report.highest_order_row.sig
-            if not (own_sig is not None and own_sig < policy.alpha):
-                accepted, reason = False, f"own top term not significant at alpha={policy.alpha:g}"
-            elif d == policy.d_max:
-                accepted, reason = False, "degree cap reached, extension untestable"
+            s_next = top_sig(d + 1)
+            accepted = s_next is not None and s_next >= policy.alpha
+            if accepted:
+                reason = f"top term significant, extension term not, at alpha={policy.alpha:g}"
+            elif s_next is not None:
+                reason = "extension term still significant"
             else:
-                ext_report = _report_for(points, d + 1, cache)
-                ext_sig = ext_report.highest_order_row.sig
-                accepted = ext_sig is not None and ext_sig >= policy.alpha
-                if accepted:
-                    reason = f"top term significant, extension term not, at alpha={policy.alpha:g}"
-                elif ext_sig is not None:
-                    reason = "extension term still significant"
-                else:
-                    reason = "extension fit is exact"
-        trace.append(TraceEntry(d, own_sig, ext_sig, accepted, reason))
+                reason = "extension fit is exact"
+        trace.append(TraceEntry(d, s_d, s_next, accepted, reason))
         if accepted:
-            selected, cap_limited = d, False
             break
-    else:
-        selected, cap_limited = policy.d_max, True
 
     return EmpiricalOVerdict(
-        selected_degree=selected,
-        cap_limited=cap_limited,
+        selected_degree=d,
+        cap_limited=not accepted,
         degenerate=False,
         decision_trace=tuple(trace),
-        per_degree_reports=dict(cache),
+        per_degree_reports=reports,
     )
 
 

@@ -129,9 +129,16 @@ class RegressionReport:
         return self.coefficients[self.model.degree - 1]
 
 
-def _as_arrays(points: Sequence[DataPoint]) -> tuple[np.ndarray, np.ndarray]:
+def _as_arrays(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # The x and y arrays of `points`, with the rank rule of both fit and
+    # diagnostics: a degree-d polynomial needs d + 1 distinct x values.
     x = np.array([pt.x for pt in points], dtype=np.float64)
     y = np.array([pt.y for pt in points], dtype=np.float64)
+    distinct = len(set(x.tolist()))
+    if distinct < degree + 1:
+        raise RankDeficientError(
+            f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
+        )
     return x, y
 
 
@@ -148,19 +155,14 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     """
     degree = _as_int("degree", degree, minimum=0)
     min_residual_df = _as_int("min_residual_df", min_residual_df, minimum=0)
-    x, y = _as_arrays(points)
-    m = x.size
+    m = len(points)
     needed = degree + 1 + min_residual_df
     if m < needed:
         raise ValueError(
             f"degree {degree} needs at least {needed} points "
             f"({min_residual_df} residual df), got {m}"
         )
-    distinct = len(set(x.tolist()))
-    if distinct < degree + 1:
-        raise RankDeficientError(
-            f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
-        )
+    x, y = _as_arrays(points, degree)
 
     mu = float(x.mean())
     scale = float(x.std())
@@ -194,7 +196,12 @@ def _xtx_inverse_diagonal(design: np.ndarray) -> np.ndarray:
 def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionReport:
     """Model summary, ANOVA, and coefficient table for a fitted model.
 
-    Assumes `model` was fitted on `points`.  Sums of squares are taken
+    Assumes `model` was fitted on `points`, and refuses, as `fit` does,
+    a model of degree d on fewer than d + 1 distinct x values
+    (:class:`RankDeficientError`).  It also refuses (ValueError) a
+    non-constant response whose total sum of squares is not a normal
+    finite float64: below about 2.2e-308 or past about 1.8e308 the
+    statistics underflow or overflow.  Sums of squares are taken
     around the response mean (intercept models), standardized betas use
     sample standard deviations of the raw power columns and of y, and
     significances come from the t and F upper tails.
@@ -205,17 +212,23 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     standard errors of 0, and None for F, every t and every sig.  Every
     other statistic comes from the same formula as for any fit.
     """
-    x, y = _as_arrays(points)
-    m = x.size
     d = model.degree
+    x, y = _as_arrays(points, d)
+    m = x.size
     coeffs = np.asarray(model.coefficients)
+    with np.errstate(over="ignore"):
+        ybar = float(y.mean())
+        ss_tot = float(((y - ybar) ** 2).sum())
+    if y.min() < y.max() and not np.finfo(np.float64).tiny <= ss_tot < np.inf:
+        raise ValueError(
+            f"the response's total sum of squares is {ss_tot!r}, not a normal "
+            "float64: rescale the response"
+        )
 
     design = np.vander(x, d + 1, increasing=True)
     fitted = design @ coeffs
     resid = y - fitted
-    ybar = float(y.mean())
     ss_res = float(resid @ resid)
-    ss_tot = float(((y - ybar) ** 2).sum())
     ss_reg = float(((fitted - ybar) ** 2).sum())
     df_reg = d
     df_res = m - d - 1

@@ -24,11 +24,7 @@ def _strip_zero(text: str) -> str:
 
 def format_sig(value: float | None) -> str:
     """Significance display: '.002' style, '.000' below 0.0005, 'n/a' if undefined."""
-    if value is None:
-        return "n/a"
-    if value < 0.0005:
-        return ".000"
-    return _strip_zero(f"{value:.3f}")
+    return "n/a" if value is None else format_bounded(value)
 
 
 def format_bounded(value: float) -> str:

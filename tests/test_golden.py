@@ -108,15 +108,16 @@ EXACT = GOLDEN / "exact"
         ("fit_linear_d4", ["fit", "--input", "linear.csv", "--degree", "4"]),
         ("fit_constant_d0", ["fit", "--input", "constant.csv", "--degree", "0"]),
         ("select_constant", ["select", "--input", "constant.csv"]),
+        ("select_cubic", ["select", "--input", "cubic.csv"]),
     ],
 )
 def test_exact_fit_matches_golden(tmp_path, capsys, monkeypatch, name, args):
     """Exact fits and a constant response: stdout bytes exact, the JSON artifact parsed.
 
-    The inputs in ``tests/golden/exact/`` are exactly linear and constant
-    responses, so every report here takes the exact-fit path.  The run is
-    made from that directory so that the JSON's config line names the
-    input as written.
+    The inputs in ``tests/golden/exact/`` are exactly linear, cubic and
+    constant responses, so every fit and every scan here ends on an exact
+    fit.  The run is made from that directory so that the JSON's config
+    line names the input as written.
     """
     monkeypatch.chdir(EXACT)
     out = tmp_path / "out.json"

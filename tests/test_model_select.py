@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sortlab.model_select import SelectionPolicy, format_fixed, render_verdict, select_degree
-from sortlab.polyfit import DataPoint
+from sortlab.polyfit import DataPoint, diagnostics, fit
+from sortlab.report.csvio import read_summaries_csv
 from sortlab.report.fixture import reference_points
 from sortlab.report.jsonio import verdict_to_dict
 
@@ -50,6 +55,29 @@ class TestSelectionPolicy:
             SelectionPolicy(d_min=0)
         with pytest.raises(ValueError):
             SelectionPolicy(d_min=3, d_max=2)
+
+    @pytest.mark.parametrize(
+        "alpha, plain",
+        [
+            (Fraction(1, 1000), 0.001),
+            (Fraction(1, 100), 0.01),
+            (np.float32(0.01), 0.01),
+            (np.float64(0.01), 0.01),
+        ],
+    )
+    def test_real_alpha_is_stored_as_float(self, alpha, plain):
+        # Stored as a float, so the trace's f"{alpha:g}" can format it.
+        policy = SelectionPolicy(alpha=alpha)
+        assert type(policy.alpha) is float and policy.alpha == float(alpha)
+        verdict = select_degree(reference_points(), policy)
+        assert render_verdict(verdict) == render_verdict(
+            select_degree(reference_points(), SelectionPolicy(alpha=plain))
+        )
+
+    @pytest.mark.parametrize("alpha", [None, "0.05", True])
+    def test_alpha_that_is_not_a_real_is_refused(self, alpha):
+        with pytest.raises(TypeError, match=r"^alpha must be a real number, got "):
+            SelectionPolicy(alpha=alpha)
 
     def test_numpy_degree_bounds_are_stored_as_ints(self):
         # A numpy d_max must not reach the verdict as np.int64, which the JSON
@@ -151,6 +179,19 @@ class TestSelectDegree:
                 report = verdict.per_degree_reports[verdict.selected_degree]
                 assert report.exact_fit or report.highest_order_row.sig < alpha
 
+    def test_exact_extension_then_exact_fit(self):
+        # mean_c = p^3 + 2: the linear and quadratic top terms are
+        # significant, the cubic fit is exact, and the scan stops there.
+        summaries, _ = read_summaries_csv(Path(__file__).parent / "golden" / "exact" / "cubic.csv")
+        points = [DataPoint(s.p, s.mean_c) for s in summaries]
+        verdict = select_degree(points, SelectionPolicy())
+        assert [entry.reason for entry in verdict.decision_trace] == [
+            "extension term still significant",
+            "extension fit is exact",
+            "exact fit, no residual variation left",
+        ]
+        assert (verdict.verdict_label, verdict.cap_limited) == ("O_emp(p^3)", False)
+        assert set(verdict.per_degree_reports) == {1, 2, 3}
 
     def test_insignificant_top_term_passes_over_every_degree(self):
         verdict = select_degree(alternating_points(), SelectionPolicy())
@@ -163,6 +204,58 @@ class TestSelectDegree:
             assert entry.reason == "own top term not significant at alpha=0.05"
         sigs = [entry.top_term_sig for entry in verdict.decision_trace]
         assert sigs == pytest.approx([1.0, 0.5424865615741675, 1.0, 0.4676047546094124])
+
+
+@st.composite
+def scan_cases(draw):
+    d_max = draw(st.integers(min_value=1, max_value=4))
+    d_min = draw(st.integers(min_value=1, max_value=d_max))
+    xs = draw(st.lists(st.integers(-20, 20), min_size=d_max + 2, max_size=10, unique=True))
+    # A polynomial of degree 0..5 plus integer noise of a drawn size, so that
+    # exact fits, significant and insignificant terms all come up.
+    coefficients = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=6))
+    amplitude = draw(st.sampled_from([0, 1, 5, 50]))
+    noise = draw(st.lists(st.integers(-amplitude, amplitude), min_size=len(xs), max_size=len(xs)))
+    ys = [sum(c * (x / 10.0) ** j for j, c in enumerate(coefficients)) + e for x, e in zip(xs, noise)]
+    if len(set(ys)) == 1:
+        ys[0] += 1.0  # non-constant
+    alpha = draw(
+        st.sampled_from([0.001, 0.01, 0.05, 0.2])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+    )
+    points = [DataPoint(x / 10.0, y) for x, y in zip(xs, ys)]
+    return points, SelectionPolicy(alpha=alpha, d_min=d_min, d_max=d_max)
+
+
+@given(scan_cases())
+@settings(max_examples=100, deadline=None)
+def test_verdict_follows_the_rule_on_independent_sigs(case):
+    """The verdict is the first d whose fit is exact, or whose s_d < alpha
+    with s_(d+1) >= alpha below the cap; else the cap.  Each s_d here comes
+    from its own fit, not from the verdict's reports."""
+    points, policy = case
+    alpha, d_max = policy.alpha, policy.d_max
+    sig = {
+        d: diagnostics(points, fit(points, d)).highest_order_row.sig
+        for d in range(policy.d_min, d_max + 1)
+    }
+    selected = next(
+        (
+            d
+            for d in sig
+            if sig[d] is None
+            or (sig[d] < alpha and d < d_max and sig[d + 1] is not None and sig[d + 1] >= alpha)
+        ),
+        None,
+    )
+    verdict = select_degree(points, policy)
+    assert not verdict.degenerate
+    assert (verdict.selected_degree, verdict.cap_limited) == (
+        (d_max, True) if selected is None else (selected, False)
+    )
+    assert [entry.top_term_sig for entry in verdict.decision_trace] == [
+        sig[d] for d in range(policy.d_min, verdict.selected_degree + 1)
+    ]
 
 
 class TestInvariances:

@@ -1,5 +1,6 @@
 """Polynomial least squares and the diagnostic tables, with cross-oracles."""
 
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -237,10 +238,13 @@ class TestDiagnosticsGeneral:
             assert (row.b, row.std_error, row.t, row.sig) == (b, 0.0, None, None)
 
     def test_constant_response_exact(self):
-        points = [DataPoint(float(x), 7.5) for x in range(5)]
-        report = diagnostics(points, fit(points, 1))
-        assert report.exact_fit
-        assert report.anova.ss_total == 0.0
+        # Also at scales whose squared deviations would leave float64: a
+        # constant response is not refused.
+        for value in (7.5, 1e-162, 1e160):
+            points = [DataPoint(float(x), value) for x in range(5)]
+            report = diagnostics(points, fit(points, 1))
+            assert report.exact_fit
+            assert report.anova.ss_total == 0.0
 
     def test_degree_zero_report(self):
         points = [DataPoint(float(x), float(x)) for x in range(5)]
@@ -254,7 +258,14 @@ class TestDiagnosticsGeneral:
     @given(random_points_strategy())
     @settings(max_examples=60)
     def test_summary_invariants(self, points):
-        report = diagnostics(points, fit(points, 2))
+        model = fit(points, 2)
+        y = np.array([pt.y for pt in points])
+        if y.min() < y.max() and float(((y - y.mean()) ** 2).sum()) < np.finfo(float).tiny:
+            # Deviations of about 1e-154 or less: refused, not reported.
+            with pytest.raises(ValueError, match="not a normal float64"):
+                diagnostics(points, model)
+            return
+        report = diagnostics(points, model)
         assert -1e-12 <= report.summary.r_squared <= 1.0 + 1e-12
         assert report.summary.adjusted_r_squared <= report.summary.r_squared + 1e-12
         assert report.anova.ss_total == pytest.approx(
@@ -267,6 +278,41 @@ class TestDiagnosticsGeneral:
             for row in report.coefficients:
                 assert row.t == pytest.approx(row.b / row.std_error, rel=1e-9, abs=1e-12)
                 assert 0.0 <= row.sig <= 1.0
+
+    @pytest.mark.parametrize(
+        "xs, coefficients",
+        [((1.0, 1.0, 2.0, 2.0), (1.0, 1.0, 0.5)), ((0.0, 0.0, 0.0, 0.0), (1.0, 1.0))],
+        ids=["two-x-degree-2", "one-x-degree-1"],
+    )
+    def test_rank_rule_is_the_same_as_fits(self, xs, coefficients):
+        # Too few distinct x to determine the polynomial: a hand-made model
+        # is refused exactly as fit refuses that degree.
+        points = [DataPoint(x, float(k)) for k, x in enumerate(xs)]
+        degree = len(coefficients) - 1
+        message = f"^degree {degree} needs {degree + 1} distinct x values, got {len(set(xs))}$"
+        with pytest.raises(RankDeficientError, match=message):
+            fit(points, degree)
+        with pytest.raises(RankDeficientError, match=message):
+            diagnostics(points, PolyModel(coefficients))
+
+    def test_power_column_that_underflows_is_singular(self):
+        # Distinct x of about 1e-200: x^2 underflows to 0.0, so the raw
+        # design's x^2 column is zero and its R factor has a zero diagonal.
+        points = [DataPoint(k * 1e-200, float(k % 2)) for k in range(5)]
+        with pytest.raises(RankDeficientError, match=r"^design matrix is singular$"):
+            diagnostics(points, PolyModel((1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e160])
+    def test_response_whose_squares_leave_float64_is_refused(self, scale):
+        # Below about 1e-154 the squared deviations underflow, so the
+        # residual mean square of a fit that is not exact can be 0.0; above
+        # about 1e154 they overflow, and a noisy fit would look exact.
+        points = [DataPoint(0.1 * k, c * scale) for k, c in enumerate((1, 3, 2, 5, 1, 4), 1)]
+        model = fit(points, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total sum of squares is .*, not a normal float64"):
+                diagnostics(points, model)
 
     def test_power_terms_before_intercept(self):
         points = reference_points()

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 import dataclasses
 from dataclasses import asdict, fields
@@ -916,6 +917,24 @@ class TestCliFit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: design matrix rank 1 < 3\n"
+
+    @pytest.mark.parametrize("command", [["fit", "--degree", "1"], ["select"]])
+    @pytest.mark.parametrize(
+        "name, total", [("response_1e-162.csv", "1.5e-323"), ("response_1e160.csv", "inf")]
+    )
+    def test_response_whose_squares_leave_float64_exits_1(self, capsys, command, name, total):
+        # An error line, no traceback and no warning: no ZeroDivisionError
+        # from an underflowed mean square, no overflow in the squares.
+        path = Path(__file__).parent / "inputs" / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], "--input", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the response's total sum of squares is {total}, "
+            "not a normal float64: rescale the response\n"
+        )
 
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

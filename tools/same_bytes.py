@@ -38,6 +38,8 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
      "--out-json", "{out}/fit.json"],
     ["select", "--use-fixture", "--out-json", "{out}/verdict.json"],
     ["select", "--use-fixture", "--alpha", "0.01"],
+    ["select", "--use-fixture", "--alpha", "0.001"],
+    ["select", "--input", "tests/golden/exact/linear.csv"],
     ["select", "--use-fixture", "--d-min", "2", "--d-max", "5", "--out-json", "{out}/verdict.json"],
     ["simulate", "--seed", "5", "--n", "50", "--trials", "20"],
     ["simulate", "--seed", str(2**64)],
