@@ -11,17 +11,24 @@ variance are each rounded once from those sums, and the sd is the
 correctly rounded square root of that variance.
 
 Determinism contract: cell seeds derive from the master seed and the
-p-grid index, trial seeds from the cell seed and the trial index, and
-trials are reduced in trial-index order.  Output is therefore
-bit-identical whether cells run serially or in forked worker processes.
+p-grid index, trial seeds from the cell seed and the trial index, and a
+cell's counts are reduced to exact integer sums, whose value does not
+depend on the order they are added in.  Output is therefore
+bit-identical however the trials are split between forked worker
+processes.
 Each block is drawn by one :func:`~sortlab.distributions.sample_block`
 call, whose docstring states the generator of each trial.
 
-Cells fan out by a direct fork, without a pool: cell i belongs to share
-``i % workers``, the calling process runs share 0 itself, and each other
-share runs in a forked child that sends its summaries back pickled over
-a pipe and leaves by ``os._exit``.  A serial run is the one-share case:
-it forks no child.
+The grid's trials form one cell-major sequence: grid trial g is trial
+``g % trials`` of cell ``g // trials``.  A run fans out by a direct fork,
+without a pool: each share is a contiguous, near-equal range of that
+sequence, so a cell may be split between shares and a one-cell grid can
+use every job.  A share draws and counts its range cell by cell and
+returns each cell's exact integer sums; the calling process runs share 0
+itself and each other share runs in a forked child that sends its sums
+back pickled over a pipe and leaves by ``os._exit``.  The calling process
+adds the sums and builds each summary once, so the split changes no
+summary.  A serial run is the one-share case: it forks no child.
 """
 
 from __future__ import annotations
@@ -135,20 +142,111 @@ class TrialSummary:
 
 
 def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary:
-    """Run all trials of one grid cell and reduce them in trial order."""
-    model = geometric(p)
+    """Run all trials of one grid cell and reduce them in trial order.
+
+    The one-cell, full-range case of a share (:func:`_run_share`).
+    """
+    ((_, total, squares),) = _run_share(config, [(p, cell_seed)], 0, config.trials)
+    return _summary(config, p, total, squares)
+
+
+def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
+    """One TrialSummary per grid p, in grid order.
+
+    The grid's cells x trials trials are split into contiguous shares of
+    near-equal size, at most one per job, per trial and per usable CPU (the
+    CPU affinity mask where the platform has one).  Share 0 runs in this
+    process and every other share in a child forked for it, so a serial
+    run (one share, or no ``os.fork`` on this platform) forks nothing.
+    Per-trial seeding and exact integer sums keep the result bit-identical
+    whatever the number of shares and wherever a cell is split.
+
+    A child's exception is raised here again, and a child that ends
+    without reporting raises RuntimeError naming its exit status.  If this
+    process's own share fails, the children are killed before the error
+    propagates.  Every child is reaped and every pipe closed on each path.
+    """
+    jobs = _as_int("jobs", jobs, minimum=1)
+    cells = [(p, mix64(config.master_seed, index)) for index, p in enumerate(config.p_values)]
+    trials = len(cells) * config.trials
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs, trials, cpus) if hasattr(os, "fork") else 1
+    bounds = [share * trials // workers for share in range(workers + 1)]
+    sums = [[0, 0] for _ in cells]
+
+    def add(share_sums):
+        for index, total, squares in share_sums:
+            sums[index][0] += total
+            sums[index][1] += squares
+
+    children = []  # (pid, read end of its pipe) per forked share, in share order
+    try:
+        if workers > 1:
+            # Load numpy's generator module once, here, so that every child
+            # inherits it rather than importing it in its first sample_block.
+            import numpy.random  # noqa: F401
+        for share in range(1, workers):
+            children.append(_fork_share(config, cells, bounds[share], bounds[share + 1]))
+        add(_run_share(config, cells, bounds[0], bounds[1]))
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                report = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0 or not report:
+                how = f"exited with status {status}"
+                if status < 0:
+                    how = f"was killed by signal {-status}"
+                raise RuntimeError(f"worker process {pid} {how} without reporting its cells")
+            ok, result = pickle.loads(report)
+            if not ok:
+                raise result
+            add(result)
+    finally:
+        # Reached with children left only when something failed.
+        for pid, pipe in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
+    return tuple(_summary(config, p, *cell_sums) for (p, _), cell_sums in zip(cells, sums))
+
+
+def _run_share(
+    config: ExperimentConfig, cells: list[tuple[float, int]], start: int, stop: int
+) -> list[tuple[int, int, int]]:
+    """Exact sums over trials start..stop-1 of the cell-major sequence of `cells`.
+
+    `cells` holds one (p, cell seed) per cell.  Returns one (cell index,
+    sum of the counts, sum of their squares) per cell the range meets, in
+    cell order.  Each cell's part is drawn and counted in trial order, in
+    blocks of at most BLOCK_VALUES values (at least one trial each).
+    """
     kernel = _KERNELS[config.counter_mode]
     per_block = max(1, BLOCK_VALUES // config.n)
-    # Python ints: a count squared passes int64 once counts pass ~3.04e9.
-    total = squares = 0
+    sums = []
+    while start < stop:
+        index, first = divmod(start, config.trials)
+        last = min(config.trials, first + stop - start)
+        p, cell_seed = cells[index]
+        model = geometric(p)
+        # Python ints: a count squared passes int64 once counts pass ~3.04e9.
+        total = squares = 0
+        for block in range(first, last, per_block):
+            batch = sample_block(model, config.n, cell_seed, block, min(block + per_block, last))
+            for count in kernel(batch).tolist():
+                total += count
+                squares += count * count
+        sums.append((index, total, squares))
+        start += last - first
+    return sums
 
-    for start in range(0, config.trials, per_block):
-        stop = min(start + per_block, config.trials)
-        batch = sample_block(model, config.n, cell_seed, start, stop)
-        counts = kernel(batch)
-        for count in counts.tolist():
-            total += count
-            squares += count * count
+
+def _summary(config: ExperimentConfig, p: float, total: int, squares: int) -> TrialSummary:
+    """A cell's summary from the exact sums of its counts and of their squares."""
     trials = config.trials
     mean_c = total / trials  # int / int is correctly rounded
     sd_c = math.sqrt((trials * squares - total * total) / (trials * trials))
@@ -162,70 +260,10 @@ def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary
     )
 
 
-def run_experiment(config: ExperimentConfig, jobs: int = 1) -> tuple[TrialSummary, ...]:
-    """One TrialSummary per grid p, in grid order.
-
-    The cells are split into shares, at most one per job, per cell and per
-    usable CPU (the CPU affinity mask where the platform has one).  Share 0
-    runs in this process and every other share in a child forked for it,
-    so a serial run (one share, or no ``os.fork`` on this platform) forks
-    nothing.  Per-cell seeding and ordered collection keep the result
-    bit-identical whatever the number of shares.
-
-    A child's exception is raised here again, and a child that ends
-    without reporting raises RuntimeError naming its exit status.  If this
-    process's own share fails, the children are killed before the error
-    propagates.  Every child is reaped and every pipe closed on each path.
-    """
-    jobs = _as_int("jobs", jobs, minimum=1)
-    seeds = [mix64(config.master_seed, index) for index in range(len(config.p_values))]
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    workers = min(jobs, len(seeds), cpus) if hasattr(os, "fork") else 1
-    summaries = [None] * len(seeds)
-    children = []  # (share, pid, read end of its pipe) per forked share, in share order
-    try:
-        for share in range(1, workers):
-            children.append((share, *_fork_share(config, seeds, share, workers)))
-        summaries[0::workers] = _run_share(config, seeds, 0, workers)
-        while children:
-            share, pid, pipe = children[0]
-            with pipe:
-                report = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if status != 0 or not report:
-                how = f"exited with status {status}"
-                if status < 0:
-                    how = f"was killed by signal {-status}"
-                raise RuntimeError(f"worker process {pid} {how} without reporting its cells")
-            ok, result = pickle.loads(report)
-            if not ok:
-                raise result
-            summaries[share::workers] = result
-    finally:
-        # Reached with children left only when something failed.
-        for _, pid, pipe in children:
-            os.kill(pid, signal.SIGKILL)
-            pipe.close()
-            os.waitpid(pid, 0)
-    return tuple(summaries)
-
-
-def _run_share(
-    config: ExperimentConfig, seeds: list[int], share: int, workers: int
-) -> list[TrialSummary]:
-    """Summaries of cells share, share + workers, share + 2 * workers, ..."""
-    cells = zip(config.p_values[share::workers], seeds[share::workers])
-    return [run_cell(config, p, seed) for p, seed in cells]
-
-
-def _fork_share(config, seeds, share, workers):
+def _fork_share(config, cells, start, stop):
     """Fork a child that runs one share; return its pid and the read end of its pipe.
 
-    The child writes one pickled ``(ok, summaries or exception)`` and always
+    The child writes one pickled ``(ok, sums or exception)`` and always
     leaves by ``os._exit``, with status 0 only once that report is written:
     it never returns into the caller's frames (a CLI or a test runner) and
     never flushes the stdio buffers it inherited.
@@ -242,7 +280,7 @@ def _fork_share(config, seeds, share, workers):
         try:
             os.close(read_fd)
             try:
-                report = (True, _run_share(config, seeds, share, workers))
+                report = (True, _run_share(config, cells, start, stop))
             except Exception as exc:
                 report = (False, exc)
             with open(write_fd, "wb") as pipe:

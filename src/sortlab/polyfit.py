@@ -199,9 +199,10 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     Assumes `model` was fitted on `points`, and refuses, as `fit` does,
     a model of degree d on fewer than d + 1 distinct x values
     (:class:`RankDeficientError`).  It also refuses (ValueError) a
-    non-constant response whose total sum of squares is not a normal
-    finite float64: below about 2.2e-308 or past about 1.8e308 the
-    statistics underflow or overflow.  Sums of squares are taken
+    non-constant response whose total sum of squares is past about 1.8e308
+    or below about 2.2e-292, where the statistics overflow or underflow:
+    1e-16 of it, the exact-fit tolerance, must be a normal float64.  A sum
+    of squares that overflows warns of nothing.  Sums of squares are taken
     around the response mean (intercept models), standardized betas use
     sample standard deviations of the raw power columns and of y, and
     significances come from the t and F upper tails.
@@ -216,20 +217,28 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     x, y = _as_arrays(points, d)
     m = x.size
     coeffs = np.asarray(model.coefficients)
+    design = np.vander(x, d + 1, increasing=True)
+    # Squares past the float64 range are inf, which the refusal below or the
+    # exact-fit test handles: on a constant response of about 1e300 the
+    # fitted values' rounding noise squares past it.
     with np.errstate(over="ignore"):
         ybar = float(y.mean())
         ss_tot = float(((y - ybar) ** 2).sum())
-    if y.min() < y.max() and not np.finfo(np.float64).tiny <= ss_tot < np.inf:
+        fitted = design @ coeffs
+        resid = y - fitted
+        ss_res = float(resid @ resid)
+        ss_reg = float(((fitted - ybar) ** 2).sum())
+    # The exact-fit test compares ss_res with ss_tot * _EXACT_FIT_RTOL; below
+    # a normal float64 that bound, and the ss_res it is compared with, have
+    # lost their precision, and ss_res / df_res can underflow to 0.0.
+    tiny = np.finfo(np.float64).tiny
+    if y.min() < y.max() and not tiny <= ss_tot * _EXACT_FIT_RTOL < np.inf:
+        why = "not a normal float64"
+        if tiny <= ss_tot < np.inf:
+            why = "too small to test for an exact fit"
         raise ValueError(
-            f"the response's total sum of squares is {ss_tot!r}, not a normal "
-            "float64: rescale the response"
+            f"the response's total sum of squares is {ss_tot!r}, {why}: rescale the response"
         )
-
-    design = np.vander(x, d + 1, increasing=True)
-    fitted = design @ coeffs
-    resid = y - fitted
-    ss_res = float(resid @ resid)
-    ss_reg = float(((fitted - ybar) ** 2).sum())
     df_reg = d
     df_res = m - d - 1
     df_tot = m - 1

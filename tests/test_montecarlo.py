@@ -4,9 +4,12 @@ import dataclasses
 import math
 import os
 import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,21 +379,13 @@ class TestRunExperiment:
             (None, None, 0),  # an unknown CPU count runs serially
         ],
     )
-    def test_workers_capped_at_cpu_count(self, monkeypatch, affinity, cpus, forks):
+    def test_workers_capped_at_cpu_count(self, monkeypatch, forked, affinity, cpus, forks):
         # The parent runs one share itself, so w workers fork w - 1 children.
-        real_fork = os.fork
-        forked = []
-
-        def counting_fork():
-            forked.append(1)
-            return real_fork()
-
         if affinity is None:
             monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
         else:
             monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
         config = ExperimentConfig(n=20, trials=4, p_values=(0.1, 0.3, 0.5, 0.7, 0.9), master_seed=3)
         serial = run_experiment(config, jobs=1)
         assert forked == []
@@ -414,6 +409,20 @@ class TestRunExperiment:
 
 
 @pytest.fixture
+def forked(monkeypatch):
+    """The list of os.fork calls the test's runs make, one entry each."""
+    real_fork = os.fork
+    forked = []
+
+    def counting_fork():
+        forked.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+    return forked
+
+
+@pytest.fixture
 def no_leaks():
     """Fail a test that leaves a child unreaped or a file descriptor open."""
     fd_dir = "/proc/self/fd"
@@ -428,8 +437,10 @@ def no_leaks():
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.mark.usefixtures("no_leaks")
 class TestForkedShares:
-    """Failure paths of the fork fan-out: cell i runs in share i % 3, and
-    share 0 (cells 0 and 3) runs in the calling process."""
+    """Failure paths of the fork fan-out.  Jobs 3 split CONFIG's 16 trials
+    into trials 0-4, 5-9 and 10-15 of the cell-major sequence: share 0
+    (cell 0 and trial 0 of cell 1) runs in the calling process, share 1
+    meets the cells at p = 0.4 and 0.6, and share 2 those at 0.6 and 0.8."""
 
     CONFIG = ExperimentConfig(n=20, trials=4, p_values=(0.2, 0.4, 0.6, 0.8), master_seed=5)
 
@@ -438,24 +449,27 @@ class TestForkedShares:
         monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1, 2})
 
     @staticmethod
-    def patch_cells(monkeypatch, in_child):
-        """Run `in_child(p)` before each cell that runs outside this process."""
+    def patch_shares(monkeypatch, in_child):
+        """Run `in_child(ps)` before each share that runs outside this
+        process, ps being the set of p values of the cells its range meets."""
         parent = os.getpid()
+        run_share = montecarlo._run_share
 
-        def cell(config, p, cell_seed):
+        def share(config, cells, start, stop):
             if os.getpid() != parent:
-                in_child(p)
-            return run_cell(config, p, cell_seed)
+                in_child({cells[t // config.trials][0] for t in range(start, stop)})
+            return run_share(config, cells, start, stop)
 
-        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        monkeypatch.setattr(montecarlo, "_run_share", share)
 
     def test_child_exception_is_raised_in_parent(self, monkeypatch):
-        def fail(p):
-            if p == 0.6:
-                raise LookupError(f"no cell at p={p}")
+        # Only share 2 meets p = 0.8: share 1 reports, then share 2's error is raised.
+        def fail(ps):
+            if 0.8 in ps:
+                raise LookupError(f"no cell at p={max(ps)}")
 
-        self.patch_cells(monkeypatch, fail)
-        with pytest.raises(LookupError, match=r"^no cell at p=0\.6$"):
+        self.patch_shares(monkeypatch, fail)
+        with pytest.raises(LookupError, match=r"^no cell at p=0\.8$"):
             run_experiment(self.CONFIG, jobs=3)
 
     @pytest.mark.parametrize(
@@ -467,12 +481,12 @@ class TestForkedShares:
         ids=["exit", "kill"],
     )
     def test_child_ending_without_report_raises_runtime_error(self, monkeypatch, end, how):
-        self.patch_cells(monkeypatch, lambda p: end())
+        self.patch_shares(monkeypatch, lambda ps: end())
         with pytest.raises(RuntimeError, match=f"{how} without reporting its cells$"):
             run_experiment(self.CONFIG, jobs=3)
 
     def test_cli_exits_1_when_a_child_ends_without_report(self, monkeypatch, capsys):
-        self.patch_cells(monkeypatch, lambda p: os._exit(3))
+        self.patch_shares(monkeypatch, lambda ps: os._exit(3))
         argv = ["simulate", "--n", "20", "--trials", "4", "--p", "0.2,0.4", "--seed", "1"]
         assert main(argv + ["--jobs", "2"]) == 1
         captured = capsys.readouterr()
@@ -483,29 +497,22 @@ class TestForkedShares:
     def test_failing_parent_share_kills_and_reaps_children(self, monkeypatch):
         parent = os.getpid()
 
-        def cell(config, p, cell_seed):
+        def share(config, cells, start, stop):
             if os.getpid() == parent:
                 raise ValueError("parent share failed")
             time.sleep(60)  # the children must be killed, not waited for
 
-        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        monkeypatch.setattr(montecarlo, "_run_share", share)
         started = time.monotonic()
         with pytest.raises(ValueError, match="^parent share failed$"):
             run_experiment(self.CONFIG, jobs=3)
         assert time.monotonic() - started < 30
 
-    def test_unequal_shares_match_serial(self, monkeypatch):
-        # 5 cells over 3 shares: cells 0 and 3 here, 1 and 4 in one child, 2 in the other.
+    def test_unequal_shares_match_serial(self, forked):
+        # 5 cells of 4 trials over 3 shares: trials 0-5 here, 6-12 in one
+        # child and 13-19 in the other, so cells 1 and 3 are each split.
         config = ExperimentConfig(n=20, trials=4, p_values=(0.1, 0.3, 0.5, 0.7, 0.9), master_seed=5)
         serial = run_experiment(config, jobs=1)
-        real_fork = os.fork
-        forked = []
-
-        def counting_fork():
-            forked.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
         assert run_experiment(config, jobs=3) == serial
         assert len(forked) == 2
 
@@ -523,12 +530,139 @@ class TestForkedShares:
     def test_without_fork_runs_serially(self, monkeypatch):
         want = run_experiment(self.CONFIG, jobs=1)
         pids = set()
+        run_share = montecarlo._run_share
 
-        def cell(config, p, cell_seed):
+        def share(config, cells, start, stop):
             pids.add(os.getpid())
-            return run_cell(config, p, cell_seed)
+            return run_share(config, cells, start, stop)
 
-        monkeypatch.setattr(montecarlo, "run_cell", cell)
+        monkeypatch.setattr(montecarlo, "_run_share", share)
         monkeypatch.delattr(montecarlo.os, "fork")
         assert run_experiment(self.CONFIG, jobs=3) == want
         assert pids == {os.getpid()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("no_leaks")
+class TestTrialShares:
+    """Shares are contiguous, near-equal ranges of the grid's cell-major
+    trial sequence, so a cell may be split and a one-cell grid fans out."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)))
+
+    GRIDS = {1: (0.5,), 2: (0.3, 0.7), 9: tuple(round(0.1 * i, 1) for i in range(1, 10))}
+
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    @pytest.mark.parametrize(
+        "cells,trials,jobs",
+        [
+            (1, 7, 2),  # one cell split 3 + 4
+            (1, 3, 5),  # more jobs than trials: one trial per share
+            (2, 5, 3),  # 10 trials as 3 + 3 + 4: both cells split
+            (2, 1, 4),  # two trials, two shares of one trial each
+            (9, 7, 2),  # 63 trials as 31 + 32: cell 4 split
+            (9, 10, 4),  # 90 trials as 22 + 23 + 22 + 23
+        ],
+    )
+    def test_shares_match_one_job_and_run_cell(self, forked, mode, cells, trials, jobs):
+        p_values = self.GRIDS[cells]
+        config = ExperimentConfig(
+            n=15, trials=trials, p_values=p_values, counter_mode=mode, master_seed=29
+        )
+        serial = run_experiment(config, jobs=1)
+        assert forked == []
+        assert serial == tuple(run_cell(config, p, mix64(29, i)) for i, p in enumerate(p_values))
+        assert run_experiment(config, jobs=jobs) == serial
+        # The parent runs one share: min(jobs, trials in the grid) - 1 children.
+        assert len(forked) == min(jobs, cells * trials) - 1
+
+    def test_one_cell_with_two_jobs_forks_one_child(self, forked):
+        config = ExperimentConfig(n=200, trials=7, p_values=(0.5,), master_seed=1)
+        (summary,) = run_experiment(config, jobs=2)
+        assert len(forked) == 1
+        assert summary == run_cell(config, 0.5, mix64(1, 0))
+
+    def test_shares_are_contiguous_near_equal_ranges(self, tmp_path, monkeypatch):
+        # 3 cells of 7 trials over 4 shares; each share appends its range to
+        # one file, in the child that runs it.
+        log = tmp_path / "shares"
+        run_share = montecarlo._run_share
+
+        def share(config, cells, start, stop):
+            with open(log, "a") as out:
+                out.write(f"{start} {stop}\n")
+            return run_share(config, cells, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_run_share", share)
+        config = ExperimentConfig(n=10, trials=7, p_values=(0.2, 0.4, 0.6), master_seed=3)
+        assert run_experiment(config, jobs=4) == run_experiment(config, jobs=1)
+        lines = log.read_text().splitlines()
+        ranges = sorted(tuple(map(int, line.split())) for line in lines[:-1])
+        assert ranges == [(0, 5), (5, 10), (10, 15), (15, 21)]
+        assert lines[-1] == "0 21"  # the one-job run
+
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    def test_share_sums_are_the_literal_sums_of_its_trials(self, monkeypatch, mode):
+        # Trials 5-9 of 3 cells of 7: trials 5 and 6 of cell 0, then 0-2 of
+        # cell 1, counted in blocks of at most 2 trials within each cell.
+        config = ExperimentConfig(
+            n=12, trials=7, p_values=(0.2, 0.4, 0.6), counter_mode=mode, master_seed=3
+        )
+        cells = [(p, mix64(3, i)) for i, p in enumerate(config.p_values)]
+        kernel = montecarlo._KERNELS[mode]
+        rows = []
+
+        def spy(batch):
+            rows.append(batch.shape[0])
+            return kernel(batch)
+
+        monkeypatch.setitem(montecarlo._KERNELS, mode, spy)
+        monkeypatch.setattr(montecarlo, "BLOCK_VALUES", 2 * 12)
+        want = []
+        for index, trial_range in ((0, range(5, 7)), (1, range(0, 3))):
+            p, cell_seed = cells[index]
+            model = geometric(p)
+            counts = [
+                ORACLES[mode](sample_array(RandomSource(mix64(cell_seed, t)), model, 12).tolist())
+                for t in trial_range
+            ]
+            want.append((index, sum(counts), sum(c * c for c in counts)))
+        assert montecarlo._run_share(config, cells, 5, 10) == want
+        assert rows == [2, 2, 1]
+
+    @pytest.mark.parametrize(
+        "jobs, want",
+        [(1, "[] False"), (2, "[True] True")],
+        ids=["one-job", "two-jobs"],
+    )
+    def test_generator_module_loads_before_the_first_fork(self, jobs, want):
+        # In a fresh interpreter numpy.random is not loaded yet.  A run that
+        # forks loads it before its first fork, so the child inherits it; a
+        # one-job run still loads it in its first draw.  Printed: whether it
+        # was loaded at each fork, and at this process's first draw.
+        code = (
+            "import os, sys\n"
+            "from sortlab import montecarlo\n"
+            "loaded = lambda: 'numpy.random' in sys.modules\n"
+            "at_fork, at_draw = [], []\n"
+            "fork, sample = os.fork, montecarlo.sample_block\n"
+            "def counting_fork():\n"
+            "    at_fork.append(loaded())\n"
+            "    return fork()\n"
+            "def first_draw(*args):\n"
+            "    at_draw.append(loaded())\n"
+            "    return sample(*args)\n"
+            "os.fork, montecarlo.sample_block = counting_fork, first_draw\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "config = montecarlo.ExperimentConfig(n=10, trials=4, p_values=(0.5,))\n"
+            f"montecarlo.run_experiment(config, jobs={jobs})\n"
+            "print(at_fork, at_draw[0])\n"
+        )
+        path = [str(Path(montecarlo.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=60, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want + "\n", "")

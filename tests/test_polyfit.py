@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
+from sortlab import polyfit
 from sortlab.polyfit import (
     DataPoint,
     ModelSummaryStats,
@@ -239,10 +240,13 @@ class TestDiagnosticsGeneral:
 
     def test_constant_response_exact(self):
         # Also at scales whose squared deviations would leave float64: a
-        # constant response is not refused.
-        for value in (7.5, 1e-162, 1e160):
+        # constant response is not refused.  At 1e300 the fitted values'
+        # rounding noise squares past float64, without a warning.
+        for value in (7.5, 1e-162, 1e160, 1e300):
             points = [DataPoint(float(x), value) for x in range(5)]
-            report = diagnostics(points, fit(points, 1))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = diagnostics(points, fit(points, 1))
             assert report.exact_fit
             assert report.anova.ss_total == 0.0
 
@@ -260,9 +264,10 @@ class TestDiagnosticsGeneral:
     def test_summary_invariants(self, points):
         model = fit(points, 2)
         y = np.array([pt.y for pt in points])
-        if y.min() < y.max() and float(((y - y.mean()) ** 2).sum()) < np.finfo(float).tiny:
-            # Deviations of about 1e-154 or less: refused, not reported.
-            with pytest.raises(ValueError, match="not a normal float64"):
+        ss_tot = float(((y - y.mean()) ** 2).sum())
+        if y.min() < y.max() and ss_tot * polyfit._EXACT_FIT_RTOL < np.finfo(float).tiny:
+            # Deviations of about 1e-146 or less: refused, not reported.
+            with pytest.raises(ValueError, match="total sum of squares is .*: rescale the response"):
                 diagnostics(points, model)
             return
         report = diagnostics(points, model)
@@ -313,6 +318,37 @@ class TestDiagnosticsGeneral:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="total sum of squares is .*, not a normal float64"):
                 diagnostics(points, model)
+
+    @pytest.mark.parametrize(
+        "scales, noise",
+        [
+            # s = 10^U(-154, -153), e = 10^U(-163, -160): the total sum of
+            # squares is normal but its residual sum is subnormal.
+            ((-154, -153), lambda rng, s: 10.0 ** rng.uniform(-163, -160)),
+            # Noise of 1e-7 to 1e-5 of the trend on either side of the
+            # refusal's bound: never an exact fit.
+            ((-154, -140), lambda rng, s: s * 10.0 ** rng.uniform(-7, -5)),
+        ],
+        ids=["subnormal-residual", "across-the-bound"],
+    )
+    def test_noisy_response_near_underflow_is_refused_or_not_exact(self, scales, noise):
+        # y = s(1 + x) + e N(0, 1) at x = 0.1..0.7: no ZeroDivisionError from
+        # a mean square that underflows, and no exact fit claimed for noise.
+        rng = np.random.default_rng(34)
+        x = [0.1 * k for k in range(1, 8)]
+        for _ in range(200):
+            s = 10.0 ** rng.uniform(*scales)
+            e = noise(rng, s)
+            points = [DataPoint(xk, s * (1.0 + xk) + e * rng.standard_normal()) for xk in x]
+            ss_tot = float(np.var([pt.y for pt in points]) * len(points))
+            try:
+                report = diagnostics(points, fit(points, 1))
+            except ValueError as exc:
+                assert str(exc).endswith(": rescale the response")
+                assert ss_tot < 2.3e-292
+                continue
+            assert not report.exact_fit
+            assert report.anova.ms_residual > 0.0
 
     def test_power_terms_before_intercept(self):
         points = reference_points()

@@ -936,6 +936,27 @@ class TestCliFit:
             "not a normal float64: rescale the response\n"
         )
 
+    @pytest.mark.parametrize(
+        "command, report",
+        [
+            (["fit", "--degree", "1"], "note: exact fit; residual variation is zero"),
+            (["select"], "O_emp(p^0)  [degenerate: constant response]"),
+        ],
+        ids=["fit", "select"],
+    )
+    def test_constant_response_near_the_float64_top_is_exact_and_silent(
+        self, capsys, command, report
+    ):
+        # The fitted values' rounding noise, about 1e284, squares past
+        # float64: the exact-fit report, and no overflow warning.
+        path = Path(__file__).parent / "inputs" / "constant_1e300.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], "--input", str(path), *command[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert report in captured.out
+
     def test_csv_without_rows_exits_1(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(CSV_HEADER + "\n")

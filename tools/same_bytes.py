@@ -42,6 +42,9 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["select", "--input", "tests/golden/exact/linear.csv"],
     ["select", "--use-fixture", "--d-min", "2", "--d-max", "5", "--out-json", "{out}/verdict.json"],
     ["simulate", "--seed", "5", "--n", "50", "--trials", "20"],
+    # Shares split cells: one cell over two shares, and two cells over three.
+    ["simulate", "--seed", "3", "--p", "0.5", "--n", "200", "--trials", "7", "--jobs", "2"],
+    ["simulate", "--seed", "3", "--p", "0.2,0.4", "--n", "50", "--trials", "5", "--jobs", "3"],
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
     ["simulate", "--seed", "1", "--mode", "nope"],
