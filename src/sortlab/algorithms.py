@@ -8,14 +8,17 @@ counts through one ndarray kernel for a (trials, n) batch, one trial per
 row (:func:`exchange_sort_batch`, :func:`textbook_sort_batch`,
 :func:`count_inversions_batch`), which returns only the count vector and
 counts by an identity its docstring proves rather than by running the
-loop.  All three first rank each row in one shared step: by a table of
-each row's value counts when the batch holds integers at most n apart,
-else by one sort.  A value with no place in an order is refused there,
-before any comparison: a complex array raises TypeError, and a value not
-equal to itself (NaN, NaT) raises ValueError.  The inversion counter then
-sorts each row's ranks, and each row by the ranks' higher bits, one sort
-per bit of the largest rank.  Rows shorter than 2 make no comparison and
-count 0.
+loop.  All three first code each row in one shared step, by integer
+codes that keep the order of its values, ties included: an integer batch
+whose values span at most min(n, 64) takes each value's offset from the
+min, with no table and no sort; a wider integer batch whose values lie at
+most n apart takes each value's dense rank in its row from a table of each
+row's value counts; any other batch its dense rank from one sort.  A value
+with no place in an order is refused there, before any comparison: a
+complex array raises TypeError, and a value not equal to itself (NaN,
+NaT) raises ValueError.  The inversion counter then sorts each row's
+codes, and each row by the codes' higher bits, one sort per bit of the
+largest code.  Rows shorter than 2 make no comparison and count 0.
 
 A 1-d ndarray goes through as a one-row batch; any other input is
 converted by ``np.asarray`` first (to an object array where numpy would
@@ -96,22 +99,32 @@ def _sort_order(keys: np.ndarray) -> np.ndarray:
 
 
 def _ranks(batch: np.ndarray) -> tuple[np.ndarray, int]:
-    # Each value's 1-based dense rank in its row (1, 2, ... over the row's
-    # distinct values), in the narrowest unsigned type, and the largest rank.
-    # An integer batch whose values lie at most n apart is ranked from a
-    # table of each row's value counts, no larger than the batch, with no
-    # sort; any other batch by one stable sort of each row.  Values with no
-    # place in an order are refused before any comparison; integers, which
-    # always have one, are not scanned for them.
+    # Codes 1, 2, ... that keep the order of each row's values, in the
+    # narrowest unsigned type, and the largest code.  No kernel needs more:
+    # ties share a code and a gap between codes stands for no value.  An
+    # integer batch whose value range is at most min(n, 64) wide is coded by
+    # each value's offset from the min, plus 1, as uint8, with no table and no
+    # sort; the bound keeps the codes within one 64-bit word and 6 bits, and
+    # the textbook kernel's (trials, top) count table no larger than the batch.
+    # Any other batch gets each value's dense rank in its row (1, 2, ... over
+    # the row's distinct values): an integer batch whose values lie at most n
+    # apart from a table of each row's value counts, no larger than the batch,
+    # with no sort; any other batch by one stable sort of each row.  Values
+    # with no place in an order are refused before any comparison; integers,
+    # which always have one, are not scanned for them.
     trials, n = batch.shape
     keys = batch
     if batch.dtype.kind in "iu":
         lo, hi = batch.min(), batch.max()
         width = int(hi) - int(lo) + 1
-        # Both branches work on offsets from the min, taken after a cast to a
-        # type that spans every offset: intp for the table's index, else the
-        # narrowest unsigned type as the sort keys.  The cast wraps each value
-        # and the min alike modulo 2**bits, so the differences come out exact.
+        # Each branch works on offsets from the min, taken after a cast to a
+        # type that spans every offset: uint8 for the codes, intp for the
+        # table's index, else the narrowest unsigned type as the sort keys.
+        # The cast wraps each value and the min alike modulo 2**bits, so the
+        # differences come out exact.
+        if width <= min(n, 64):
+            lo = np.uint8((int(lo) - 1) % 256)
+            return np.subtract(batch, lo, dtype=np.uint8, casting="unsafe"), width
         if width <= n:
             lo = np.asarray(lo).astype(np.intp)
             row_offsets = np.arange(0, trials * width, width) - lo
@@ -170,18 +183,22 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
     #{k : a[k] < w}.  Summed over the passes, value w gives
     #{k > f_w : a[k] < w} swaps.
 
-    Each row is ranked densely (1, 2, ... over its distinct values) by the
-    step all three kernels share: an integer batch whose value range is at
-    most n wide, as geometric draws are at the default sizes, by a table of
-    each row's value counts, with no sort; any other batch by one sort.
-    Then, up to 64 ranks per machine word, an or-scan along the row gives
-    the set seen of ranks met up to position k, and the k-th term is
-    popcount(seen >> rank(a[k])).  A window of ranks takes the narrowest
-    unsigned word that holds it (uint8 for up to 8 ranks), and only rows
-    with more than 64 distinct values need the ranks clipped to their
-    window.  Cost per row: O(n) for the table (else one sort) plus
-    O(n * ceil(D/64)) word operations, where D is the row's number of
-    distinct values.
+    The count needs only a rank that keeps the order of a row's values, ties
+    included, not a dense one: the step all three kernels share gives each
+    value such a code, 1 to top.  An integer batch whose value range is at
+    most min(n, 64) wide, as geometric draws are on most of the default
+    grid, is coded by each value's offset from the min, with no table and no
+    sort; a wider one whose range is at most n by its dense rank, from a
+    table of each row's value counts; any other batch by its dense rank from
+    one sort.  Then, up to 64 codes per machine word, an or-scan along the
+    row gives the set seen of codes met up to position k, and the k-th term
+    is popcount(seen >> code(a[k])).  A window of codes takes the narrowest
+    unsigned word that holds it (uint8 for up to 8 codes), and only batches
+    whose top is above 64, which are densely ranked, need the codes clipped
+    to their window.  Cost per row: O(n) for the codes (one sort for a batch
+    that is not narrow integers) plus O(n * ceil(top/64)) word operations;
+    top is at most 64 on the offset codes, else the largest number of
+    distinct values in a row.
     """
     _check_batch(batch)
     trials, n = batch.shape
@@ -190,10 +207,10 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
         return swaps
     ranks, top = _ranks(batch)
     for base in range(0, top, 64):
-        # Bit b of the word stands for rank base + b + 1, so a[k] sets bit
-        # shift[k] - 1 and seen >> shift[k] keeps the ranks above its own.
-        # Ranks below the window clip to shift 0 (no bit; every rank in the
-        # window is above) and ranks above it to bits + 1, where both shifts
+        # Bit b of the word stands for code base + b + 1, so a[k] sets bit
+        # shift[k] - 1 and seen >> shift[k] keeps the codes above its own.
+        # Codes below the window clip to shift 0 (no bit; every code in the
+        # window is above) and codes above it to bits + 1, where both shifts
         # pass the word and give 0, as does shift - 1 wrapped from 0.
         word = np.min_scalar_type((1 << min(top - base, 64)) - 1).type
         if top <= 64:
@@ -203,7 +220,7 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
             shift = np.clip(ranks, base, min(base + bits + 1, top))
             shift -= base
             shift = shift.astype(np.uint8, copy=False)  # no wider than the word
-        # seen[k] holds the ranks of a[:k+1] in the window.
+        # seen[k] holds the codes of a[:k+1] in the window.
         seen = np.left_shift(word(1), shift - np.uint8(1))
         np.bitwise_or.accumulate(seen, axis=1, out=seen)
         np.right_shift(seen, shift, out=seen)
@@ -246,16 +263,18 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     s+j with j > k, pass s+j carries it on to p_{j+1}, and so on until it
     lands at or beyond slot s+c, where it stays.  Nothing else moves.
 
-    The blocks of every row's d-th smallest distinct value form step d, so
-    there are D steps, D being the largest number of distinct values in a
-    row.  The shared ranking step (a table of value counts, else one sort
-    of each row) gives each value's rank; the count of each (row, rank)
-    gives the blocks' slots, and one stable sort of the ranks their
-    elements.  Each step sorts the current positions of its elements,
-    follows the chains above by pointer doubling (one round per doubling of
-    the longest chain) and moves the displaced elements.  Cost: the ranking
-    and the sort of the ranks plus O(N log N) element work over the D
-    steps, N = trials * n.
+    The shared ranking step gives each value a code, 1 to top, that keeps
+    its row's order: its offset from the min in an integer batch whose
+    values span at most min(n, 64), with no table and no sort, else its
+    dense rank (from a table of value counts, else one sort of each row).
+    The blocks of every row's values with code d form step d, so there are
+    top steps, and a code missing from a row gives that row an empty block.
+    The count of each (row, code) gives the blocks' slots, and one stable
+    sort of the codes their elements.  Each step sorts the current
+    positions of its elements, follows the chains above by pointer doubling
+    (one round per doubling of the longest chain) and moves the displaced
+    elements.  Cost: the ranking and the sort of the codes plus
+    O(N log N) element work over the top steps, N = trials * n.
     """
     _check_batch(batch)
     trials, n = batch.shape
@@ -264,20 +283,20 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     size = trials * n
     index = np.int32 if size < 2**31 else np.int64
     ranks, top = _ranks(batch)
-    # counts[t, r - 1]: how many values of row t have rank r.
+    # counts[t, r - 1]: how many values of row t have code r.
     cells = np.add(ranks, np.arange(-1, trials * top - 1, top)[:, np.newaxis], dtype=np.intp)
     counts = np.bincount(cells.ravel(), minlength=trials * top).reshape(trials, top).astype(index)
     del cells
     # Positions are flat (row * n + column).  Element j is the j-th in
-    # (rank, row, column) order; where[j]: its current position, at first
+    # (code, row, column) order; where[j]: its current position, at first
     # its input position.
     where = np.argsort(ranks.ravel(), kind="stable").astype(index)
     del ranks
-    # The block of (row t, rank r) fills the slots from first[t, r] on, in
-    # the input order of its elements.  Ordered by (rank, row), the blocks
-    # are the entries of the transposed count table (a rank missing from a
+    # The block of (row t, code r) fills the slots from first[t, r] on, in
+    # the input order of its elements.  Ordered by (code, row), the blocks
+    # are the entries of the transposed count table (a code missing from a
     # row gives an empty block), and expanded to one entry per element,
-    # those of rank d end at bounds[d].
+    # those of code d + 1 end at bounds[d].
     first = np.cumsum(counts, axis=1, dtype=index)
     first -= counts
     first += np.arange(0, size, n, dtype=index)[:, np.newaxis]
@@ -345,10 +364,11 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     Returns each row's inversion count (int64), in row order; the input is
     left untouched.  Checking every pair is the oracle.
 
-    With r a value's dense rank in its row (0..D-1) and S_b(j) element j's
-    position in the stable sort of its row by r >> b, the count is the sum
-    of S_b(j) - S_{b+1}(j) over b < B = bit_length(D-1) and the j with bit
-    b of r_j set (S_B(j) = j).
+    With r a value's code less 1 (0..top-1), from the shared step's codes
+    that keep each row's order of values, ties included, and S_b(j) element
+    j's position in the stable sort of its row by r >> b, the count is the
+    sum of S_b(j) - S_{b+1}(j) over b < B = bit_length(top-1) and the j
+    with bit b of r_j set (S_B(j) = j).
 
     Proof sketch.  An inverted pair i < j is told apart first at a bit b
     set in r_i and clear in r_j; a tied pair never is.  The sort by r >> b
@@ -358,22 +378,25 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
 
     The groups of equal r >> b fill the same positions in the sort by r, so
     the S_b terms sum to i * popcount(r) over the positions i of each row's
-    ranks sorted by value: one stable sort of the ranks gives them, a radix
-    sort on 8- or 16-bit keys while D < 2**16.  The S_{b+1} terms take one
-    stable sort of r >> (b+1) per bit below the top one, B - 1 sorts, each
-    a radix sort on 8- or 16-bit keys while D <= 2**17.  The ranks come
-    from the shared ranking step, with no sort on a batch of integers at
-    most n apart and with one otherwise.  Cost: O(N log D).
+    codes sorted by value: one stable sort of the codes gives them, a radix
+    sort on 8- or 16-bit keys while top < 2**16.  The S_{b+1} terms take
+    one stable sort of r >> (b+1) per bit below the top one, B - 1 sorts,
+    each a radix sort on 8- or 16-bit keys while top <= 2**17.  The codes
+    are offsets from the min, so top <= 64 and B <= 6, on an integer batch
+    whose values span at most min(n, 64); else dense ranks, top being the
+    largest number of distinct values in a row, from a table of value
+    counts on integers at most n apart and from one sort otherwise.  Cost:
+    O(N log top).
     """
     _check_batch(batch)
     trials, n = batch.shape
     if n < 2 or trials == 0:
         return np.zeros(trials, dtype=np.int64)
     ranks, top = _ranks(batch)
-    ranks -= 1  # r = rank - 1, 0 to D - 1
+    ranks -= 1  # r = code - 1, 0 to top - 1
     # weight[i], i's factor in the count (|.| < 64; the int64 product is exact):
-    # popcount of the row's i-th rank in sorted order, less, over b, bit b of
-    # the i-th rank in S_{b+1}.
+    # popcount of the row's i-th code in sorted order, less, over b, bit b of
+    # the i-th code in S_{b+1}.
     weight = np.bitwise_count(np.sort(ranks, axis=1, kind="stable")).astype(np.int8)
     order = None  # S_B is the input order
     for b in range((top - 1).bit_length() - 1, -1, -1):

@@ -63,7 +63,7 @@ COUNTER_MODES = tuple(_KERNELS)
 BLOCK_VALUES = 1 << 18
 
 #: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel (textbook 20-33, exchange 9-20, inversions 13-17 by tracemalloc
+#: kernel (textbook 28-33, exchange 3-21, inversions 13-17 by tracemalloc
 #: on 262 x 1000 geometric blocks, p = 0.001-0.9), plus the 8 of the int64
 #: block it is given.  The block sampler's own peak (at most 24) comes
 #: before.  A tracemalloc test pins a whole block of each mode within this

@@ -34,9 +34,9 @@ from sortlab.distributions import geometric, mix64, sample_block
 tied_lists = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=40)
 
 # (trials, n) batches of tied values, one trial per row.  n up to 70 keeps the
-# literal loops quick.  Mostly 0..6, so long rows are ranked by the value
-# table; a value from the wider range can span more than n, so that long rows
-# are ranked by a sort too.
+# literal loops quick.  Mostly 0..6, so most rows are coded by their offsets
+# from the min; a value from the wider range can span more than 64 or more
+# than n, so that rows are ranked by the value table or by a sort too.
 tied_batches = arrays(
     np.int64,
     st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=70)),
@@ -403,9 +403,9 @@ def argsort_dtypes(monkeypatch) -> list:
 
 
 def argsorts_after_ranking(kernel, top: int) -> int:
-    """The argsorts a kernel makes once the shared step has ranked its batch,
-    whose largest rank is top: none for the exchange kernel, one on the rank
-    keys for the textbook kernel, one per rank bit below the top one for the
+    """The argsorts a kernel makes once the shared step has coded its batch,
+    whose largest code is top: none for the exchange kernel, one on the code
+    keys for the textbook kernel, one per code bit below the top one for the
     inversion kernel."""
     if kernel is count_inversions_batch:
         return max((top - 1).bit_length() - 1, 0)
@@ -432,25 +432,87 @@ def row_over_range(rng, n: int, distinct: int, lo: int) -> list:
     return [lo + v for v in rng.permutation(values).tolist()]
 
 
-class TestExchangeKernelValueTable:
-    """Integer batches whose values lie at most n apart are ranked from a
-    table of each row's value counts, with no sort; any other batch by a sort.
-    All three kernels rank through this one step.
+def assert_ranked_by(batch: np.ndarray, branch: str) -> None:
+    """The shared step's codes for an integer batch, by the branch it takes:
+    "offsets" (value - min + 1 as uint8, top = width), "table" or "sort"
+    (dense ranks in each row, top = the most distinct values in a row)."""
+    lo, hi = int(batch.min()), int(batch.max())
+    width = hi - lo + 1
+    n = batch.shape[1]
+    assert branch == ("offsets" if width <= min(n, 64) else "table" if width <= n else "sort")
+    codes, top = _ranks(batch)
+    if branch == "offsets":
+        assert codes.dtype == np.uint8 and top == width
+        want = [[v - lo + 1 for v in row] for row in batch.tolist()]
+    else:
+        rows = batch.tolist()
+        want = [[sorted(set(row)).index(v) + 1 for v in row] for row in rows]
+        assert top == max(len(set(row)) for row in rows)
+    assert codes.tolist() == want
 
-    Rows are chosen at the value range where the ranking switches between
-    the two (every kernel), at the numbers D of distinct values where the
+
+class TestExchangeKernelValueTable:
+    """The shared ranking step codes an integer batch whose value range is at
+    most min(n, 64) wide by each value's offset from the min, with no table
+    and no sort; a wider one whose values lie at most n apart by dense ranks
+    from a table of each row's value counts, with no sort; any other batch
+    by dense ranks from a sort.  All three kernels rank through this one step.
+
+    Rows are chosen at the value ranges where the ranking switches between
+    branches (every kernel), at the numbers D of distinct values where the
     exchange kernel's word type changes or a row's ranks need a second
-    64-rank word, and at the ends of the integer types (every kernel).
+    64-rank word, at the ends of the integer types and with values missing
+    inside the range (every kernel).
     """
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_value_range_switch_matches_literal_loop(self, extra, monkeypatch):
+        # Widths 39 and 40 are coded by their offsets, 41 ranked by a sort.
         n = 40
         width = n + extra
         rng = np.random.default_rng(width)
         batch = rng.integers(3, 9, size=(5, n))
         batch[0, 7], batch[3, 0] = 0, width - 1
+        assert_ranked_by(batch, "sort" if width > n else "offsets")
         assert_kernels_match_literal_loops(batch, int(width > n), monkeypatch)
+
+    @pytest.mark.parametrize("width", [63, 64, 65])
+    def test_offset_width_switch_matches_literal_loop(self, width, monkeypatch):
+        # At n = 100, widths up to 64 are coded by their offsets, 65 ranked
+        # by the value table; none takes a sort.
+        n = 100
+        rng = np.random.default_rng(width)
+        batch = rng.integers(3, 9, size=(5, n))
+        batch[0, 7], batch[3, 0] = 0, width - 1
+        assert_ranked_by(batch, "table" if width > 64 else "offsets")
+        assert_kernels_match_literal_loops(batch, 0, monkeypatch)
+
+    def test_values_missing_inside_the_range_match_literal_loop(self, monkeypatch):
+        # Offset codes with gaps: each row holds a few scattered values of
+        # 0..63, no row holds 1 or 62, and one row a single value, so the
+        # textbook kernel meets codes missing from some rows and from all.
+        rng = np.random.default_rng(62)
+        n = 80
+        subsets = ([0, 63], [5, 40, 41], [63], [2, 9, 30, 31, 32, 50, 61], list(range(20, 28)))
+        rows = [rng.choice(values, size=n) for values in subsets]
+        batch = np.array(rows + [rng.permutation(row) for row in rows])
+        assert_ranked_by(batch, "offsets")
+        assert_kernels_match_literal_loops(batch, 0, monkeypatch)
+        assert_kernels_match_literal_loops(batch[::-1].copy(), 0, monkeypatch)
+
+    @pytest.mark.parametrize("p", [0.5, 0.9])
+    def test_exchange_peak_memory_per_value(self, p):
+        # Offset codes (1 B/value), their shifts less one (1 B) and a word of
+        # up to 32 bits per value (4 B) at these p; no value table or index.
+        batch = np.random.default_rng(7).geometric(p, size=(262, 1000)) - 1
+        assert_ranked_by(batch, "offsets")
+        tracemalloc.start()
+        try:
+            exchange_sort_batch(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * batch.size
 
     @pytest.mark.parametrize("distinct", [8, 9, 16, 17, 32, 33, 64, 65, 128, 129])
     def test_word_boundaries_match_literal_loop(self, distinct, monkeypatch):
@@ -475,23 +537,42 @@ class TestExchangeKernelValueTable:
             (np.int64, 2**63 - 70, 70),
             (np.uint64, 2**64 - 70, 70),
             (np.uint64, 2**63 - 5, 10),
+            # Ranges of at most 64 values, coded by their offsets.
+            (np.int8, -128, 64),
+            (np.int8, -128, 3),
+            (np.int8, 127 - 63, 64),
+            (np.uint8, 255 - 63, 64),
+            (np.uint8, 255 - 1, 2),
+            (np.int64, -2**63, 64),
+            (np.int64, 2**63 - 64, 64),
+            (np.uint64, 2**64 - 64, 64),
+            (np.uint64, 2**64 - 1, 1),
         ],
     )
     def test_integer_type_ends_match_literal_loop(self, dtype, lo, distinct, monkeypatch):
-        # The min is taken off after the cast to intp: int8 - (-128) would
-        # overflow, and uint64 with int64 offsets would promote to float64.
+        # The min is taken off after the cast to uint8 or intp: int8 - (-128)
+        # would overflow, and uint64 with int64 offsets would promote to
+        # float64.
+        # A last row over the top half of the range has offsets that are not
+        # its dense ranks.
         rng = np.random.default_rng(distinct)
         n = distinct + 4
-        batch = np.array([row_over_range(rng, n, distinct, lo) for _ in range(3)], dtype=dtype)
+        rows = [row_over_range(rng, n, distinct, lo) for _ in range(3)]
+        rows.append(row_over_range(rng, n, distinct - distinct // 2, lo + distinct // 2))
+        batch = np.array(rows, dtype=dtype)
+        assert_ranked_by(batch, "offsets" if distinct <= 64 else "table")
         assert_kernels_match_literal_loops(batch, 0, monkeypatch)
 
     @pytest.mark.parametrize("p", [k / 10 for k in range(1, 10)])
     def test_default_grid_is_ranked_without_a_sort(self, p, monkeypatch):
         # A default-grid block (n = 1000, 100 trials); as floats the same
-        # values are ranked by a sort.  The exchange kernel sorts nothing, the
-        # inversion kernel only by its rank bits, and the textbook kernel once,
-        # on its rank keys.
+        # values are ranked by a sort.  At this seed the block spans 107
+        # values at p = 0.1, so it is ranked by the value table, and 5 to 51
+        # values at p = 0.2 to 0.9, so it is coded by its offsets.  The
+        # exchange kernel sorts nothing, the inversion kernel only by its code
+        # bits, and the textbook kernel once, on its code keys.
         batch = sample_block(geometric(p), 1000, mix64(3, 0), 0, 100)
+        assert_ranked_by(batch, "table" if p == 0.1 else "offsets")
         ranks, top = _ranks(batch)
         for kernel in KERNELS:
             calls = argsort_dtypes(monkeypatch)
@@ -615,7 +696,7 @@ class TestTextbookKernelValueBlocks:
 
     @pytest.mark.parametrize("p", [0.1, 0.9])
     def test_peak_memory_per_value(self, p):
-        # Measured 20 B/value at p=0.1 and 33 at p=0.9.
+        # Measured 28 B/value at p=0.1 and 33 at p=0.9.
         batch = np.random.default_rng(7).geometric(p, size=(262, 1000)) - 1
         tracemalloc.start()
         try:
@@ -627,11 +708,13 @@ class TestTextbookKernelValueBlocks:
 
 
 class TestInversionKernelRankBits:
-    """The inversion kernel counts by the bits of each value's dense rank.
+    """The inversion kernel counts by the bits of each value's code: its
+    offset from the min when the batch spans at most min(n, 64) integers,
+    else its dense rank.
 
-    The number D of distinct values in a row sets how many bits the ranks
-    have and which integer type each level's sort keys take, so rows are
-    chosen at the D where either changes.
+    The largest code, the number D of distinct values in a row for dense
+    ranks, sets how many bits the codes have and which integer type each
+    level's sort keys take, so rows are chosen at the D where either changes.
     """
 
     @pytest.mark.parametrize(
@@ -683,18 +766,23 @@ class TestInversionKernelRankBits:
     def test_sorts_once_per_rank_bit_on_narrow_keys(self, distinct, monkeypatch):
         # numpy's stable argsort is a radix sort on 8- and 16-bit keys only;
         # wider keys would fall back to a timsort at every level.
-        # Rows of up to 3 distinct values span at most n, so they are ranked
-        # by the value table with no sort; wider ones by one sort.  Then one
-        # sort per rank bit below the top one: B - 1 of B = bit_length(D - 1).
+        # Values are 3 apart.  Rows of up to 3 distinct values span at most 7,
+        # so they are coded by their offsets from the min with no sort; wider
+        # ones, spanning more than n, are ranked densely by one sort.  Then
+        # one sort per code bit below the top one: B - 1 of B =
+        # bit_length(top - 1), top being the width 3 * (D - 1) + 1 of the
+        # offsets, else D.
         rng = np.random.default_rng(distinct)
         batch = row_with_distinct_values(rng, distinct + 100, distinct)[np.newaxis]
         sort_ranked = int(np.ptp(batch)) + 1 > batch.shape[1]
         assert sort_ranked == (distinct > 3)
+        top = 3 * (distinct - 1) + 1 if distinct <= 3 else distinct
+        assert _ranks(batch)[1] == top
+        per_bit = {1: 0, 2: 1, 3: 2, 256: 7, 257: 8, 65536: 15, 65537: 16, 2**17: 16}[distinct]
         calls = argsort_dtypes(monkeypatch)
         counts = count_inversions_batch(batch)
         monkeypatch.undo()
         assert counts.tolist() == merge_inversions_batch(batch)[1].tolist()
-        per_bit = max((distinct - 1).bit_length() - 1, 0)
         assert len(calls) == per_bit + sort_ranked
         assert all(dtype in (np.uint8, np.uint16) for dtype in calls[sort_ranked:])
 
