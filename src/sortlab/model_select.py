@@ -72,6 +72,9 @@ class EmpiricalOVerdict:
     finding an adequate degree; `degenerate` marks constant-response
     data, which short-circuits to degree 0 without scanning.  The
     "O_emp(p^d)" label is derived from `selected_degree`, not stored.
+    `per_degree_reports` holds exactly the degrees the scan fitted, each
+    fitted once; it is what the verdict's JSON and text list, so callers
+    read it and must not add to it.
     """
 
     selected_degree: int

@@ -324,33 +324,36 @@ def _cmd_reproduce(args) -> int:
     write_summaries_csv(out_dir / "table1_repro.csv", summaries, meta)
     points = [DataPoint(x=s.p, y=s.mean_c) for s in summaries]
 
-    for degree in (2, 3, 4):
-        report = diagnostics(points, fit(points, degree))
+    # The tables and figures show the verdict's own fits.  A degree the scan
+    # did not reach is fitted here, and the verdict's reports are left as
+    # they are: they are what verdict.json and verdict.txt list.
+    verdict = select_degree(points, SelectionPolicy(alpha=args.alpha))
+    scanned = verdict.per_degree_reports
+    reports = {d: scanned.get(d) or diagnostics(points, fit(points, d)) for d in (2, 3, 4)}
+    for degree, report in reports.items():
         write_report_json(out_dir / f"fit_d{degree}.json", report, meta)
         (out_dir / f"tables_d{degree}.txt").write_text(render_report(report), encoding="utf-8")
         title = f"mean interchange count vs p, degree-{degree} fit"
         write_scatter_svg(
             out_dir / f"fig{degree - 1}.svg", points, report.model, metadata=meta, title=title
         )
-        if degree == 3:
-            cubic = report.model
     write_scatter_svg(
         out_dir / "fig4.svg",
         points,
-        cubic,
+        reports[3].model,
         metadata=meta,
         title="fitted cubic alone",
         include_points=False,
     )
 
-    verdict = select_degree(points, SelectionPolicy(alpha=args.alpha))
+    verdict_text = render_verdict(verdict)
     write_verdict_json(out_dir / "verdict.json", verdict, meta)
-    (out_dir / "verdict.txt").write_text(render_verdict(verdict) + "\n", encoding="utf-8")
+    (out_dir / "verdict.txt").write_text(verdict_text + "\n", encoding="utf-8")
 
     _write_comparison(out_dir / "comparison.csv", summaries, meta)
 
     print(f"artifacts written to {out_dir}")
-    print(render_verdict(verdict))
+    print(verdict_text)
     return 0
 
 

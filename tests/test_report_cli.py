@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortlab import __version__, montecarlo
+from sortlab import __version__, model_select, montecarlo
 from sortlab.distributions import ALGORITHM_ID, ContinuousUniform, geometric, mix64
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
@@ -1074,6 +1074,61 @@ class TestCliReproduce:
         rows = [line for line in lines if not line.startswith("#")]
         assert rows[0].endswith(",mean_over_pairs")
         assert rows[1:] == [f"0.{i},0.0,,0.0," for i in range(1, 10)]
+
+    @pytest.mark.parametrize(
+        "argv, degrees",
+        [
+            (["--use-fixture", "--alpha", "0.05"], {1, 2, 3, 4}),
+            (["--use-fixture", "--alpha", "0.005"], {1, 2, 3, 4}),
+            (["--use-fixture", "--alpha", "0.002"], {1, 2, 3, 4}),
+            (["--n", "1", "--trials", "2"], {0, 2, 3, 4}),
+        ],
+        ids=["alpha-0.05", "alpha-0.005", "alpha-0.002", "constant-response"],
+    )
+    def test_each_degree_is_fitted_once(self, argv, degrees, tmp_path, monkeypatch, capsys):
+        # The scan's fits serve the tables and figures; a degree it did not
+        # reach (3 and 4 at alpha 0.002, 4 at 0.005, 2-4 for a constant
+        # response) is fitted by reproduce itself, and only once.
+        fitted = []
+
+        def counting_fit(points, degree):
+            fitted.append(degree)
+            return fit(points, degree)
+
+        monkeypatch.setattr(cli, "fit", counting_fit)
+        monkeypatch.setattr(model_select, "fit", counting_fit)
+        rc = main(["reproduce", *argv, "--seed", "1", "--out-dir", str(tmp_path),
+                   "--no-timestamp"])
+        assert rc == 0
+        assert sorted(fitted) == sorted(degrees)
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.002"])
+    def test_fits_equal_the_fit_command(self, alpha, tmp_path, capsys):
+        # At alpha 0.002 the scan selects degree 1 after fitting degrees 1
+        # and 2, so degrees 3 and 4 are reproduce's own fits; at 0.05 every
+        # fit is the verdict's.
+        out_dir = tmp_path / "repro"
+        rc = main(["reproduce", "--use-fixture", "--alpha", alpha, "--seed", "1",
+                   "--out-dir", str(out_dir), "--no-timestamp"])
+        assert rc == 0
+        per_degree = json.loads((out_dir / "verdict.json").read_text())["per_degree"]
+        if alpha == "0.002":
+            assert list(per_degree) == ["1", "2"]
+
+        def without_metadata(path):
+            doc = json.loads(path.read_text())
+            del doc["metadata"]
+            return json.dumps(doc, sort_keys=True)
+
+        for degree in (2, 3, 4):
+            capsys.readouterr()
+            fit_json = tmp_path / f"fit_d{degree}.json"
+            rc = main(["fit", "--use-fixture", "--degree", str(degree),
+                       "--out-json", str(fit_json), "--no-timestamp"])
+            assert rc == 0
+            tables = (out_dir / f"tables_d{degree}.txt").read_bytes()
+            assert tables == capsys.readouterr().out.encode()
+            assert without_metadata(out_dir / f"fit_d{degree}.json") == without_metadata(fit_json)
 
 
 def _sortlab_process(args, stdout, unbuffered=False, blas_threads=None):

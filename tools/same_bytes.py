@@ -27,6 +27,9 @@ for _mode in ("exchange", "inversions", "textbook"):
                   "--seed", "7", "--mode", _mode, "--out", "{out}/cells.csv"])
 COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["reproduce", "--use-fixture", "--seed", "1", "--out-dir", "{out}"],
+    # Scans that stop short of degree 4: reproduce fits degrees 3-4, or 4, itself.
+    ["reproduce", "--use-fixture", "--seed", "1", "--alpha", "0.002", "--out-dir", "{out}"],
+    ["reproduce", "--use-fixture", "--seed", "1", "--alpha", "0.005", "--out-dir", "{out}"],
     ["reproduce", "--n", "1", "--trials", "2", "--seed", "1", "--out-dir", "{out}"],
     ["theory", "--p", "0.3"],
     ["theory", "--p", "0.3", "--json"],
