@@ -5,9 +5,20 @@ summary (R, R^2, adjusted R^2, standard error of the estimate), the
 regression ANOVA table, and the per-coefficient table (standard errors,
 standardized betas, t statistics, two-sided significances).
 
-The solver orthogonalizes a centered/scaled design (raw power bases of
-even modest degree are ill-conditioned), then maps the coefficients
-back to the raw power basis, which is what the reported tables use.
+The fit and the coefficient standard errors come from one set of
+polynomials q_0 .. q_d orthogonal over the data's x, made by Forsythe's
+three-term recurrence (J. SIAM 5(2), 1957; Golub & Van Loan, *Matrix
+Computations*, section 5.3):
+
+    q_0 = 1,  q_{k+1} = (x - a_k) q_k - b_k q_{k-1},
+    a_k = sum(x q_k^2) / sum(q_k^2),  b_k = sum(q_k^2) / sum(q_{k-1}^2).
+
+The same recurrence carries the coefficients of each q_k in powers of x,
+as row k of a lower-triangular C.  In that basis the normal equations are
+diagonal: the raw coefficient of x^j is sum_k C[k, j] sum(y q_k) / sum(q_k^2),
+and diag((X^T X)^-1)_j is sum_k C[k, j]^2 / sum(q_k^2).  Every step is an
+element-wise operation or a numpy sum, with no BLAS or LAPACK call, so the
+results do not depend on which kernels the CPU selects.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ __all__ = [
 # Residual sum of squares below this fraction of total variation is
 # indistinguishable from an exact fit in float64.
 _EXACT_FIT_RTOL = 1e-16
+_TINY = np.finfo(np.float64).tiny
 
 
 class RankDeficientError(ValueError):
@@ -142,6 +154,30 @@ def _as_arrays(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, np
     return x, y
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _orthogonal_basis(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Forsythe's q_0 .. q_degree over x: their values q[k], their coefficients
+    # in powers of x (row k of c) and their norms sum(q[k]**2).  A norm that is
+    # not a normal float64 (q_k lost in rounding, or powers of x past the
+    # float64 range) leaves the k columns before it: the design has rank k.
+    q = np.zeros((degree + 1, x.size))
+    c = np.zeros((degree + 1, degree + 1))
+    norms = np.zeros(degree + 1)
+    q[0] = c[0, 0] = 1.0
+    for k in range(degree + 1):
+        norms[k] = (q[k] * q[k]).sum()
+        if not _TINY <= norms[k] < np.inf:
+            raise RankDeficientError(f"design matrix rank {k} < {degree + 1}")
+        if k < degree:
+            a = (x * q[k] * q[k]).sum() / norms[k]
+            # At k = 0, b is 0 and rows -1 (the last) of q and c are still zero.
+            b = norms[k] / norms[k - 1] if k else 0.0
+            q[k + 1] = (x - a) * q[k] - b * q[k - 1]
+            # x q_k: c[k] one power up, its top entry (zero below degree) wrapping to the front.
+            c[k + 1] = np.roll(c[k], 1) - a * c[k] - b * c[k - 1]
+    return q, c, norms
+
+
 def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -> PolyModel:
     """Least-squares polynomial of `degree` through `points`.
 
@@ -152,6 +188,13 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     tables defined; pass ``min_residual_df=0`` to allow interpolation.
     `degree` and `min_residual_df` must be ints >= 0 (a bool is not an
     int): anything else raises TypeError or ValueError before any fitting.
+
+    The predictor's range is bounded: a fit is refused, with
+    ``RankDeficientError("design matrix rank k < degree + 1")``, where the
+    norm sum(q_k^2) of an orthogonal polynomial leaves the normal float64
+    range.  The norms scale as the spread of x to the power 2k, so on
+    x = 1..7 times 10^e degree 2 is fitted for e in [-77, 76] and degree 4
+    for e in [-38, 38]; a p in (0, 1] is far from the top of that range.
     """
     degree = _as_int("degree", degree, minimum=0)
     min_residual_df = _as_int("min_residual_df", min_residual_df, minimum=0)
@@ -164,33 +207,9 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
         )
     x, y = _as_arrays(points, degree)
 
-    mu = float(x.mean())
-    scale = float(x.std())
-    if scale == 0.0:
-        # Every x equal (so degree 0), or a spread of x below about 1e-154,
-        # where the variance underflows: the rank check below then refuses
-        # any degree above 0.
-        scale = 1.0
-    z = (x - mu) / scale
-    design = np.vander(z, degree + 1, increasing=True)
-    coef_z, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < degree + 1:
-        raise RankDeficientError(f"design matrix rank {rank} < {degree + 1}")
-
-    # Map back to the raw power basis: compose with z = (x - mu)/scale.
-    poly_x = np.polynomial.Polynomial(coef_z)(np.polynomial.Polynomial([-mu / scale, 1.0 / scale]))
-    raw = np.zeros(degree + 1)
-    raw[: poly_x.coef.size] = poly_x.coef
-    return PolyModel(coefficients=tuple(float(c) for c in raw))
-
-
-def _xtx_inverse_diagonal(design: np.ndarray) -> np.ndarray:
-    # diag((X^T X)^-1) via QR of X; avoids forming the normal matrix.
-    r = np.linalg.qr(design, mode="r")
-    if np.min(np.abs(np.diag(r))) == 0.0:
-        raise RankDeficientError("design matrix is singular")
-    r_inv = np.linalg.inv(r)
-    return (r_inv * r_inv).sum(axis=1)
+    q, c, norms = _orthogonal_basis(x, degree)
+    raw = (((q * y).sum(axis=1) / norms)[:, None] * c).sum(axis=0)
+    return PolyModel(coefficients=tuple(float(b) for b in raw))
 
 
 def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionReport:
@@ -224,24 +243,21 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     with np.errstate(over="ignore"):
         ybar = float(y.mean())
         ss_tot = float(((y - ybar) ** 2).sum())
-        fitted = design @ coeffs
+        fitted = (design * coeffs).sum(axis=1)
         resid = y - fitted
-        ss_res = float(resid @ resid)
+        ss_res = float((resid * resid).sum())
         ss_reg = float(((fitted - ybar) ** 2).sum())
     # The exact-fit test compares ss_res with ss_tot * _EXACT_FIT_RTOL; below
     # a normal float64 that bound, and the ss_res it is compared with, have
     # lost their precision, and ss_res / df_res can underflow to 0.0.
-    tiny = np.finfo(np.float64).tiny
-    if y.min() < y.max() and not tiny <= ss_tot * _EXACT_FIT_RTOL < np.inf:
+    if y.min() < y.max() and not _TINY <= ss_tot * _EXACT_FIT_RTOL < np.inf:
         why = "not a normal float64"
-        if tiny <= ss_tot < np.inf:
+        if _TINY <= ss_tot < np.inf:
             why = "too small to test for an exact fit"
         raise ValueError(
             f"the response's total sum of squares is {ss_tot!r}, {why}: rescale the response"
         )
-    df_reg = d
-    df_res = m - d - 1
-    df_tot = m - 1
+    df_reg, df_res, df_tot = d, m - d - 1, m - 1
 
     exact = ss_tot == 0.0 or ss_res <= ss_tot * _EXACT_FIT_RTOL or df_res == 0
 
@@ -272,7 +288,10 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
         sig=f_p,
     )
 
-    diag = _xtx_inverse_diagonal(design)
+    _, c, norms = _orthogonal_basis(x, d)
+    # sum_k C[k, j]^2 / norms[k], scaled before squaring: C[k, j] can pass
+    # 1e154 while norms[k] is a normal float64.
+    diag = ((c / np.sqrt(norms)[:, None]) ** 2).sum(axis=0)
     s_y = float(y.std(ddof=1)) if m > 1 else 0.0
     rows = []
     for j in list(range(1, d + 1)) + [0]:

@@ -30,9 +30,8 @@ from pathlib import Path
 # One OpenBLAS thread, unless the user set a count.  numpy's OpenBLAS
 # otherwise starts a second thread at import that busy-waits for BLAS work,
 # burning CPU through every command.  The CLI's parallelism is its forked
-# workers, and its largest BLAS work, a least-squares solve and a QR on the
-# default grid's 9 x 5 design matrix, is far too small to thread.  This has
-# to run before numpy loads, which is why `import sortlab` loads no
+# workers, and no command calls BLAS: the fits are element-wise operations
+# and sums.  This has to run before numpy loads, which is why `import sortlab` loads no
 # submodule.  It lives here, not in the package, so that a library user
 # keeps their BLAS threads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -10,9 +10,12 @@ a constant response.  Regenerate them only for an intended output
 change, and record that change.
 
 The CSVs hold counts and their moments only, so they are pinned byte for
-byte.  ``verdict.json`` also holds least-squares fits whose last bits
-depend on the LAPACK/BLAS build, so it is compared parsed: keys (in
-order), labels, flags and integers exactly, floats to 1e-12 relative.
+byte.  ``verdict.json`` also holds least-squares fits.  Their bytes do not
+depend on the CPU's BLAS or SIMD kernels (``tests/test_report_cli.py``
+runs them under other kernels), but the last bits of a float move with
+any change in the order of the fits' arithmetic, so the JSON is compared
+parsed: keys (in order), labels, flags and integers exactly, floats to
+1e-12 relative.
 """
 
 import json

@@ -1,8 +1,10 @@
 """Polynomial least squares and the diagnostic tables, with cross-oracles."""
 
+import math
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,14 +150,16 @@ class TestFit:
         assert model.coefficients[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_degree_zero_at_one_x_is_mean(self):
-        # Every x equal: x.std() is 0.0, and the design is left unscaled.
+        # Every x equal: q_0 = 1 is the only polynomial, and its coefficient
+        # sum(y) / m is the plain mean.
         points = [DataPoint(0.5, y) for y in (1.0, 3.0, 8.0)]
         assert fit(points, 0).coefficients == (4.0,)
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_spread_that_underflows_is_rank_deficient(self, degree):
         # Distinct x whose spread (about 1e-200) squares to 0.0 in x.std():
-        # the unscaled design's x columns vanish beside the intercept's.
+        # the norm of q_1 = x - mean(x) underflows too, so only the
+        # intercept's column counts.
         points = [DataPoint(k * 1e-200, float(k * k)) for k in range(1, 6)]
         assert np.std([pt.x for pt in points]) == 0.0
         with pytest.raises(RankDeficientError, match=f"^design matrix rank 1 < {degree + 1}$"):
@@ -201,6 +205,21 @@ class TestDiagnosticsReference:
         assert rows["(constant)"].beta is None
         for name, beta in CUBIC_BETA.items():
             assert rows[name].beta == pytest.approx(beta, abs=0.005)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+    def test_standard_errors_match_exact_normal_equations(self, degree):
+        # sqrt(diag((X^T X)^-1) ms_residual), with (X^T X)^-1 taken in 50
+        # digits from the float64 x values and ms_residual the report's own.
+        points = reference_points()
+        report = diagnostics(points, fit(points, degree))
+        with mpmath.workdps(50):
+            xs = [mpmath.mpf(pt.x) for pt in points]
+            powers = range(degree + 1)
+            xtx = mpmath.matrix([[sum(x ** (i + j) for x in xs) for j in powers] for i in powers])
+            inverse = xtx**-1
+            want = [float(mpmath.sqrt(inverse[j, j] * report.anova.ms_residual)) for j in powers]
+        for j, row in zip([*range(1, degree + 1), 0], report.coefficients):
+            assert row.std_error == pytest.approx(want[j], rel=1e-14), row.term_name
 
     def test_published_internal_consistency(self, report):
         assert np.sqrt(report.anova.ms_residual) == pytest.approx(
@@ -300,12 +319,32 @@ class TestDiagnosticsGeneral:
         with pytest.raises(RankDeficientError, match=message):
             diagnostics(points, PolyModel(coefficients))
 
-    def test_power_column_that_underflows_is_singular(self):
-        # Distinct x of about 1e-200: x^2 underflows to 0.0, so the raw
-        # design's x^2 column is zero and its R factor has a zero diagonal.
+    def test_power_column_that_underflows_is_rank_deficient(self):
+        # Distinct x of about 1e-200: x^2 underflows to 0.0, and so does the
+        # norm of q_1 = x - mean(x), so a hand-made model of degree 2 is
+        # refused with the rank that fit would report.
         points = [DataPoint(k * 1e-200, float(k % 2)) for k in range(5)]
-        with pytest.raises(RankDeficientError, match=r"^design matrix is singular$"):
+        with pytest.raises(RankDeficientError, match=r"^design matrix rank 1 < 3$"):
             diagnostics(points, PolyModel((1.0, 1.0, 1.0)))
+
+    @pytest.mark.parametrize("shift", [0.0, 1.0])
+    def test_predictor_far_from_one_is_reported_or_refused(self, shift):
+        # x = shift + k 10^e, k = 1..7, for e over the float64 exponent range:
+        # each fit is a report whose statistics are all finite or None, with
+        # no warning, or a refusal (RankDeficientError is a ValueError).
+        for e in range(-300, 301, 10):
+            points = [DataPoint(shift + k * 10.0**e, float(k * k % 7)) for k in range(1, 8)]
+            for degree in range(5):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    try:
+                        report = diagnostics(points, fit(points, degree))
+                    except ValueError:
+                        continue
+                values = [*astuple(report.summary), *astuple(report.anova)]
+                for row in report.coefficients:
+                    values += [row.b, row.std_error, row.beta, row.t, row.sig]
+                assert all(v is None or math.isfinite(v) for v in values), (e, degree)
 
     @pytest.mark.parametrize("scale", [1e-162, 1e160])
     def test_response_whose_squares_leave_float64_is_refused(self, scale):

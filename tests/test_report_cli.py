@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -918,6 +919,18 @@ class TestCliFit:
         assert captured.out == ""
         assert captured.err == "error: design matrix rank 1 < 3\n"
 
+    @pytest.mark.parametrize("command", [["fit", "--degree", "2"], ["select"]])
+    def test_x_whose_squares_underflow_exits_1(self, capsys, command):
+        # p = 1e-100 ... 7e-100: x and x - mean(x) are fine, but the norm of
+        # q_2 is about 1e-400, so degree 2 is refused, with no warning.
+        path = Path(__file__).parent / "inputs" / "p_1e-100.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command[0], "--input", str(path), *command[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: design matrix rank 2 < 3\n"
+
     @pytest.mark.parametrize("command", [["fit", "--degree", "1"], ["select"]])
     @pytest.mark.parametrize(
         "name, total", [("response_1e-162.csv", "1.5e-323"), ("response_1e160.csv", "inf")]
@@ -1131,13 +1144,14 @@ class TestCliReproduce:
             assert without_metadata(out_dir / f"fit_d{degree}.json") == without_metadata(fit_json)
 
 
-def _sortlab_process(args, stdout, unbuffered=False, blas_threads=None):
+def _sortlab_process(args, stdout, unbuffered=False, blas_threads=None, extra_env=None):
     """Run ``python <args>`` in a fresh interpreter that imports this checkout's sortlab.
 
     `blas_threads` is the child's OPENBLAS_NUM_THREADS, unset when None.
     Importing the CLI sets it in this process, so it is never inherited.
+    `extra_env` holds more variables for the child alone.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(extra_env or {})}
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
@@ -1235,8 +1249,42 @@ class TestCliProcess:
         golden = Path(__file__).parent / "golden" / f"simulate_{mode}.csv"
         assert out.read_bytes() == golden.read_bytes()
 
+    def test_fit_artifacts_do_not_depend_on_the_cpus_kernels(self, tmp_path):
+        # OPENBLAS_CORETYPE=Prescott runs the BLAS kernels of a CPU without
+        # AVX, and NPY_DISABLE_CPU_FEATURES turns off numpy's dispatched
+        # AVX-512 loops (a numpy without them ignores the empty list).  The
+        # fits call no BLAS, and numpy's element-wise operations and sums
+        # give the same bits under any of these kernels.
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__,
+            __cpu_dispatch__,
+            __cpu_features__,
+        )
+
+        avx512 = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)
+                  and name not in __cpu_baseline__ and ("AVX512" in name or name == "X86_V4")]
+        kernels = {"OPENBLAS_CORETYPE": "Prescott", "NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
+        linear = str(Path(__file__).parent / "golden" / "exact" / "linear.csv")
+        out = tmp_path / "out"
+        commands = [
+            ["fit", "--input", linear, "--degree", "4", "--out-json", str(out / "fit.json")],
+            ["select", "--use-fixture", "--out-json", str(out / "verdict.json")],
+            ["reproduce", "--use-fixture", "--seed", "1", "--out-dir", str(out)],
+        ]
+        for argv in commands:
+            runs = []
+            for extra_env in (None, kernels):
+                out.mkdir()
+                proc = _sortlab_process(["-m", "sortlab", *argv, "--no-timestamp"],
+                                        subprocess.PIPE, extra_env=extra_env)
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                runs.append((proc.returncode, proc.stdout, proc.stderr, files))
+                shutil.rmtree(out)
+            assert (runs[0][0], runs[0][2]) == (0, b"")
+            assert runs[0] == runs[1], argv[0]
+
     def test_blas_thread_count_moves_no_artifact_byte(self, tmp_path):
-        # The fits and the verdict come from lstsq and QR.
+        # The fits call no BLAS; numpy's thread count must still move no byte.
         artifacts = {}
         for threads in ("1", "2"):
             out = tmp_path / threads
