@@ -5,20 +5,23 @@ summary (R, R^2, adjusted R^2, standard error of the estimate), the
 regression ANOVA table, and the per-coefficient table (standard errors,
 standardized betas, t statistics, two-sided significances).
 
-The fit and the coefficient standard errors come from one set of
-polynomials q_0 .. q_d orthogonal over the data's x, made by Forsythe's
-three-term recurrence (J. SIAM 5(2), 1957; Golub & Van Loan, *Matrix
-Computations*, section 5.3):
+The fit, its fitted values, its sums of squares and the coefficient
+standard errors all come from one set of polynomials q_0 .. q_d orthogonal
+over the data's x, made by Forsythe's three-term recurrence (J. SIAM 5(2),
+1957; Golub & Van Loan, *Matrix Computations*, section 5.3):
 
     q_0 = 1,  q_{k+1} = (x - a_k) q_k - b_k q_{k-1},
     a_k = sum(x q_k^2) / sum(q_k^2),  b_k = sum(q_k^2) / sum(q_{k-1}^2).
 
 The same recurrence carries the coefficients of each q_k in powers of x,
 as row k of a lower-triangular C.  In that basis the normal equations are
-diagonal: the raw coefficient of x^j is sum_k C[k, j] sum(y q_k) / sum(q_k^2),
-and diag((X^T X)^-1)_j is sum_k C[k, j]^2 / sum(q_k^2).  Every step is an
-element-wise operation or a numpy sum, with no BLAS or LAPACK call, so the
-results do not depend on which kernels the CPU selects.
+diagonal, with solution g_k = sum(y q_k) / sum(q_k^2): the fitted values
+are sum_k g_k q_k, the raw coefficient of x^j is sum_k C[k, j] g_k, and
+diag((X^T X)^-1)_j is sum_k C[k, j]^2 / sum(q_k^2).  The fitted values are
+never evaluated in powers of x, which cancels catastrophically when the
+spread of x is small next to x itself.  Every step is an element-wise
+operation or a numpy sum, with no BLAS or LAPACK call, so the results do
+not depend on which kernels the CPU selects.
 """
 
 from __future__ import annotations
@@ -141,9 +144,15 @@ class RegressionReport:
         return self.coefficients[self.model.degree - 1]
 
 
-def _as_arrays(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # The x and y arrays of `points`, with the rank rule of both fit and
-    # diagnostics: a degree-d polynomial needs d + 1 distinct x values.
+@np.errstate(over="ignore", invalid="ignore")
+def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, ...]:
+    # The least-squares fit of `degree` on `points`, in Forsythe's basis: the
+    # x and y arrays, the values q[k] of q_0 .. q_degree over x, their
+    # coefficients in powers of x (row k of c), their norms sum(q[k]**2) and
+    # the fit's coefficients g[k] = sum(y q[k]) / norms[k] in that basis.
+    # A degree-d polynomial needs d + 1 distinct x values.  A norm that is
+    # not a normal float64 (q_k lost in rounding, or powers of x past the
+    # float64 range) leaves the k columns before it: the design has rank k.
     x = np.array([pt.x for pt in points], dtype=np.float64)
     y = np.array([pt.y for pt in points], dtype=np.float64)
     distinct = len(set(x.tolist()))
@@ -151,15 +160,6 @@ def _as_arrays(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, np
         raise RankDeficientError(
             f"degree {degree} needs {degree + 1} distinct x values, got {distinct}"
         )
-    return x, y
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _orthogonal_basis(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Forsythe's q_0 .. q_degree over x: their values q[k], their coefficients
-    # in powers of x (row k of c) and their norms sum(q[k]**2).  A norm that is
-    # not a normal float64 (q_k lost in rounding, or powers of x past the
-    # float64 range) leaves the k columns before it: the design has rank k.
     q = np.zeros((degree + 1, x.size))
     c = np.zeros((degree + 1, degree + 1))
     norms = np.zeros(degree + 1)
@@ -175,7 +175,7 @@ def _orthogonal_basis(x: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarra
             q[k + 1] = (x - a) * q[k] - b * q[k - 1]
             # x q_k: c[k] one power up, its top entry (zero below degree) wrapping to the front.
             c[k + 1] = np.roll(c[k], 1) - a * c[k] - b * c[k - 1]
-    return q, c, norms
+    return x, y, q, c, norms, (q * y).sum(axis=1) / norms
 
 
 def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -> PolyModel:
@@ -205,26 +205,30 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
             f"degree {degree} needs at least {needed} points "
             f"({min_residual_df} residual df), got {m}"
         )
-    x, y = _as_arrays(points, degree)
-
-    q, c, norms = _orthogonal_basis(x, degree)
-    raw = (((q * y).sum(axis=1) / norms)[:, None] * c).sum(axis=0)
+    *_, c, _, g = _least_squares(points, degree)
+    raw = (g[:, None] * c).sum(axis=0)
     return PolyModel(coefficients=tuple(float(b) for b in raw))
 
 
 def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionReport:
     """Model summary, ANOVA, and coefficient table for a fitted model.
 
-    Assumes `model` was fitted on `points`, and refuses, as `fit` does,
-    a model of degree d on fewer than d + 1 distinct x values
+    Reports the least-squares fit of degree ``model.degree`` on `points`,
+    and `model` must be that fit (``fit(points, model.degree)``): the
+    fitted values, sums of squares and standard errors are computed from
+    `points` alone, and the model's coefficients fill only the B column
+    and the t statistics and standardized betas made from it.  It
+    refuses, as `fit` does, a model of degree d on fewer than d + 1
+    distinct x values, or where the design's rank is below d + 1
     (:class:`RankDeficientError`).  It also refuses (ValueError) a
     non-constant response whose total sum of squares is past about 1.8e308
     or below about 2.2e-292, where the statistics overflow or underflow:
     1e-16 of it, the exact-fit tolerance, must be a normal float64.  A sum
     of squares that overflows warns of nothing.  Sums of squares are taken
     around the response mean (intercept models), standardized betas use
-    sample standard deviations of the raw power columns and of y, and
-    significances come from the t and F upper tails.
+    sample standard deviations of the raw power columns and of y (the
+    column x^j taken as max|x|^j (x / max|x|)^j, so its square does not
+    overflow), and significances come from the t and F upper tails.
 
     An exact fit (no residual variation to machine precision, or no
     residual degrees of freedom) reports R^2 and adjusted R^2 of 1, a
@@ -233,17 +237,15 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     other statistic comes from the same formula as for any fit.
     """
     d = model.degree
-    x, y = _as_arrays(points, d)
+    x, y, q, c, norms, g = _least_squares(points, d)
     m = x.size
-    coeffs = np.asarray(model.coefficients)
-    design = np.vander(x, d + 1, increasing=True)
     # Squares past the float64 range are inf, which the refusal below or the
     # exact-fit test handles: on a constant response of about 1e300 the
     # fitted values' rounding noise squares past it.
     with np.errstate(over="ignore"):
         ybar = float(y.mean())
         ss_tot = float(((y - ybar) ** 2).sum())
-        fitted = (design * coeffs).sum(axis=1)
+        fitted = (g[:, None] * q).sum(axis=0)
         resid = y - fitted
         ss_res = float((resid * resid).sum())
         ss_reg = float(((fitted - ybar) ** 2).sum())
@@ -288,14 +290,14 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
         sig=f_p,
     )
 
-    _, c, norms = _orthogonal_basis(x, d)
     # sum_k C[k, j]^2 / norms[k], scaled before squaring: C[k, j] can pass
     # 1e154 while norms[k] is a normal float64.
     diag = ((c / np.sqrt(norms)[:, None]) ** 2).sum(axis=0)
     s_y = float(y.std(ddof=1)) if m > 1 else 0.0
+    top = np.abs(x).max()
     rows = []
     for j in list(range(1, d + 1)) + [0]:
-        b_j = float(coeffs[j])
+        b_j = float(model.coefficients[j])
         # Not sqrt(diag * 0.0) for an exact fit: that is NaN where diag overflowed.
         se_j = 0.0 if exact else float(np.sqrt(diag[j] * ms_res))
         t_j = None if exact else b_j / se_j
@@ -305,7 +307,8 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
             beta_j = None
             name = "(constant)"
         else:
-            s_xj = float(design[:, j].std(ddof=1)) if m > 1 else 0.0
+            # x^j's sd with x scaled by its largest |x|, or the square overflows.
+            s_xj = float(top**j * ((x / top) ** j).std(ddof=1))
             beta_j = b_j * s_xj / s_y if s_y > 0.0 else None
             name = "x" if j == 1 else f"x^{j}"
         rows.append(

@@ -209,17 +209,27 @@ class TestDiagnosticsReference:
     @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
     def test_standard_errors_match_exact_normal_equations(self, degree):
         # sqrt(diag((X^T X)^-1) ms_residual), with (X^T X)^-1 taken in 50
-        # digits from the float64 x values and ms_residual the report's own.
+        # digits from the float64 x values and ms_residual the report's own;
+        # and the residual and regression sums of squares of the 50-digit
+        # solution of the normal equations X^T X b = X^T y.
         points = reference_points()
         report = diagnostics(points, fit(points, degree))
         with mpmath.workdps(50):
             xs = [mpmath.mpf(pt.x) for pt in points]
+            ys = [mpmath.mpf(pt.y) for pt in points]
             powers = range(degree + 1)
             xtx = mpmath.matrix([[sum(x ** (i + j) for x in xs) for j in powers] for i in powers])
             inverse = xtx**-1
             want = [float(mpmath.sqrt(inverse[j, j] * report.anova.ms_residual)) for j in powers]
+            b = inverse * mpmath.matrix([sum(y * x**i for x, y in zip(xs, ys)) for i in powers])
+            fitted = [sum(b[j] * x**j for j in powers) for x in xs]
+            ybar = sum(ys) / len(ys)
+            ss_residual = float(sum((y - f) ** 2 for y, f in zip(ys, fitted)))
+            ss_regression = float(sum((f - ybar) ** 2 for f in fitted))
         for j, row in zip([*range(1, degree + 1), 0], report.coefficients):
             assert row.std_error == pytest.approx(want[j], rel=1e-14), row.term_name
+        assert report.anova.ss_residual == pytest.approx(ss_residual, rel=1e-14)
+        assert report.anova.ss_regression == pytest.approx(ss_regression, rel=1e-14)
 
     def test_published_internal_consistency(self, report):
         assert np.sqrt(report.anova.ms_residual) == pytest.approx(
@@ -228,6 +238,27 @@ class TestDiagnosticsReference:
         assert report.anova.ms_regression / report.anova.ms_residual == pytest.approx(
             report.anova.f, rel=1e-12
         )
+
+
+def assert_reported_or_refused(predictor, exponents):
+    # y = k^2 mod 7 at x = predictor(k, e), k = 1..7, for each e and degrees
+    # 0-4: each fit is a report whose statistics are all finite or None and
+    # whose R^2 is in [0, 1], with no warning, or a refusal
+    # (RankDeficientError is a ValueError).
+    for e in exponents:
+        points = [DataPoint(predictor(k, e), float(k * k % 7)) for k in range(1, 8)]
+        for degree in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    report = diagnostics(points, fit(points, degree))
+                except ValueError:
+                    continue
+            values = [*astuple(report.summary), *astuple(report.anova)]
+            for row in report.coefficients:
+                values += [row.b, row.std_error, row.beta, row.t, row.sig]
+            assert all(v is None or math.isfinite(v) for v in values), (e, degree)
+            assert -1e-9 <= report.summary.r_squared <= 1.0 + 1e-9, (e, degree)
 
 
 class TestDiagnosticsGeneral:
@@ -329,22 +360,14 @@ class TestDiagnosticsGeneral:
 
     @pytest.mark.parametrize("shift", [0.0, 1.0])
     def test_predictor_far_from_one_is_reported_or_refused(self, shift):
-        # x = shift + k 10^e, k = 1..7, for e over the float64 exponent range:
-        # each fit is a report whose statistics are all finite or None, with
-        # no warning, or a refusal (RankDeficientError is a ValueError).
-        for e in range(-300, 301, 10):
-            points = [DataPoint(shift + k * 10.0**e, float(k * k % 7)) for k in range(1, 8)]
-            for degree in range(5):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    try:
-                        report = diagnostics(points, fit(points, degree))
-                    except ValueError:
-                        continue
-                values = [*astuple(report.summary), *astuple(report.anova)]
-                for row in report.coefficients:
-                    values += [row.b, row.std_error, row.beta, row.t, row.sig]
-                assert all(v is None or math.isfinite(v) for v in values), (e, degree)
+        # x = shift + k 10^e, k = 1..7, for e over the float64 exponent range.
+        assert_reported_or_refused(lambda k, e: shift + k * 10.0**e, range(-300, 301, 10))
+
+    @pytest.mark.parametrize("h", [1e-10, 1e-5, 1e-2])
+    def test_offset_predictor_is_reported_or_refused(self, h):
+        # x = 10^e (1 + k h), k = 1..7: a spread of h times x itself, where
+        # the fitted values would cancel catastrophically in powers of x.
+        assert_reported_or_refused(lambda k, e: 10.0**e * (1.0 + k * h), range(0, 301, 10))
 
     @pytest.mark.parametrize("scale", [1e-162, 1e160])
     def test_response_whose_squares_leave_float64_is_refused(self, scale):

@@ -931,6 +931,20 @@ class TestCliFit:
         assert captured.out == ""
         assert captured.err == "error: design matrix rank 2 < 3\n"
 
+    def test_narrow_p_grid_is_reported_not_garbled(self, capsys):
+        # p = 0.5 + k 1e-5: in powers of p the fitted values cancel to
+        # R Square -14374.571 and a regression sum of squares of 201244.000,
+        # past the total of 14.000; the true R Square is 13/22, .591.
+        path = Path(__file__).parent / "inputs" / "p_offset.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--input", str(path), "--degree", "4"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].split()[:2] == [".769", ".591"]
+        assert lines[6].split()[:2] == ["Regression", "8.273"]
+        assert lines[7].split()[:2] == ["Residual", "5.727"]
+        assert lines[8].split()[:2] == ["Total", "14.000"]
+
     @pytest.mark.parametrize("command", [["fit", "--degree", "1"], ["select"]])
     @pytest.mark.parametrize(
         "name, total", [("response_1e-162.csv", "1.5e-323"), ("response_1e160.csv", "inf")]

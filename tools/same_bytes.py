@@ -43,6 +43,10 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["select", "--use-fixture", "--alpha", "0.01"],
     ["select", "--use-fixture", "--alpha", "0.001"],
     ["select", "--input", "tests/golden/exact/linear.csv"],
+    # A narrow p grid, p = 0.5 + k 1e-5, whose fitted values cancel in powers of p.
+    ["fit", "--input", "tests/inputs/p_offset.csv", "--degree", "4",
+     "--out-json", "{out}/fit.json"],
+    ["select", "--input", "tests/inputs/p_offset.csv"],
     ["select", "--use-fixture", "--d-min", "2", "--d-max", "5", "--out-json", "{out}/verdict.json"],
     ["simulate", "--seed", "5", "--n", "50", "--trials", "20"],
     # Shares split cells: one cell over two shares, and two cells over three.
