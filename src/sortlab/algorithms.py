@@ -8,12 +8,8 @@ counts through one ndarray kernel for a (trials, n) batch, one trial per
 row (:func:`exchange_sort_batch`, :func:`textbook_sort_batch`,
 :func:`count_inversions_batch`), which returns only the count vector and
 counts by an identity its docstring proves rather than by running the
-loop.  All three first code each row in one shared step, by integer
-codes that keep the order of its values, ties included: an integer batch
-whose values span at most min(n, 64) takes each value's offset from the
-min, with no table and no sort; a wider integer batch whose values lie at
-most n apart takes each value's dense rank in its row from a table of each
-row's value counts; any other batch its dense rank from one sort.  A value
+loop.  All three first code each row in one shared step, ``_ranks``, by
+integer codes that keep the order of its values, ties included.  A value
 with no place in an order is refused there, before any comparison: a
 complex array raises TypeError, and a value not equal to itself (NaN,
 NaT) raises ValueError.  The inversion counter then sorts each row's
@@ -64,9 +60,10 @@ class OpCounters:
             )
 
 
-def _check_batch(batch: np.ndarray) -> None:
+def _batch_shape(batch: np.ndarray) -> tuple[int, int]:
     if batch.ndim != 2:
         raise ValueError(f"expected a 2-d (trials, n) batch, got shape {batch.shape}")
+    return batch.shape
 
 
 def _one_trial(kernel, seq: Sequence | np.ndarray) -> tuple[np.ndarray, int]:
@@ -183,25 +180,19 @@ def exchange_sort_batch(batch: np.ndarray) -> np.ndarray:
     #{k : a[k] < w}.  Summed over the passes, value w gives
     #{k > f_w : a[k] < w} swaps.
 
-    The count needs only a rank that keeps the order of a row's values, ties
-    included, not a dense one: the step all three kernels share gives each
-    value such a code, 1 to top.  An integer batch whose value range is at
-    most min(n, 64) wide, as geometric draws are on most of the default
-    grid, is coded by each value's offset from the min, with no table and no
-    sort; a wider one whose range is at most n by its dense rank, from a
-    table of each row's value counts; any other batch by its dense rank from
-    one sort.  Then, up to 64 codes per machine word, an or-scan along the
-    row gives the set seen of codes met up to position k, and the k-th term
-    is popcount(seen >> code(a[k])).  A window of codes takes the narrowest
-    unsigned word that holds it (uint8 for up to 8 codes), and only batches
-    whose top is above 64, which are densely ranked, need the codes clipped
-    to their window.  Cost per row: O(n) for the codes (one sort for a batch
-    that is not narrow integers) plus O(n * ceil(top/64)) word operations;
-    top is at most 64 on the offset codes, else the largest number of
-    distinct values in a row.
+    The count needs only a code that keeps the order of a row's values, ties
+    included, not a dense rank: ``_ranks``, the step all three kernels
+    share, gives each value such a code, 1 to top.  Then, up to 64 codes per
+    machine word, an or-scan along the row gives the set seen of codes met
+    up to position k, and the k-th term is popcount(seen >> code(a[k])).  A
+    window of codes takes the narrowest unsigned word that holds it (uint8
+    for up to 8 codes), and only batches whose top is above 64, which are
+    densely ranked, need the codes clipped to their window.  Cost per row:
+    O(n) for the codes (one sort for a batch that is not narrow integers)
+    plus O(n * ceil(top/64)) word operations; top is at most 64 on the
+    offset codes, else the largest number of distinct values in a row.
     """
-    _check_batch(batch)
-    trials, n = batch.shape
+    trials, n = _batch_shape(batch)
     swaps = np.zeros(trials, dtype=np.int64)
     if n < 2 or trials == 0:
         return swaps
@@ -263,21 +254,18 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     s+j with j > k, pass s+j carries it on to p_{j+1}, and so on until it
     lands at or beyond slot s+c, where it stays.  Nothing else moves.
 
-    The shared ranking step gives each value a code, 1 to top, that keeps
-    its row's order: its offset from the min in an integer batch whose
-    values span at most min(n, 64), with no table and no sort, else its
-    dense rank (from a table of value counts, else one sort of each row).
-    The blocks of every row's values with code d form step d, so there are
-    top steps, and a code missing from a row gives that row an empty block.
-    The count of each (row, code) gives the blocks' slots, and one stable
-    sort of the codes their elements.  Each step sorts the current
-    positions of its elements, follows the chains above by pointer doubling
-    (one round per doubling of the longest chain) and moves the displaced
-    elements.  Cost: the ranking and the sort of the codes plus
-    O(N log N) element work over the top steps, N = trials * n.
+    ``_ranks``, the step all three kernels share, gives each value a code,
+    1 to top, that keeps its row's order.  The blocks of every row's values
+    with code d form step d, so there are top steps, and a code missing
+    from a row gives that row an empty block.  The count of each (row,
+    code) gives the blocks' slots, and one stable sort of the codes their
+    elements.  Each step sorts the current positions of its elements,
+    follows the chains above by pointer doubling (one round per doubling
+    of the longest chain) and moves the displaced elements.  Cost: the
+    ranking and the sort of the codes plus O(N log N) element work over
+    the top steps, N = trials * n.
     """
-    _check_batch(batch)
-    trials, n = batch.shape
+    trials, n = _batch_shape(batch)
     if n < 2 or trials == 0:
         return np.zeros(trials, dtype=np.int64)
     size = trials * n
@@ -364,11 +352,11 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     Returns each row's inversion count (int64), in row order; the input is
     left untouched.  Checking every pair is the oracle.
 
-    With r a value's code less 1 (0..top-1), from the shared step's codes
-    that keep each row's order of values, ties included, and S_b(j) element
-    j's position in the stable sort of its row by r >> b, the count is the
-    sum of S_b(j) - S_{b+1}(j) over b < B = bit_length(top-1) and the j
-    with bit b of r_j set (S_B(j) = j).
+    With r a value's code less 1 (0..top-1), from ``_ranks``, the shared
+    step whose codes keep each row's order of values, ties included, and
+    S_b(j) element j's position in the stable sort of its row by r >> b,
+    the count is the sum of S_b(j) - S_{b+1}(j) over b < B =
+    bit_length(top-1) and the j with bit b of r_j set (S_B(j) = j).
 
     Proof sketch.  An inverted pair i < j is told apart first at a bit b
     set in r_i and clear in r_j; a tied pair never is.  The sort by r >> b
@@ -381,15 +369,11 @@ def count_inversions_batch(batch: np.ndarray) -> np.ndarray:
     codes sorted by value: one stable sort of the codes gives them, a radix
     sort on 8- or 16-bit keys while top < 2**16.  The S_{b+1} terms take
     one stable sort of r >> (b+1) per bit below the top one, B - 1 sorts,
-    each a radix sort on 8- or 16-bit keys while top <= 2**17.  The codes
-    are offsets from the min, so top <= 64 and B <= 6, on an integer batch
-    whose values span at most min(n, 64); else dense ranks, top being the
-    largest number of distinct values in a row, from a table of value
-    counts on integers at most n apart and from one sort otherwise.  Cost:
+    each a radix sort on 8- or 16-bit keys while top <= 2**17.  On the
+    offset codes of a narrow integer batch top <= 64, so B <= 6.  Cost:
     O(N log top).
     """
-    _check_batch(batch)
-    trials, n = batch.shape
+    trials, n = _batch_shape(batch)
     if n < 2 or trials == 0:
         return np.zeros(trials, dtype=np.int64)
     ranks, top = _ranks(batch)

@@ -145,11 +145,12 @@ class RegressionReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray, ...]:
+def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple:
     # The least-squares fit of `degree` on `points`, in Forsythe's basis: the
     # x and y arrays, the values q[k] of q_0 .. q_degree over x, their
-    # coefficients in powers of x (row k of c), their norms sum(q[k]**2) and
-    # the fit's coefficients g[k] = sum(y q[k]) / norms[k] in that basis.
+    # coefficients in powers of x (row k of c), their norms sum(q[k]**2), the
+    # fit's coefficients g[k] = sum(y q[k]) / norms[k] in that basis, and the
+    # fit in powers of x, whose x^j coefficient is sum_k g[k] c[k, j].
     # A degree-d polynomial needs d + 1 distinct x values.  A norm that is
     # not a normal float64 (q_k lost in rounding, or powers of x past the
     # float64 range) leaves the k columns before it: the design has rank k.
@@ -175,7 +176,9 @@ def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple[np.ndarray
             q[k + 1] = (x - a) * q[k] - b * q[k - 1]
             # x q_k: c[k] one power up, its top entry (zero below degree) wrapping to the front.
             c[k + 1] = np.roll(c[k], 1) - a * c[k] - b * c[k - 1]
-    return x, y, q, c, norms, (q * y).sum(axis=1) / norms
+    g = (q * y).sum(axis=1) / norms
+    model = PolyModel(coefficients=tuple(float(b) for b in (g[:, None] * c).sum(axis=0)))
+    return x, y, q, c, norms, g, model
 
 
 def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -> PolyModel:
@@ -205,21 +208,19 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
             f"degree {degree} needs at least {needed} points "
             f"({min_residual_df} residual df), got {m}"
         )
-    *_, c, _, g = _least_squares(points, degree)
-    raw = (g[:, None] * c).sum(axis=0)
-    return PolyModel(coefficients=tuple(float(b) for b in raw))
+    return _least_squares(points, degree)[-1]
 
 
 def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionReport:
     """Model summary, ANOVA, and coefficient table for a fitted model.
 
-    Reports the least-squares fit of degree ``model.degree`` on `points`,
-    and `model` must be that fit (``fit(points, model.degree)``): the
-    fitted values, sums of squares and standard errors are computed from
-    `points` alone, and the model's coefficients fill only the B column
-    and the t statistics and standardized betas made from it.  It
-    refuses, as `fit` does, a model of degree d on fewer than d + 1
-    distinct x values, or where the design's rank is below d + 1
+    Reports the least-squares fit of degree ``model.degree`` on `points`;
+    only that degree is read from `model`.  The report's model, its B
+    column and every other statistic come from the one least-squares pass
+    that `fit` makes, so the report is that of ``fit(points,
+    model.degree)`` whatever coefficients `model` holds.  It refuses, as
+    `fit` does, a model of degree d on fewer than d + 1 distinct x values,
+    or where the design's rank is below d + 1
     (:class:`RankDeficientError`).  It also refuses (ValueError) a
     non-constant response whose total sum of squares is past about 1.8e308
     or below about 2.2e-292, where the statistics overflow or underflow:
@@ -237,7 +238,7 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     other statistic comes from the same formula as for any fit.
     """
     d = model.degree
-    x, y, q, c, norms, g = _least_squares(points, d)
+    x, y, q, c, norms, g, model = _least_squares(points, d)
     m = x.size
     # Squares past the float64 range are inf, which the refusal below or the
     # exact-fit test handles: on a constant response of about 1e300 the

@@ -444,9 +444,6 @@ def main(argv=None) -> int:
         status = args.func(args)
         sys.stdout.flush()  # so a closed stdout raises here, not at exit
         return status
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # The reader of stdout has gone.  Point stdout at devnull so that the
         # flush at exit cannot raise again; a closed pipe needs no error line.
@@ -456,6 +453,7 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, OSError, RuntimeError) as exc:
         # RuntimeError: a numerical routine did not converge, or a worker
-        # process ended without reporting its cells.
+        # process ended without reporting its cells.  A UsageError is a
+        # ValueError that exits 2.
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1

@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "p,n,trials,mean_c,sd_c,cv_c"
+# One reader per column, in TrialSummary's field order: a row is written by
+# astuple and read back by TrialSummary(*...).  An empty cv_c is None.
+_READERS = (float, int, int, float, float, lambda v: float(v) if v else None)
 
 
 class CsvFormatError(ValueError):
@@ -109,16 +112,7 @@ def parse_summaries_csv(text: str) -> tuple[tuple[TrialSummary, ...], dict[str, 
         if len(fields) != 6:
             raise CsvFormatError(f"line {lineno}: expected 6 fields, got {len(fields)}")
         try:
-            summaries.append(
-                TrialSummary(
-                    p=float(fields[0]),
-                    n=int(fields[1]),
-                    trials=int(fields[2]),
-                    mean_c=float(fields[3]),
-                    sd_c=float(fields[4]),
-                    cv_c=None if fields[5] == "" else float(fields[5]),
-                )
-            )
+            summaries.append(TrialSummary(*(read(v) for read, v in zip(_READERS, fields))))
         except ValueError as exc:
             raise CsvFormatError(f"line {lineno}: {exc}") from exc
     if not header_seen:

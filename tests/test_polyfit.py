@@ -417,3 +417,17 @@ class TestDiagnosticsGeneral:
         report = diagnostics(points, fit(points, 3))
         assert [row.term_name for row in report.coefficients] == ["x", "x^2", "x^3", "(constant)"]
         assert report.highest_order_row.term_name == "x^3"
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=20)
+    def test_report_has_one_source(self, degree, data):
+        # Only the model's degree is read: its coefficients, whatever they
+        # are, fill no cell of the report, whose model is the fit's own.
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        coefficients = data.draw(st.tuples(*[finite] * (degree + 1)))
+        points = reference_points()
+        fitted = fit(points, degree)
+        report = diagnostics(points, PolyModel(coefficients))
+        assert report == diagnostics(points, fitted)
+        assert report.model == fitted

@@ -62,6 +62,10 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["fit", "--use-fixture", "--degree", "-1"],
     ["select", "--use-fixture", "--alpha", "1"],
     ["select", "--use-fixture", "--d-max", "0"],
+    # Flag combinations refused after argparse (exit 2), and a CSV row refused (exit 1).
+    ["select", "--use-fixture", "--d-min", "3", "--d-max", "2"],
+    ["theory", "--dist", "continuous", "--p", "0.3"],
+    ["fit", "--input", "tests/inputs/bad_n.csv", "--degree", "1"],
 ]
 
 
