@@ -261,9 +261,12 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     code) gives the blocks' slots, and one stable sort of the codes their
     elements.  Each step sorts the current positions of its elements,
     follows the chains above by pointer doubling (one round per doubling
-    of the longest chain) and moves the displaced elements.  Cost: the
-    ranking and the sort of the codes plus O(N log N) element work over
-    the top steps, N = trials * n.
+    of the longest chain) and moves the displaced elements.  Positions are
+    int32 while N < 2**31, and the steps gather through them with
+    ``ndarray.take``, which converts such an index to intp in one piece,
+    where fancy indexing does it chunk by chunk at about twice the time.
+    Cost: the ranking and the sort of the codes plus O(N log N) element
+    work over the top steps, N = trials * n.
     """
     trials, n = _batch_shape(batch)
     if n < 2 or trials == 0:
@@ -277,9 +280,16 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     del cells
     # Positions are flat (row * n + column).  Element j is the j-th in
     # (code, row, column) order; where[j]: its current position, at first
-    # its input position.
-    where = np.argsort(ranks.ravel(), kind="stable").astype(index)
+    # its input position, and who[q]: the element at position q.  who is
+    # scattered through the sort's own order, an intp index and so quicker
+    # than int32, and the order is dropped before the blocks' arrays are
+    # built.
+    order = np.argsort(ranks.ravel(), kind="stable")
     del ranks
+    who = np.empty(size, dtype=index)
+    who[order] = np.arange(size, dtype=index)
+    where = order.astype(index)
+    del order
     # The block of (row t, code r) fills the slots from first[t, r] on, in
     # the input order of its elements.  Ordered by (code, row), the blocks
     # are the entries of the transposed count table (a code missing from a
@@ -298,13 +308,8 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     end = np.repeat(first + lens, lens)
     first += lens - ends
     slots = np.repeat(first, lens)
-    del first, lens, ends
-    ident = np.arange(size, dtype=index)
-    slots += ident
-    # who[q]: element at position q.
-    who = np.empty(size, dtype=index)
-    who[where] = ident
-    del ident
+    del first
+    slots += np.arange(size, dtype=index)
     local = np.arange(max(np.diff(bounds, prepend=0)), dtype=index)
     g0 = 0
     for g1 in bounds:
@@ -320,19 +325,26 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
         jump = np.where(pos < end[g0:g1], pos - s, 0)
         jump += local[: g1 - g0]
         while True:
-            nxt = jump[jump]
+            nxt = jump.take(jump)
             if not (nxt != jump).any():
                 break
             jump = nxt
-        occupant = who[s]
-        moved = occupant >= g1  # elements of later steps
-        elements = occupant[moved]
-        dest = pos[jump[moved]]
+        occupant = who.take(s)
+        moved = np.flatnonzero(occupant >= g1)  # elements of later steps
+        elements = occupant.take(moved)
+        dest = pos.take(jump.take(moved))
         where[elements] = dest
         who[dest] = elements
         g0 = g1
-    # Element j moved iff it ends away from its slot, which lies in its row.
-    return np.bincount(slots[where != slots] // n, minlength=trials).astype(np.int64)
+    # Element j moved iff it ends away from its slot.  moves[k]: how many
+    # of the first k elements did, read at the ends of each (code, row)
+    # block once the N-sized arrays are freed; summed over the codes, a
+    # row's blocks give its count.
+    moves = np.zeros(size + 1, dtype=index)
+    np.cumsum(where != slots, dtype=index, out=moves[1:])
+    del who, where, slots, end
+    per_block = moves.take(ends) - moves.take(ends - lens)
+    return per_block.reshape(top, trials).sum(axis=0, dtype=np.int64)
 
 
 def textbook_selection_sort(seq: Sequence | np.ndarray) -> tuple[list | np.ndarray, OpCounters]:

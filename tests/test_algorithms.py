@@ -688,15 +688,39 @@ class TestTextbookKernelValueBlocks:
     def test_dtypes(self, rows, dtype):
         assert_matches_literal_loop(textbook_sort_batch, np.array(rows, dtype=dtype))
 
-    @pytest.mark.parametrize("p", [round(0.1 * i, 1) for i in range(1, 10)])
+    @pytest.mark.parametrize("p", [round(0.1 * i, 1) for i in range(1, 10)] + [0.02, 0.001])
     def test_geometric_batches_match_pass_by_pass_oracle(self, p):
-        # The default grid's shape: 100 trials of n = 1000.
+        # The default grid's shape: 100 trials of n = 1000.  Off the grid the
+        # kernel runs hundreds of small steps: at p = 0.02 the batch spans
+        # 580 values and is ranked by the value table (top 190), at p = 0.001
+        # it spans 11707 and is ranked by a sort (top 823).
         batch = np.random.default_rng(int(p * 10)).geometric(p, size=(100, 1000)) - 1
+        assert (int(batch.max() - batch.min()) >= 1000) == (p == 0.001)
         assert textbook_sort_batch(batch).tolist() == textbook_sort_passes(batch)[1].tolist()
 
-    @pytest.mark.parametrize("p", [0.1, 0.9])
+    @pytest.mark.parametrize("p", [k / 10 for k in range(1, 10)])
+    def test_one_step_per_code(self, p, monkeypatch):
+        # The suite times nothing, so the step loop's cost is pinned by its
+        # count: on a default-grid block it runs one step per code, top in
+        # all, each finding the elements it displaces by one np.flatnonzero
+        # over its own elements.
+        batch = sample_block(geometric(p), 1000, mix64(3, 0), 0, 100)
+        top = _ranks(batch)[1]
+        steps = []
+        flatnonzero = np.flatnonzero
+
+        def spy(mask):
+            steps.append(mask.size)
+            return flatnonzero(mask)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        textbook_sort_batch(batch)
+        assert len(steps) == top
+        assert sum(steps) == batch.size
+
+    @pytest.mark.parametrize("p", [0.001, 0.1, 0.5, 0.9])
     def test_peak_memory_per_value(self, p):
-        # Measured 28 B/value at p=0.1 and 33 at p=0.9.
+        # Measured 35, 26, 31 and 38 B/value at p = 0.001, 0.1, 0.5 and 0.9.
         batch = np.random.default_rng(7).geometric(p, size=(262, 1000)) - 1
         tracemalloc.start()
         try:
