@@ -4,13 +4,16 @@ The workbench sorts arrays of iid geometric(p) draws on r = 0, 1, 2, ...
 (the number of failures before the first success).  `ContinuousUniform`
 is only a tag for the closed-form theory; nothing samples it.
 
-:func:`sample_block` is the pipeline's sampler.  It draws many trials of
-a cell at once, and its docstring states which generator each trial
-draws from.  :func:`mix64` derives every substream seed with a fixed
-mixing function, so every downstream artifact is reproducible byte for
-byte whatever the scheduling.  The block's trial seeds are hashed into
-their ``SeedSequence`` words with array arithmetic, so no trial pays for
-a ``SeedSequence``.
+:func:`sample_block` draws many trials of a cell at once, and its
+docstring states which generator each trial draws from.  :func:`mix64`
+derives every substream seed with a fixed mixing function, so every
+downstream artifact is reproducible byte for byte whatever the
+scheduling.  Trial seeds are hashed into their ``SeedSequence`` words
+with array arithmetic (:func:`_seed_sequence_words`), so no trial pays
+for a ``SeedSequence``, and :func:`_draw_rows` draws a block from those
+words.  The pipeline calls the two itself, hashing the seeds of a whole
+share of trials at once (``sortlab.montecarlo``); ``sample_block`` is the
+same draw for one block.
 
 :class:`RandomSource` with :func:`sample_array` is the per-trial
 definition ``sample_block`` must match.  It leaves the seeding to numpy,
@@ -147,7 +150,7 @@ class _TrialSeed:
     """One trial's ``SeedSequence`` words, as the seed numpy's PCG64 takes.
 
     PCG64 takes precomputed words only from an ``ISeedSequence``.
-    :func:`sample_block` registers this class as one when it draws, not at
+    :func:`_draw_rows` registers this class as one when it draws, not at
     import, so that ``numpy.random`` still loads with the first draw.
     """
 
@@ -259,11 +262,11 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     ``PCG64(mix64(cell_seed, t))``, equal to ``sample_array`` on
     ``RandomSource(mix64(cell_seed, t))``.  The trial seeds and their
     ``SeedSequence`` words are computed for the whole block at once
-    (:func:`_seed_sequence_words`), and numpy seeds each trial's PCG64
-    from its words, so every draw still comes from numpy's PCG64.  The
-    block is filled as raw uint64, and :func:`_geometric_in_place` maps each
-    raw word to its draw in the block's buffer (about 8 bytes per value,
-    output included).  Refusals raise before any draw, at p = 1 too, in
+    (:func:`_seed_sequence_words`), and :func:`_draw_rows` has numpy seed
+    each trial's PCG64 from its words, so every draw still comes from
+    numpy's PCG64 (about 8 bytes per value, output included, after a
+    hashing peak of about 165 bytes per trial).  Refusals raise before
+    any draw, at p = 1 too, in
     this order: :func:`_inverse_p`'s (an n that is not an int >= 1, a model
     that is not `Geometric`, a p whose draws would overflow int64), then a
     `cell_seed` that is not an int in [0, 2**64), then a start or stop that
@@ -274,10 +277,23 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)
     seeds = _mix64_block(cell_seed, _as_int("start", start), _as_int("stop", stop))
+    return _draw_rows(p, n, _seed_sequence_words(seeds))
+
+
+def _draw_rows(p: float | None, n: int, words: np.ndarray) -> np.ndarray:
+    """The (len(words), n) int64 block whose row i is drawn from numpy's PCG64
+    seeded by ``words[i]``, one trial's ``SeedSequence`` words (a row of
+    :func:`_seed_sequence_words`).
+
+    `p` is :func:`_inverse_p`'s: each raw output maps to its inverse-CDF
+    draw, and None (p = 1) gives zeros without a draw.  The block is filled
+    as raw uint64, and :func:`_geometric_in_place` maps each raw word to its
+    draw in the block's buffer (about 8 bytes per value, output included).
+    """
     if p is None:
-        return np.zeros((len(seeds), n), dtype=np.int64)
+        return np.zeros((len(words), n), dtype=np.int64)
     np.random.bit_generator.ISeedSequence.register(_TrialSeed)
-    raw = np.empty((len(seeds), n), dtype=np.uint64)
-    for row, words in zip(raw, _seed_sequence_words(seeds)):
-        row[:] = np.random.PCG64(_TrialSeed(words)).random_raw(n)
+    raw = np.empty((len(words), n), dtype=np.uint64)
+    for row, trial_words in zip(raw, words):
+        row[:] = np.random.PCG64(_TrialSeed(trial_words)).random_raw(n)
     return _geometric_in_place(raw, p)

@@ -16,8 +16,12 @@ cell's counts are reduced to exact integer sums, whose value does not
 depend on the order they are added in.  Output is therefore
 bit-identical however the trials are split between forked worker
 processes.
-Each block is drawn by one :func:`~sortlab.distributions.sample_block`
-call, whose docstring states the generator of each trial.
+Trial t of a cell draws from numpy's ``PCG64(mix64(cell_seed, t))``, as
+:func:`~sortlab.distributions.sample_block`'s docstring states.  A share
+hashes the seeds of all its trials into their ``SeedSequence`` words
+together, in passes of at most ``BLOCK_VALUES // 8`` trials, and draws
+each block from its slice of those words, so every row is the one
+``sample_block`` draws.
 
 The grid's trials form one cell-major sequence: grid trial g is trial
 ``g % trials`` of cell ``g // trials``.  A run fans out by a direct fork,
@@ -39,8 +43,11 @@ import pickle
 import signal
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
-from .distributions import _as_int, _as_seed, geometric, mix64, sample_block
+from .distributions import _as_int, _as_seed, _draw_rows, _inverse_p, _mix64_block
+from .distributions import _seed_sequence_words, geometric, mix64
 
 __all__ = [
     "COUNTER_MODES",
@@ -58,15 +65,21 @@ _KERNELS = {
 COUNTER_MODES = tuple(_KERNELS)
 
 #: Most array values one kernel call holds.  A cell's trials run in blocks
-#: of at most this many values (at least one trial each), so memory stays
-#: bounded whatever the trial count.
+#: of at most this many values (at least one trial each), and a share's
+#: trial seeds are hashed in passes of at most BLOCK_VALUES // 8 trials
+#: (32 bytes of words each, so 4 per value), so memory stays bounded
+#: whatever the trial count.
 BLOCK_VALUES = 1 << 18
 
-#: Peak bytes per array value while a block is counted: at most 64 for a
-#: kernel (textbook 26-38, exchange 3-21, inversions 13-17 by tracemalloc
-#: on 262 x 1000 geometric blocks, p = 0.001-0.9), plus the 8 of the int64
-#: block it is given.  The block sampler's own peak (at most 24) comes
-#: before.  A tracemalloc test pins a whole block of each mode within this
+#: Peak bytes per value of BLOCK_VALUES while a share runs.  A block is
+#: counted while its int64 values (8) and its pass's seed words (at most
+#: 4) are held; a kernel alone peaks at textbook 26-38, exchange 3-21 and
+#: inversions 13-17 (tracemalloc, 262 x 1000 geometric blocks, p =
+#: 0.001-0.9).  A hashing pass peaks at about 165 bytes a trial, 21 per
+#: value, between blocks.  Whole runs by tracemalloc, p = 0.001-0.9: at
+#: most 46 on one 262 x 1000 block, at most 57 with full passes (n = 8
+#: and 100, BLOCK_VALUES = 2**15, 4 passes), and 28 at n = 1.  Tracemalloc
+#: tests pin a whole block of each mode, and a run at n = 1, within this
 #: figure.
 BYTES_PER_VALUE = 72
 
@@ -222,27 +235,41 @@ def _run_share(
 
     `cells` holds one (p, cell seed) per cell.  Returns one (cell index,
     sum of the counts, sum of their squares) per cell the range meets, in
-    cell order.  Each cell's part is drawn and counted in trial order, in
-    blocks of at most BLOCK_VALUES values (at least one trial each).
+    cell order.  The range is hashed in passes of at most BLOCK_VALUES // 8
+    trials: the trial seeds of every cell part a pass meets go through one
+    :func:`~sortlab.distributions._seed_sequence_words` call.  Each part is
+    then drawn and counted in trial order, in blocks of at most
+    BLOCK_VALUES values (at least one trial each), every block from its
+    slice of the pass's words.
     """
     kernel = _KERNELS[config.counter_mode]
-    per_block = max(1, BLOCK_VALUES // config.n)
-    sums = []
-    while start < stop:
-        index, first = divmod(start, config.trials)
-        last = min(config.trials, first + stop - start)
-        p, cell_seed = cells[index]
-        model = geometric(p)
-        # Python ints: a count squared passes int64 once counts pass ~3.04e9.
-        total = squares = 0
-        for block in range(first, last, per_block):
-            batch = sample_block(model, config.n, cell_seed, block, min(block + per_block, last))
-            for count in kernel(batch).tolist():
-                total += count
-                squares += count * count
-        sums.append((index, total, squares))
-        start += last - first
-    return sums
+    n, trials = config.n, config.trials
+    per_block = max(1, BLOCK_VALUES // n)
+    per_pass = max(1, BLOCK_VALUES // 8)
+    sums = {}
+    for head in range(start, stop, per_pass):
+        tail = min(head + per_pass, stop)
+        # (cell index, first trial, last trial + 1) of each cell the pass meets.
+        parts = [
+            (index, max(head - index * trials, 0), min(tail - index * trials, trials))
+            for index in range(head // trials, (tail - 1) // trials + 1)
+        ]
+        seeds = [_mix64_block(cells[index][1], first, last) for index, first, last in parts]
+        words = _seed_sequence_words(np.concatenate(seeds))
+        row = 0
+        for index, first, last in parts:
+            p = _inverse_p(geometric(cells[index][0]), n)
+            # Python ints: a count squared passes int64 once counts pass ~3.04e9.
+            total, squares = sums.get(index, (0, 0))
+            for block in range(first, last, per_block):
+                size = min(per_block, last - block)
+                batch = _draw_rows(p, n, words[row : row + size])
+                row += size
+                for count in kernel(batch).tolist():
+                    total += count
+                    squares += count * count
+            sums[index] = total, squares
+    return [(index, *cell_sums) for index, cell_sums in sums.items()]
 
 
 def _summary(config: ExperimentConfig, p: float, total: int, squares: int) -> TrialSummary:

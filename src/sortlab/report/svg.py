@@ -37,9 +37,11 @@ def _span(values: Sequence[float], pad: float) -> tuple[float, float]:
 
 
 def _curve_points(model: PolyModel, x_lo: float, x_hi: float) -> list[tuple[float, float]]:
+    # Horner's rule from the highest power down, as numpy.polynomial's
+    # polyval runs it, without loading numpy.polynomial.
     step = (x_hi - x_lo) / (_CURVE_SAMPLES - 1)
     xs = [x_lo + i * step for i in range(_CURVE_SAMPLES)]
-    return list(zip(xs, np.polynomial.polynomial.polyval(xs, model.coefficients).tolist()))
+    return list(zip(xs, np.polyval(model.coefficients[::-1], xs).tolist()))
 
 
 def _line(parent: ET.Element, x1: float, y1: float, x2: float, y2: float) -> None:

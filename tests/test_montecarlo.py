@@ -112,7 +112,7 @@ class TestExperimentConfig:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before refusing")
 
-        monkeypatch.setattr(montecarlo, "sample_block", no_draws)
+        monkeypatch.setattr(montecarlo, "_draw_rows", no_draws)
         monkeypatch.setattr(montecarlo, "TRIAL_MEMORY_BUDGET", 100 * montecarlo.BYTES_PER_VALUE)
         ExperimentConfig(n=100, trials=5, p_values=(0.5,), master_seed=1)
         with pytest.raises(ValueError, match=r"n=101 is too large: .* bytes per value"):
@@ -310,9 +310,22 @@ class TestRunCell:
         assert rows == ([3, 3, 3, 1] if block_values > 1 else [1] * 10)
 
 
-    def test_blocks_match_per_trial_sampling(self, monkeypatch):
-        # 300 trials of n = 1000 pass BLOCK_VALUES: blocks of 262 and 38 trials.
-        config = ExperimentConfig(n=1000, trials=300, p_values=(0.3,), master_seed=19)
+    @pytest.mark.parametrize(
+        "n, block_values, rows, passes",
+        [
+            # 300 trials of n = 1000 pass BLOCK_VALUES: blocks of 262 and 38
+            # trials, from one hashing pass.
+            (1000, None, [262, 38], [300]),
+            # Blocks of 7 trials and passes of 43 (350 // 8): each pass is six
+            # blocks of 7, then one of 1 where the pass ends mid-block.
+            (50, 50 * 7, ([7] * 6 + [1]) * 6 + [7] * 6, [43] * 6 + [42]),
+        ],
+        ids=["default-blocks", "small-blocks"],
+    )
+    def test_blocks_match_per_trial_sampling(
+        self, monkeypatch, hashed, n, block_values, rows, passes
+    ):
+        config = ExperimentConfig(n=n, trials=300, p_values=(0.3,), master_seed=19)
         cell_seed = mix64(19, 0)
         batches = []
         kernel = montecarlo._KERNELS["exchange_interchanges"]
@@ -322,10 +335,34 @@ class TestRunCell:
             return kernel(batch)
 
         monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", spy)
+        if block_values is not None:
+            monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
         run_cell(config, 0.3, cell_seed)
-        assert [b.shape for b in batches] == [(262, 1000), (38, 1000)]
-        want = per_trial_rows(0.3, 1000, cell_seed, 0, 300)
+        assert [b.shape for b in batches] == [(r, n) for r in rows]
+        assert hashed == passes
+        want = per_trial_rows(0.3, n, cell_seed, 0, 300)
         assert np.array_equal(np.concatenate(batches), want)
+
+    def test_seed_words_held_at_once_stay_within_one_pass(self, monkeypatch):
+        # At n = 1 a block of BLOCK_VALUES values is BLOCK_VALUES trials, and
+        # the 32 bytes of each trial's seed words alone would pass the
+        # BYTES_PER_VALUE budget of a block.  Hashed in passes of
+        # BLOCK_VALUES // 8 trials, the run stays within it.
+        block_values = 1 << 12
+        trials = 40 * (block_values // 8)
+        monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
+        budget = montecarlo.BYTES_PER_VALUE * block_values
+        assert 32 * trials > 2 * budget
+        config = ExperimentConfig(n=1, trials=trials, p_values=(0.3,), master_seed=2)
+        # A first draw, so that loading numpy.random is not counted.
+        run_cell(dataclasses.replace(config, trials=1), 0.3, mix64(2, 0))
+        tracemalloc.start()
+        try:
+            run_cell(config, 0.3, mix64(2, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
 
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
@@ -420,6 +457,20 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
     return forked
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """The trial count of each _seed_sequence_words call this process makes."""
+    seed_sequence_words = montecarlo._seed_sequence_words
+    hashed = []
+
+    def counting_hash(seeds):
+        hashed.append(len(seeds))
+        return seed_sequence_words(seeds)
+
+    monkeypatch.setattr(montecarlo, "_seed_sequence_words", counting_hash)
+    return hashed
 
 
 @pytest.fixture
@@ -604,23 +655,25 @@ class TestTrialShares:
         assert lines[-1] == "0 21"  # the one-job run
 
     @pytest.mark.parametrize("mode", sorted(ORACLES))
-    def test_share_sums_are_the_literal_sums_of_its_trials(self, monkeypatch, mode):
+    def test_share_sums_are_the_literal_sums_of_its_trials(self, monkeypatch, hashed, mode):
         # Trials 5-9 of 3 cells of 7: trials 5 and 6 of cell 0, then 0-2 of
-        # cell 1, counted in blocks of at most 2 trials within each cell.
+        # cell 1.  They are hashed in passes of 3 trials (BLOCK_VALUES // 8),
+        # share trials 5-7 and 8-9, so the second pass starts mid-cell, and
+        # counted in blocks of at most 2 trials within each cell and pass.
         config = ExperimentConfig(
             n=12, trials=7, p_values=(0.2, 0.4, 0.6), counter_mode=mode, master_seed=3
         )
         cells = [(p, mix64(3, i)) for i, p in enumerate(config.p_values)]
         kernel = montecarlo._KERNELS[mode]
-        rows = []
+        batches = []
 
         def spy(batch):
-            rows.append(batch.shape[0])
+            batches.append(batch.copy())
             return kernel(batch)
 
         monkeypatch.setitem(montecarlo._KERNELS, mode, spy)
         monkeypatch.setattr(montecarlo, "BLOCK_VALUES", 2 * 12)
-        want = []
+        want, want_rows = [], []
         for index, trial_range in ((0, range(5, 7)), (1, range(0, 3))):
             p, cell_seed = cells[index]
             model = geometric(p)
@@ -629,8 +682,48 @@ class TestTrialShares:
                 for t in trial_range
             ]
             want.append((index, sum(counts), sum(c * c for c in counts)))
+            want_rows.append(per_trial_rows(p, 12, cell_seed, trial_range.start, trial_range.stop))
         assert montecarlo._run_share(config, cells, 5, 10) == want
-        assert rows == [2, 2, 1]
+        assert [len(batch) for batch in batches] == [2, 1, 2]
+        assert hashed == [3, 2]
+        assert np.array_equal(np.concatenate(batches), np.concatenate(want_rows))
+
+    @pytest.mark.parametrize(
+        "n, block_values, jobs, passes",
+        [
+            # The default grid: one hashing pass per share.
+            (1000, None, 1, [[900]]),
+            (1000, None, 2, [[450], [450]]),
+            # Passes of 64 trials (512 // 8): ceil(900 / 64) = 15 for one
+            # share, ceil(450 / 64) = 8 for each of two.
+            (20, 512, 1, [[64] * 14 + [4]]),
+            (20, 512, 2, [[64] * 7 + [2]] * 2),
+        ],
+    )
+    def test_seed_words_are_hashed_once_per_pass_of_a_share(
+        self, tmp_path, monkeypatch, n, block_values, jobs, passes
+    ):
+        # Each hashing call appends its process and trial count to one file,
+        # in the process that makes it.
+        log = tmp_path / "hashed"
+        seed_sequence_words = montecarlo._seed_sequence_words
+
+        def hash_spy(seeds):
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {len(seeds)}\n")
+            return seed_sequence_words(seeds)
+
+        monkeypatch.setattr(montecarlo, "_seed_sequence_words", hash_spy)
+        if block_values is not None:
+            monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
+        p_values = tuple(round(0.1 * i, 1) for i in range(1, 10))
+        config = ExperimentConfig(n=n, trials=100, p_values=p_values, master_seed=7)
+        run_experiment(config, jobs=jobs)
+        by_process = {}
+        for line in log.read_text().splitlines():
+            pid, size = map(int, line.split())
+            by_process.setdefault(pid, []).append(size)
+        assert sorted(by_process.values()) == passes
 
     @pytest.mark.parametrize(
         "jobs, want",
@@ -647,14 +740,14 @@ class TestTrialShares:
             "from sortlab import montecarlo\n"
             "loaded = lambda: 'numpy.random' in sys.modules\n"
             "at_fork, at_draw = [], []\n"
-            "fork, sample = os.fork, montecarlo.sample_block\n"
+            "fork, draw = os.fork, montecarlo._draw_rows\n"
             "def counting_fork():\n"
             "    at_fork.append(loaded())\n"
             "    return fork()\n"
             "def first_draw(*args):\n"
             "    at_draw.append(loaded())\n"
-            "    return sample(*args)\n"
-            "os.fork, montecarlo.sample_block = counting_fork, first_draw\n"
+            "    return draw(*args)\n"
+            "os.fork, montecarlo._draw_rows = counting_fork, first_draw\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "config = montecarlo.ExperimentConfig(n=10, trials=4, p_values=(0.5,))\n"
             f"montecarlo.run_experiment(config, jobs={jobs})\n"

@@ -1180,16 +1180,29 @@ def _sortlab_process(args, stdout, unbuffered=False, blas_threads=None, extra_en
 
 
 class TestCliProcess:
-    def test_import_leaves_numpy_random_unloaded(self):
+    def test_import_leaves_numpy_random_unloaded(self, tmp_path):
         # numpy.random loads with the first draw, so theory, fit and select
-        # never pay for it, and numpy.polynomial with the first fit or curve,
-        # so simulate and theory never do.  Cells fan out by os.fork, so no
-        # command loads a process pool either.
+        # never pay for it.  No command loads numpy.polynomial: fits use
+        # their own recurrence and a figure's curve numpy's polyval, so it
+        # stays unloaded after writing a figure too.  Cells fan out by
+        # os.fork, so no command loads a process pool either.
         modules = ("numpy.random", "numpy.polynomial", "concurrent.futures", "multiprocessing")
-        code = f"import sys, sortlab.report.cli; print([m in sys.modules for m in {modules}])"
+        code = (
+            "import contextlib, io, sys\n"
+            "from sortlab.report.cli import main\n"
+            f"loaded = lambda: [m in sys.modules for m in {modules}]\n"
+            "print(loaded())\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['reproduce', '--use-fixture', '--seed', '1', '--no-timestamp',\n"
+            f"          '--out-dir', {str(tmp_path)!r}])\n"
+            "print(loaded())\n"
+        )
         proc = _sortlab_process(["-c", code], subprocess.PIPE)
         assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == b"[False, False, False, False]\n"
+        assert proc.stdout == b"[False, False, False, False]\n" * 2
+        assert sorted(path.name for path in tmp_path.glob("*.svg")) == [
+            "fig1.svg", "fig2.svg", "fig3.svg", "fig4.svg"
+        ]
 
     def test_import_sortlab_leaves_numpy_unloaded(self):
         # The package imports no submodule, so the CLI module body runs

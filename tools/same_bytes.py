@@ -52,6 +52,9 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     # Shares split cells: one cell over two shares, and two cells over three.
     ["simulate", "--seed", "3", "--p", "0.5", "--n", "200", "--trials", "7", "--jobs", "2"],
     ["simulate", "--seed", "3", "--p", "0.2,0.4", "--n", "50", "--trials", "5", "--jobs", "3"],
+    # Cells of several blocks (87 trials each at n = 3000), the second split mid-cell by two shares.
+    ["simulate", "--n", "3000", "--trials", "200", "--p", "0.2,0.5,0.8", "--seed", "11",
+     "--jobs", "2"],
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
     ["simulate", "--seed", "1", "--mode", "nope"],
