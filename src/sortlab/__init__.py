@@ -7,9 +7,10 @@ with full regression diagnostics, and select an empirical growth order.
 
 Submodules: `distributions` (seeded sampling), `algorithms`
 (instrumented sorts, inversion counting), `theory` (closed forms),
-`montecarlo` (trial harness), `polyfit` (least squares + diagnostics),
-`model_select` (degree scan), `report` (CSV/JSON/SVG/CLI).  Import each
-name from the submodule that defines it.
+`montecarlo` (trial harness), `blocks` (its block size and memory per
+value), `polyfit` (least squares + diagnostics), `model_select` (degree
+scan), `report` (CSV/JSON/SVG/CLI).  Import each name from the submodule
+that defines it.
 
 `import sortlab` alone imports no submodule and not numpy; this lets the
 CLI set numpy's thread count before numpy loads.

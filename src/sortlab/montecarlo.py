@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
+from .blocks import BLOCK_VALUES, BYTES_PER_VALUE
 from .distributions import _as_int, _as_seed, _draw_rows, _inverse_p, _mix64_block
 from .distributions import _seed_sequence_words, geometric, mix64
 
@@ -63,25 +64,6 @@ _KERNELS = {
     "inversions": count_inversions_batch,
 }
 COUNTER_MODES = tuple(_KERNELS)
-
-#: Most array values one kernel call holds.  A cell's trials run in blocks
-#: of at most this many values (at least one trial each), and a share's
-#: trial seeds are hashed in passes of at most BLOCK_VALUES // 8 trials
-#: (32 bytes of words each, so 4 per value), so memory stays bounded
-#: whatever the trial count.
-BLOCK_VALUES = 1 << 18
-
-#: Peak bytes per value of BLOCK_VALUES while a share runs.  A block is
-#: counted while its int64 values (8) and its pass's seed words (at most
-#: 4) are held; a kernel alone peaks at textbook 26-38, exchange 3-21 and
-#: inversions 13-17 (tracemalloc, 262 x 1000 geometric blocks, p =
-#: 0.001-0.9).  A hashing pass peaks at about 165 bytes a trial, 21 per
-#: value, between blocks.  Whole runs by tracemalloc, p = 0.001-0.9: at
-#: most 46 on one 262 x 1000 block, at most 57 with full passes (n = 8
-#: and 100, BLOCK_VALUES = 2**15, 4 passes), and 28 at n = 1.  Tracemalloc
-#: tests pin a whole block of each mode, and a run at n = 1, within this
-#: figure.
-BYTES_PER_VALUE = 72
 
 #: Most bytes one trial may need.  A block holds at least one trial, so an
 #: n with n * BYTES_PER_VALUE above this is refused before any draw.

@@ -1242,6 +1242,30 @@ class TestCliProcess:
         proc = _sortlab_process(["-c", code], subprocess.PIPE)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{collector} True\n".encode(), b"")
 
+    @pytest.mark.skipif(not cli._libc.startswith("glibc"), reason="glibc's heap pad")
+    @pytest.mark.parametrize("module, keeps_heap", [
+        ("sortlab.report.cli", True),
+        ("sortlab.montecarlo", False),
+    ], ids=["cli", "library"])
+    def test_cli_import_keeps_freed_blocks_for_the_next_block(self, module, keeps_heap):
+        # A second run of a 3-cell textbook grid faults its blocks' pages in
+        # again unless the heap keeps them: measured 0-21 with the CLI's
+        # pad, 2,201-2,672 without.  A library user keeps glibc's trimming.
+        code = (
+            f"import resource, {module}\n"
+            "from sortlab.montecarlo import ExperimentConfig, run_experiment\n"
+            "config = ExperimentConfig(n=1000, trials=100, p_values=(0.1, 0.5, 0.9),\n"
+            "                          counter_mode='textbook_interchanges', master_seed=1)\n"
+            "run_experiment(config)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "run_experiment(config)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = _sortlab_process(["-c", code], subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        faults = int(proc.stdout)
+        assert faults < 300 if keeps_heap else faults > 1000
+
     def test_library_leaves_the_collector_alone(self):
         code = (
             "import gc, sortlab, sortlab.montecarlo as mc\n"

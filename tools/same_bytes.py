@@ -55,6 +55,9 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     # Cells of several blocks (87 trials each at n = 3000), the second split mid-cell by two shares.
     ["simulate", "--n", "3000", "--trials", "200", "--p", "0.2,0.5,0.8", "--seed", "11",
      "--jobs", "2"],
+    # Trials wider than BLOCK_VALUES, one to a block, in every mode.
+    *(["simulate", "--n", "300000", "--trials", "2", "--p", "0.3", "--seed", "9", "--mode", mode]
+      for mode in ("exchange", "inversions", "textbook")),
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
     ["simulate", "--seed", "1", "--mode", "nope"],
