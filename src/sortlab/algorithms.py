@@ -266,7 +266,10 @@ def textbook_sort_batch(batch: np.ndarray) -> np.ndarray:
     ``ndarray.take``, which converts such an index to intp in one piece,
     where fancy indexing does it chunk by chunk at about twice the time.
     Cost: the ranking and the sort of the codes plus O(N log N) element
-    work over the top steps, N = trials * n.
+    work over the top steps, N = trials * n.  Each step is also a fixed run
+    of numpy calls, so on rows of hundreds of codes (p = 0.01) it is these
+    top Python-level steps, not the element work, that set the cost below n
+    of about 32k.
     """
     trials, n = _batch_shape(batch)
     if n < 2 or trials == 0:

@@ -183,8 +183,7 @@ class Geometric:
     """iid geometric(p) input on r = 0, 1, 2, ...
 
     Accepts any real 0 < p <= 1 but a bool (numpy scalars too) and stores
-    it as a float.  p = 1 is the degenerate all-zeros input; p <= 0 is
-    rejected because no trial would ever succeed.
+    it as a float.  p <= 0 is rejected because no trial would ever succeed.
     """
 
     p: float
@@ -207,9 +206,8 @@ class ContinuousUniform:
     """iid continuous uniform input on [0, 1): a tag for the closed-form theory only."""
 
 
-def _inverse_p(model: Geometric, n: int) -> float | None:
-    """The p whose inverse CDF maps a sampler's uniforms, or None at p = 1,
-    where every draw is 0.
+def _inverse_p(model: Geometric, n: int) -> float:
+    """The p whose inverse CDF maps a sampler's uniforms.
 
     Refuses, in this order: an n that is not an int >= 1 (:func:`_as_int`),
     a model that is not `Geometric`, and a p whose draws would overflow int64.
@@ -217,18 +215,16 @@ def _inverse_p(model: Geometric, n: int) -> float | None:
     _as_int("n", n, minimum=1)
     if not isinstance(model, Geometric):
         raise TypeError(f"unknown input model: {model!r}")
-    if model.p >= 1.0:
-        return None
     # The largest uniform is 1 - 2**-53, so no draw exceeds this bound; past
     # the int64 range (p below about 4e-18) the cast in _geometric_in_place
     # would wrap.
-    if math.log(2.0**-53) / math.log1p(-model.p) >= 2.0**63:
+    if model.p < 1.0 and math.log(2.0**-53) / math.log1p(-model.p) >= 2.0**63:
         raise ValueError(f"p={model.p!r} is too small: geometric draws would overflow int64")
     return model.p
 
 
 def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
-    """floor(log1p(-u) / log1p(-p)) for p < 1, u the deviate in [0, 1) that each
+    """floor(log1p(-u) / log1p(-p)), u the deviate in [0, 1) that each
     contiguous raw PCG64 output makes (its top 53 bits times 2**-53), as int64
     in raw's buffer."""
     flat = raw.reshape(-1)
@@ -240,7 +236,8 @@ def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
     # Scaling by a power of two is exact, so this is -u bit for bit.
     np.multiply(values, -(2.0**-53), out=values)
     np.log1p(values, out=values)
-    np.divide(values, math.log1p(-p), out=values)
+    # log1p(-1) is -inf, where math.log1p raises; every quotient is then +0.0.
+    np.divide(values, math.log1p(-p) if p < 1.0 else -math.inf, out=values)
     # The quotient is >= +0.0 for 0 <= u < 1, so the cast's truncation is
     # the floor.
     draws = flat.view(np.int64)
@@ -251,8 +248,7 @@ def _geometric_in_place(raw: np.ndarray, p: float) -> np.ndarray:
 def sample_array(src: RandomSource, model: Geometric, n: int) -> np.ndarray:
     """n iid geometric draws from `src` by the inverse CDF, in draw order, as int64."""
     p = _inverse_p(model, n)
-    raw = src._bitgen.random_raw(n)  # drawn at p = 1 too, so every p advances src alike
-    return np.zeros(n, dtype=np.int64) if p is None else _geometric_in_place(raw, p)
+    return _geometric_in_place(src._bitgen.random_raw(n), p)
 
 
 def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int) -> np.ndarray:
@@ -266,12 +262,11 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     each trial's PCG64 from its words, so every draw still comes from
     numpy's PCG64 (about 8 bytes per value, output included, after a
     hashing peak of about 165 bytes per trial).  Refusals raise before
-    any draw, at p = 1 too, in
-    this order: :func:`_inverse_p`'s (an n that is not an int >= 1, a model
-    that is not `Geometric`, a p whose draws would overflow int64), then a
-    `cell_seed` that is not an int in [0, 2**64), then a start or stop that
-    is not an int (:func:`_as_int`; a bool is not one), then
-    :func:`_mix64_block`'s (a range without 0 <= start < stop, a trial
+    any draw, in this order: :func:`_inverse_p`'s (an n that is not an int
+    >= 1, a model that is not `Geometric`, a p whose draws would overflow
+    int64), then a `cell_seed` that is not an int in [0, 2**64), then a
+    start or stop that is not an int (:func:`_as_int`; a bool is not one),
+    then :func:`_mix64_block`'s (a range without 0 <= start < stop, a trial
     index above 2**64 - 2).
     """
     p = _inverse_p(model, n)
@@ -280,18 +275,15 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     return _draw_rows(p, n, _seed_sequence_words(seeds))
 
 
-def _draw_rows(p: float | None, n: int, words: np.ndarray) -> np.ndarray:
+def _draw_rows(p: float, n: int, words: np.ndarray) -> np.ndarray:
     """The (len(words), n) int64 block whose row i is drawn from numpy's PCG64
     seeded by ``words[i]``, one trial's ``SeedSequence`` words (a row of
     :func:`_seed_sequence_words`).
 
-    `p` is :func:`_inverse_p`'s: each raw output maps to its inverse-CDF
-    draw, and None (p = 1) gives zeros without a draw.  The block is filled
-    as raw uint64, and :func:`_geometric_in_place` maps each raw word to its
-    draw in the block's buffer (about 8 bytes per value, output included).
+    `p` is :func:`_inverse_p`'s.  The block is filled as raw uint64, and
+    :func:`_geometric_in_place` maps each raw word to its inverse-CDF draw
+    in the block's buffer (about 8 bytes per value, output included).
     """
-    if p is None:
-        return np.zeros((len(words), n), dtype=np.int64)
     np.random.bit_generator.ISeedSequence.register(_TrialSeed)
     raw = np.empty((len(words), n), dtype=np.uint64)
     for row, trial_words in zip(raw, words):

@@ -81,12 +81,14 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # Stored as Python numbers, each p as the float Geometric checks and
-        # keeps, so that numpy scalars neither leak into the CSV as
-        # np.float64(...) nor overflow the seed arithmetic.
+        # Stored as Python numbers, each p as the float the sampler checks
+        # and keeps, so that numpy scalars neither leak into the CSV as
+        # np.float64(...) nor overflow the seed arithmetic, and a p whose
+        # draws would overflow is refused before a run forks.
         for name in ("n", "trials"):
             object.__setattr__(self, name, _as_int(name, getattr(self, name), minimum=1))
-        object.__setattr__(self, "p_values", tuple(geometric(p).p for p in self.p_values))
+        p_values = tuple(_inverse_p(geometric(p), self.n) for p in self.p_values)
+        object.__setattr__(self, "p_values", p_values)
         if not self.p_values:
             raise ValueError("p_values must be nonempty")
         if any(a >= b for a, b in zip(self.p_values, self.p_values[1:])):

@@ -249,6 +249,25 @@ class TestSamplerAgreement:
     def test_p_one_always_zero(self):
         assert sample_array(RandomSource(1), geometric(1.0), 5).tolist() == [0] * 5
 
+    def test_p_one_takes_the_inverse_cdf(self, monkeypatch):
+        # p = 1 is no second path: its raw words are mapped like any p's, the
+        # divisor log1p(-1) being -inf, so every draw is 0 (and no
+        # RuntimeWarning, which fails the test, is raised).
+        mapped = []
+        geometric_in_place = distributions._geometric_in_place
+
+        def spy(raw, p):
+            draws = geometric_in_place(raw, p)
+            mapped.append((p, draws))
+            return draws
+
+        monkeypatch.setattr(distributions, "_geometric_in_place", spy)
+        block = sample_block(geometric(1.0), 6, 3, 0, 4)
+        row = sample_array(RandomSource(1), geometric(1.0), 6)
+        assert [(p, draws.shape) for p, draws in mapped] == [(1.0, (4, 6)), (1.0, (6,))]
+        assert not any(draws.any() for _, draws in mapped)
+        assert not block.any() and not row.any()
+
     def test_p_one_consumes_the_stream_like_p_below_one(self):
         # A p = 1 cell leaves the source where any other p would.
         src = RandomSource(1)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_inversions, exchange_sort_list, per_trial_rows, textbook_sort_list
-from sortlab import montecarlo
+from sortlab import distributions, montecarlo
 from sortlab.distributions import RandomSource, geometric, mix64, sample_array
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_cell, run_experiment
 from sortlab.report.cli import main
@@ -591,6 +591,57 @@ class TestForkedShares:
         monkeypatch.delattr(montecarlo.os, "fork")
         assert run_experiment(self.CONFIG, jobs=3) == want
         assert pids == {os.getpid()}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.usefixtures("no_leaks")
+class TestOneSamplerPath:
+    """p = 1 is drawn by the inverse CDF in every share, like any p, and a p
+    whose draws would overflow int64 is refused by the config, before a run
+    forks."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("mode", sorted(ORACLES))
+    def test_p_one_rows_are_mapped_in_every_share(self, tmp_path, monkeypatch, mode, jobs):
+        # Each mapping appends its process, p, row count and largest draw to
+        # one file, in the process that makes it.
+        log = tmp_path / "mapped"
+        geometric_in_place = distributions._geometric_in_place
+
+        def spy(raw, p):
+            draws = geometric_in_place(raw, p)
+            with open(log, "a") as out:
+                out.write(f"{os.getpid()} {p!r} {len(draws)} {draws.max()}\n")
+            return draws
+
+        monkeypatch.setattr(distributions, "_geometric_in_place", spy)
+        config = ExperimentConfig(n=15, trials=6, p_values=(1.0,), counter_mode=mode, master_seed=4)
+        (summary,) = run_experiment(config, jobs=jobs)
+        # Counts are >= 0, so a mean of 0 makes every count 0.
+        assert (summary.mean_c, summary.sd_c, summary.cv_c) == (0.0, 0.0, None)
+        rows = {}
+        for line in log.read_text().splitlines():
+            pid, p, size, top = line.split()
+            assert (p, top) == ("1.0", "0")
+            rows[int(pid)] = rows.get(int(pid), 0) + int(size)
+        # One share of 6 trials here, or 3 here and 3 in a child.
+        assert os.getpid() in rows
+        assert sorted(rows.values()) == ([6] if jobs == 1 else [3, 3])
+
+    def test_p_that_overflows_int64_is_refused_before_any_fork(self, tmp_path, capsys, forked):
+        out = tmp_path / "tiny.csv"
+        argv = ["simulate", "--n", "5", "--trials", "3", "--p", "1e-300", "--jobs", "2"]
+        assert main(argv + ["--seed", "1", "--out", str(out)]) == 1
+        assert forked == []
+        message = "p=1e-300 is too small: geometric draws would overflow int64"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(n=5, trials=3, p_values=(1e-300, 0.5))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")

@@ -60,6 +60,8 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
       for mode in ("exchange", "inversions", "textbook")),
     ["simulate", "--seed", str(2**64)],
     ["simulate", "--seed", "1", "--n", "5", "--trials", "2", "--p", "5e-324"],
+    # The same refusal where the run would fork: it comes before any share runs.
+    ["simulate", "--seed", "1", "--n", "5", "--trials", "3", "--p", "1e-300", "--jobs", "2"],
     ["simulate", "--seed", "1", "--mode", "nope"],
     # Refused arguments: only stderr and the exit code to compare.
     ["simulate", "--seed", "-1"],
