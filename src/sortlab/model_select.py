@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .distributions import _as_int
-from .polyfit import DataPoint, RegressionReport, diagnostics, fit
+from .polyfit import DataPoint, RegressionReport, diagnostics
 
 __all__ = [
     "EmpiricalOVerdict",
@@ -98,9 +98,12 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
     d = d_max the extension is untestable and d is passed over; otherwise
     d is selected when s_(d+1) is not None and s_(d+1) >= alpha.  If no
     scanned degree is selected, the verdict is the degree cap itself,
-    flagged cap-limited, never a silently extended search.  Each degree is
-    fitted at most once.  Constant-response data cannot rank degrees at
-    all and comes back as a flagged degree-0 verdict.
+    flagged cap-limited, never a silently extended search.  Each degree's
+    report is ``diagnostics(points, d)``, one least-squares pass, made at
+    most once.  At least d_max + 2 points are needed, so every scanned fit
+    keeps a residual df: an interpolation, ``diagnostics(points,
+    len(points) - 1)``, is never scanned.  Constant-response data cannot
+    rank degrees at all and comes back as a flagged degree-0 verdict.
     """
     m = len(points)
     if m < policy.d_max + 2:
@@ -113,7 +116,7 @@ def select_degree(points: Sequence[DataPoint], policy: SelectionPolicy) -> Empir
 
     def top_sig(d: int) -> float | None:
         if d not in reports:
-            reports[d] = diagnostics(points, fit(points, d))
+            reports[d] = diagnostics(points, d)
         return reports[d].highest_order_row.sig
 
     if len({pt.y for pt in points}) == 1:

@@ -181,16 +181,17 @@ def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple:
     return x, y, q, c, norms, g, model
 
 
-def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -> PolyModel:
+def fit(points: Sequence[DataPoint], degree: int) -> PolyModel:
     """Least-squares polynomial of `degree` through `points`.
 
-    Requires at least degree + 1 + `min_residual_df` observations and
-    degree + 1 distinct x values; duplicate-x rank collapse raises
+    Requires at least degree + 2 observations, one residual degree of
+    freedom, so that the diagnostic tables are defined, and degree + 1
+    distinct x values; duplicate-x rank collapse raises
     :class:`RankDeficientError` rather than being silently regularized.
-    The default of one residual degree of freedom keeps the diagnostic
-    tables defined; pass ``min_residual_df=0`` to allow interpolation.
-    `degree` and `min_residual_df` must be ints >= 0 (a bool is not an
-    int): anything else raises TypeError or ValueError before any fitting.
+    An interpolation, with no residual df, is reported by
+    ``diagnostics(points, len(points) - 1)``, which flags it exact.
+    `degree` must be an int >= 0 (a bool is not an int): anything else
+    raises TypeError or ValueError before any fitting.
 
     The predictor's range is bounded: a fit is refused, with
     ``RankDeficientError("design matrix rank k < degree + 1")``, where the
@@ -200,27 +201,24 @@ def fit(points: Sequence[DataPoint], degree: int, *, min_residual_df: int = 1) -
     for e in [-38, 38]; a p in (0, 1] is far from the top of that range.
     """
     degree = _as_int("degree", degree, minimum=0)
-    min_residual_df = _as_int("min_residual_df", min_residual_df, minimum=0)
     m = len(points)
-    needed = degree + 1 + min_residual_df
-    if m < needed:
+    if m < degree + 2:
         raise ValueError(
-            f"degree {degree} needs at least {needed} points "
-            f"({min_residual_df} residual df), got {m}"
+            f"degree {degree} needs at least {degree + 2} points (1 residual df), got {m}"
         )
     return _least_squares(points, degree)[-1]
 
 
-def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionReport:
-    """Model summary, ANOVA, and coefficient table for a fitted model.
+def diagnostics(points: Sequence[DataPoint], degree: int) -> RegressionReport:
+    """Model summary, ANOVA, and coefficient table of the degree-`degree` fit.
 
-    Reports the least-squares fit of degree ``model.degree`` on `points`;
-    only that degree is read from `model`.  The report's model, its B
-    column and every other statistic come from the one least-squares pass
-    that `fit` makes, so the report is that of ``fit(points,
-    model.degree)`` whatever coefficients `model` holds.  It refuses, as
-    `fit` does, a model of degree d on fewer than d + 1 distinct x values,
-    or where the design's rank is below d + 1
+    Reports the least-squares fit of `degree` on `points`, whose model is
+    that of ``fit(points, degree)``: the report's model, its B column and
+    every other statistic come from one least-squares pass.  `degree` is
+    checked as `fit` checks it, but no residual df is required: an
+    interpolation is ``diagnostics(points, len(points) - 1)``, flagged
+    exact.  It refuses, as `fit` does, a degree d on fewer than d + 1
+    distinct x values, or where the design's rank is below d + 1
     (:class:`RankDeficientError`).  It also refuses (ValueError) a
     non-constant response whose total sum of squares is past about 1.8e308
     or below about 2.2e-292, where the statistics overflow or underflow:
@@ -237,7 +235,7 @@ def diagnostics(points: Sequence[DataPoint], model: PolyModel) -> RegressionRepo
     standard errors of 0, and None for F, every t and every sig.  Every
     other statistic comes from the same formula as for any fit.
     """
-    d = model.degree
+    d = _as_int("degree", degree, minimum=0)
     x, y, q, c, norms, g, model = _least_squares(points, d)
     m = x.size
     # Squares past the float64 range are inf, which the refusal below or the

@@ -288,7 +288,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_fit(args) -> int:
     points, source = _load_points(args)
-    report = diagnostics(points, fit(points, args.degree))
+    fit(points, args.degree)  # refuses a degree that leaves no residual df
+    report = diagnostics(points, args.degree)
     sys.stdout.write(render_report(report))
     if args.out_json:
         meta = RunMetadata.create(
@@ -356,7 +357,7 @@ def _cmd_reproduce(args) -> int:
     # they are: they are what verdict.json and verdict.txt list.
     verdict = select_degree(points, SelectionPolicy(alpha=args.alpha))
     scanned = verdict.per_degree_reports
-    reports = {d: scanned.get(d) or diagnostics(points, fit(points, d)) for d in (2, 3, 4)}
+    reports = {d: scanned.get(d) or diagnostics(points, d) for d in (2, 3, 4)}
     for degree, report in reports.items():
         write_report_json(out_dir / f"fit_d{degree}.json", report, meta)
         (out_dir / f"tables_d{degree}.txt").write_text(render_report(report), encoding="utf-8")

@@ -62,7 +62,7 @@ def test_criterion_3_cubic_regression_matches_published_tables():
     expected_sig = {"(constant)": ".000", "x": ".000", "x^2": ".002", "x^3": ".005"}
 
     points = reference_points()
-    report = diagnostics(points, fit(points, 3))
+    report = diagnostics(points, 3)
     failures = []
 
     def check(label, actual, expected, tol):
@@ -260,7 +260,7 @@ def test_criterion_9_property_batches(tmp_path):
         x = np.arange(degree + 1, dtype=float)
         y = rng.normal(scale=10.0, size=degree + 1)
         points = [DataPoint(float(a), float(b)) for a, b in zip(x, y)]
-        report = diagnostics(points, fit(points, degree, min_residual_df=0))
+        report = diagnostics(points, degree)
         max_resid = max(
             abs(float(np.polynomial.polynomial.polyval(a, report.model.coefficients)) - b)
             for a, b in zip(x, y)

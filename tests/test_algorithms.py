@@ -319,7 +319,7 @@ class TestExchangeKernelScanAndNarrowing:
     @pytest.mark.parametrize(
         "rows,dtype,keys",
         [
-            # Values at most n apart are ranked by the value table: no sort.
+            # Values at most 2n apart are ranked by the value table: no sort.
             ([list(range(255, -1, -1)), list(range(0, 256, 2)) * 2], np.int64, None),
             ([list(range(256, -1, -1)), list(range(0, 257))], np.int64, None),
             ([list(range(255, -1, -1))], np.uint8, None),
@@ -439,7 +439,7 @@ def assert_ranked_by(batch: np.ndarray, branch: str) -> None:
     lo, hi = int(batch.min()), int(batch.max())
     width = hi - lo + 1
     n = batch.shape[1]
-    assert branch == ("offsets" if width <= min(n, 64) else "table" if width <= n else "sort")
+    assert branch == ("offsets" if width <= min(n, 64) else "table" if width <= 2 * n else "sort")
     codes, top = _ranks(batch)
     if branch == "offsets":
         assert codes.dtype == np.uint8 and top == width
@@ -454,7 +454,7 @@ def assert_ranked_by(batch: np.ndarray, branch: str) -> None:
 class TestExchangeKernelValueTable:
     """The shared ranking step codes an integer batch whose value range is at
     most min(n, 64) wide by each value's offset from the min, with no table
-    and no sort; a wider one whose values lie at most n apart by dense ranks
+    and no sort; a wider one whose values lie at most 2n apart by dense ranks
     from a table of each row's value counts, with no sort; any other batch
     by dense ranks from a sort.  All three kernels rank through this one step.
 
@@ -467,14 +467,16 @@ class TestExchangeKernelValueTable:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_value_range_switch_matches_literal_loop(self, extra, monkeypatch):
-        # Widths 39 and 40 are coded by their offsets, 41 ranked by a sort.
+        # At n = 40, widths 39 and 40 are coded by their offsets and 41 by the
+        # value table; widths 79 and 80 by the table, and 81 ranked by a sort.
         n = 40
-        width = n + extra
-        rng = np.random.default_rng(width)
-        batch = rng.integers(3, 9, size=(5, n))
-        batch[0, 7], batch[3, 0] = 0, width - 1
-        assert_ranked_by(batch, "sort" if width > n else "offsets")
-        assert_kernels_match_literal_loops(batch, int(width > n), monkeypatch)
+        switches = ((n + extra, ("offsets", "table")), (2 * n + extra, ("table", "sort")))
+        for width, branches in switches:
+            rng = np.random.default_rng(width)
+            batch = rng.integers(3, 9, size=(5, n))
+            batch[0, 7], batch[3, 0] = 0, width - 1
+            assert_ranked_by(batch, branches[extra > 0])
+            assert_kernels_match_literal_loops(batch, int(width > 2 * n), monkeypatch)
 
     @pytest.mark.parametrize("width", [63, 64, 65])
     def test_offset_width_switch_matches_literal_loop(self, width, monkeypatch):
@@ -718,9 +720,10 @@ class TestTextbookKernelValueBlocks:
         assert len(steps) == top
         assert sum(steps) == batch.size
 
-    @pytest.mark.parametrize("p", [0.001, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [0.001, 0.008, 0.1, 0.5, 0.9])
     def test_peak_memory_per_value(self, p):
-        # Measured 35, 26, 31 and 38 B/value at p = 0.001, 0.1, 0.5 and 0.9.
+        # Measured 35, 28, 26, 31 and 38 B/value at p = 0.001, 0.008, 0.1, 0.5
+        # and 0.9; at p = 0.008 the values span n to 2n (the value table).
         batch = np.random.default_rng(7).geometric(p, size=(262, 1000)) - 1
         tracemalloc.start()
         try:
@@ -792,13 +795,13 @@ class TestInversionKernelRankBits:
         # wider keys would fall back to a timsort at every level.
         # Values are 3 apart.  Rows of up to 3 distinct values span at most 7,
         # so they are coded by their offsets from the min with no sort; wider
-        # ones, spanning more than n, are ranked densely by one sort.  Then
+        # ones, spanning more than 2n, are ranked densely by one sort.  Then
         # one sort per code bit below the top one: B - 1 of B =
         # bit_length(top - 1), top being the width 3 * (D - 1) + 1 of the
         # offsets, else D.
         rng = np.random.default_rng(distinct)
         batch = row_with_distinct_values(rng, distinct + 100, distinct)[np.newaxis]
-        sort_ranked = int(np.ptp(batch)) + 1 > batch.shape[1]
+        sort_ranked = int(np.ptp(batch)) + 1 > 2 * batch.shape[1]
         assert sort_ranked == (distinct > 3)
         top = 3 * (distinct - 1) + 1 if distinct <= 3 else distinct
         assert _ranks(batch)[1] == top

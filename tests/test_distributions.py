@@ -35,7 +35,7 @@ from sortlab.distributions import (
 )
 from sortlab.model_select import SelectionPolicy
 from sortlab.montecarlo import ExperimentConfig, TrialSummary, run_experiment
-from sortlab.polyfit import DataPoint, fit
+from sortlab.polyfit import DataPoint, diagnostics, fit
 from sortlab.theory import expected_interchanges, predict
 
 # Upper-tail chi-square critical values at alpha=0.001.
@@ -592,7 +592,7 @@ INT_ENTRY_POINTS = {
     "SelectionPolicy-d_min": ("d_min", 1, lambda v: SelectionPolicy(d_min=v)),
     "SelectionPolicy-d_max": ("d_max", None, lambda v: SelectionPolicy(d_max=v)),
     "fit-degree": ("degree", 0, lambda v: fit(FIT_POINTS, v)),
-    "fit-min_residual_df": ("min_residual_df", 0, lambda v: fit(FIT_POINTS, 1, min_residual_df=v)),
+    "diagnostics-degree": ("degree", 0, lambda v: diagnostics(FIT_POINTS, v)),
     "mix64-index": ("index", 0, lambda v: mix64(1, v)),
 }
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sortlab.model_select import SelectionPolicy, format_fixed, render_verdict, select_degree
-from sortlab.polyfit import DataPoint, diagnostics, fit
+from sortlab import polyfit
+from sortlab.polyfit import DataPoint, diagnostics
 from sortlab.report.csvio import read_summaries_csv
 from sortlab.report.fixture import reference_points
 from sortlab.report.jsonio import verdict_to_dict
@@ -152,6 +153,18 @@ class TestSelectDegree:
         verdict = select_degree(reference_points(), SelectionPolicy())
         assert set(verdict.per_degree_reports) == {1, 2, 3, 4}
 
+    def test_each_report_is_one_least_squares_pass(self, monkeypatch):
+        degrees = []
+        least_squares = polyfit._least_squares
+
+        def spy(points, degree):
+            degrees.append(degree)
+            return least_squares(points, degree)
+
+        monkeypatch.setattr(polyfit, "_least_squares", spy)
+        select_degree(reference_points(), SelectionPolicy())
+        assert degrees == [1, 2, 3, 4]
+
     def test_d_max_two_caps(self):
         verdict = select_degree(reference_points(), SelectionPolicy(d_max=2))
         assert verdict.selected_degree == 2
@@ -236,7 +249,7 @@ def test_verdict_follows_the_rule_on_independent_sigs(case):
     points, policy = case
     alpha, d_max = policy.alpha, policy.d_max
     sig = {
-        d: diagnostics(points, fit(points, d)).highest_order_row.sig
+        d: diagnostics(points, d).highest_order_row.sig
         for d in range(policy.d_min, d_max + 1)
     }
     selected = next(

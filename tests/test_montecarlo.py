@@ -367,10 +367,11 @@ class TestRunCell:
     @pytest.mark.parametrize(
         "mode", ["exchange_interchanges", "textbook_interchanges", "inversions"]
     )
-    @pytest.mark.parametrize("p", [0.001, 0.1, 0.9])
+    @pytest.mark.parametrize("p", [0.001, 0.008, 0.1, 0.9])
     def test_peak_memory_within_bytes_per_value(self, mode, p):
         # One full block (262 trials of n = 1000): the sampler, the kernel and
         # its output together stay within the figure the trial budget uses.
+        # At p = 0.008 the values span n to 2n, and the value table codes them.
         config = ExperimentConfig(
             n=1000, trials=262, p_values=(p,), counter_mode=mode, master_seed=2
         )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sortlab import __version__, model_select, montecarlo
+from sortlab import __version__, montecarlo, polyfit
 from sortlab.distributions import ALGORITHM_ID, ContinuousUniform, geometric, mix64
 from sortlab.model_select import SelectionPolicy, select_degree
 from sortlab.montecarlo import TrialSummary
@@ -232,7 +232,7 @@ def typed(value):
 class TestJsonRoundTrip:
     def test_report_round_trip(self):
         points = reference_points()
-        report = diagnostics(points, fit(points, 3))
+        report = diagnostics(points, 3)
         doc = json.loads(json.dumps(report_to_dict(report, metadata_for_tests())))
         assert set(doc) >= {"model", "summary", "anova", "coefficients", "metadata"}
         assert doc.pop("metadata") == asdict(metadata_for_tests())
@@ -240,7 +240,7 @@ class TestJsonRoundTrip:
 
     def test_exact_fit_report_round_trip(self):
         points = [DataPoint(float(x), 2.0 * x + 1.0) for x in range(6)]
-        report = diagnostics(points, fit(points, 1))
+        report = diagnostics(points, 1)
         assert report.exact_fit
         doc = json.loads(json.dumps(report_to_dict(report)))
         assert doc.pop("metadata") is None
@@ -277,7 +277,7 @@ class TestRender:
         # rounding noise, of either sign.
         summaries, _ = read_summaries_csv(Path(__file__).parent / "golden" / "exact" / "linear.csv")
         points = [DataPoint(s.p, s.mean_c) for s in summaries]
-        rows = render_report(diagnostics(points, fit(points, 4))).splitlines()
+        rows = render_report(diagnostics(points, 4)).splitlines()
         start = rows.index("Coefficients") + 3  # past the header and the x row
         assert rows[start : start + 3] == [
             "x^2          0.000      0.000        .000",
@@ -289,12 +289,12 @@ class TestRender:
         # y = 5 but 6 at p = 0.5: R^2 is zero up to rounding noise, while the
         # adjusted R^2 is negative after rounding and keeps its sign.
         points = [DataPoint(round(0.1 * i, 1), 6.0 if i == 5 else 5.0) for i in range(1, 10)]
-        rows = render_report(diagnostics(points, fit(points, 1))).splitlines()
+        rows = render_report(diagnostics(points, 1)).splitlines()
         assert rows[2] == ".000   .000       -.143               0.356"
 
     def test_reference_cubic_table_text(self):
         points = reference_points()
-        text = render_report(diagnostics(points, fit(points, 3)))
+        text = render_report(diagnostics(points, 3))
         for fragment in (
             "Model Summary",
             "ANOVA",
@@ -320,7 +320,7 @@ class TestRender:
 
     def test_exact_fit_note(self):
         points = [DataPoint(float(x), 3.0 * x) for x in range(5)]
-        text = render_report(diagnostics(points, fit(points, 1)))
+        text = render_report(diagnostics(points, 1))
         assert "exact fit" in text
 
 
@@ -1115,19 +1115,20 @@ class TestCliReproduce:
     def test_each_degree_is_fitted_once(self, argv, degrees, tmp_path, monkeypatch, capsys):
         # The scan's fits serve the tables and figures; a degree it did not
         # reach (3 and 4 at alpha 0.002, 4 at 0.005, 2-4 for a constant
-        # response) is fitted by reproduce itself, and only once.
+        # response) is fitted by reproduce itself, and only once: each report
+        # is one least-squares pass, made in ascending degree.
         fitted = []
+        least_squares = polyfit._least_squares
 
-        def counting_fit(points, degree):
+        def counting_least_squares(points, degree):
             fitted.append(degree)
-            return fit(points, degree)
+            return least_squares(points, degree)
 
-        monkeypatch.setattr(cli, "fit", counting_fit)
-        monkeypatch.setattr(model_select, "fit", counting_fit)
+        monkeypatch.setattr(polyfit, "_least_squares", counting_least_squares)
         rc = main(["reproduce", *argv, "--seed", "1", "--out-dir", str(tmp_path),
                    "--no-timestamp"])
         assert rc == 0
-        assert sorted(fitted) == sorted(degrees)
+        assert fitted == sorted(degrees)
 
     @pytest.mark.parametrize("alpha", ["0.05", "0.002"])
     def test_fits_equal_the_fit_command(self, alpha, tmp_path, capsys):

@@ -1,14 +1,24 @@
-"""The code-line counter, tools/code_lines.py, whose counts the docs quote."""
+"""The code-line counter, tools/code_lines.py, whose counts the docs quote,
+and the command list of tools/same_bytes.py, whose length the README quotes."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-_SPEC = importlib.util.spec_from_file_location("code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_lines = _load_tool("code_lines")
+same_bytes = _load_tool("same_bytes")
 
 
 def test_docstrings_comments_and_blank_lines_are_not_counted():
@@ -77,3 +87,9 @@ def test_printed_total_of_this_package_is_the_sum_of_its_modules():
     assert total[1] == "total"
     assert {name for _, name in modules} >= {"polyfit.py", "report/cli.py"}
     assert int(total[0]) == sum(int(count) for count, _ in modules)
+
+
+def test_readme_quotes_the_same_bytes_command_count():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quoted = re.findall(r"runs\s+(\d+)\s+fixed\s+CLI\s+commands", readme)
+    assert quoted == [str(len(same_bytes.COMMANDS))]

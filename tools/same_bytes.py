@@ -37,6 +37,9 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     ["theory", "--dist", "continuous", "--n", "1000", "--json"],
     ["fit", "--use-fixture", "--degree", "3"],
     ["fit", "--use-fixture", "--degree", "0"],
+    # The fit command's edge: one residual df is the least it accepts.
+    ["fit", "--use-fixture", "--degree", "7"],
+    ["fit", "--use-fixture", "--degree", "8"],
     ["fit", "--input", "tests/golden/exact/linear.csv", "--degree", "4",
      "--out-json", "{out}/fit.json"],
     ["select", "--use-fixture", "--out-json", "{out}/verdict.json"],
