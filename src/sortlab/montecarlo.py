@@ -141,8 +141,16 @@ class TrialSummary:
 def run_cell(config: ExperimentConfig, p: float, cell_seed: int) -> TrialSummary:
     """Run all trials of one grid cell and reduce them in trial order.
 
-    The one-cell, full-range case of a share (:func:`_run_share`).
+    The one-cell, full-range case of a share (:func:`_run_share`).  Its
+    refusals raise before any hashing or draw, in the order
+    :func:`~sortlab.distributions.sample_block` makes them:
+
+    1. a p that is not a real in (0, 1] (ValueError);
+    2. a p whose draws would overflow int64 (ValueError);
+    3. a `cell_seed` that is not an int (TypeError; a bool is not one);
+    4. a `cell_seed` outside [0, 2**64) (ValueError).
     """
+    p, cell_seed = _inverse_p(geometric(p), config.n), _as_seed("cell_seed", cell_seed)
     ((_, total, squares),) = _run_share(config, [(p, cell_seed)], 0, config.trials)
     return _summary(config, p, total, squares)
 
@@ -217,10 +225,12 @@ def _run_share(
 ) -> list[tuple[int, int, int]]:
     """Exact sums over trials start..stop-1 of the cell-major sequence of `cells`.
 
-    `cells` holds one (p, cell seed) per cell.  Returns one (cell index,
-    sum of the counts, sum of their squares) per cell the range meets, in
-    cell order.  The range is hashed in passes of at most BLOCK_VALUES // 8
-    trials: the trial seeds of every cell part a pass meets go through one
+    `cells` holds one (p, cell seed) per cell, taken as already checked (by
+    `ExperimentConfig` or by :func:`run_cell`): each p is drawn with as it
+    is given.  Returns one (cell index, sum of the counts, sum of their
+    squares) per cell the range meets, in cell order.  The range is hashed
+    in passes of at most BLOCK_VALUES // 8 trials: the trial seeds of every
+    cell part a pass meets go through one
     :func:`~sortlab.distributions._seed_sequence_words` call.  Each part is
     then drawn and counted in trial order, in blocks of at most
     BLOCK_VALUES values (at least one trial each), every block from its
@@ -242,12 +252,11 @@ def _run_share(
         words = _seed_sequence_words(np.concatenate(seeds))
         row = 0
         for index, first, last in parts:
-            p = _inverse_p(geometric(cells[index][0]), n)
             # Python ints: a count squared passes int64 once counts pass ~3.04e9.
             total, squares = sums.get(index, (0, 0))
             for block in range(first, last, per_block):
                 size = min(per_block, last - block)
-                batch = _draw_rows(p, n, words[row : row + size])
+                batch = _draw_rows(cells[index][0], n, words[row : row + size])
                 row += size
                 for count in kernel(batch).tolist():
                     total += count

@@ -181,6 +181,18 @@ def _least_squares(points: Sequence[DataPoint], degree: int) -> tuple:
     return x, y, q, c, norms, g, model
 
 
+def _fit_degree(points: Sequence[DataPoint], degree: int) -> int:
+    # `degree` as an int >= 0, refused unless `points` leave it one residual
+    # df: the check `fit` makes before its pass, and the `fit` command before
+    # its report's.
+    degree = _as_int("degree", degree, minimum=0)
+    if len(points) < degree + 2:
+        raise ValueError(
+            f"degree {degree} needs at least {degree + 2} points (1 residual df), got {len(points)}"
+        )
+    return degree
+
+
 def fit(points: Sequence[DataPoint], degree: int) -> PolyModel:
     """Least-squares polynomial of `degree` through `points`.
 
@@ -200,13 +212,7 @@ def fit(points: Sequence[DataPoint], degree: int) -> PolyModel:
     x = 1..7 times 10^e degree 2 is fitted for e in [-77, 76] and degree 4
     for e in [-38, 38]; a p in (0, 1] is far from the top of that range.
     """
-    degree = _as_int("degree", degree, minimum=0)
-    m = len(points)
-    if m < degree + 2:
-        raise ValueError(
-            f"degree {degree} needs at least {degree + 2} points (1 residual df), got {m}"
-        )
-    return _least_squares(points, degree)[-1]
+    return _least_squares(points, _fit_degree(points, degree))[-1]
 
 
 def diagnostics(points: Sequence[DataPoint], degree: int) -> RegressionReport:

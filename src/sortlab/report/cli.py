@@ -78,7 +78,7 @@ try:
     from ..distributions import ContinuousUniform, _as_int, _as_seed, geometric
     from ..model_select import SelectionPolicy, render_verdict, select_degree
     from ..montecarlo import COUNTER_MODES, ExperimentConfig, TrialSummary, run_experiment
-    from ..polyfit import DataPoint, diagnostics, fit
+    from ..polyfit import DataPoint, _fit_degree, diagnostics
     from ..theory import predict as predict_theory
     from .csvio import (
         CsvFormatError,
@@ -288,8 +288,7 @@ def _cmd_theory(args) -> int:
 
 def _cmd_fit(args) -> int:
     points, source = _load_points(args)
-    fit(points, args.degree)  # refuses a degree that leaves no residual df
-    report = diagnostics(points, args.degree)
+    report = diagnostics(points, _fit_degree(points, args.degree))
     sys.stdout.write(render_report(report))
     if args.out_json:
         meta = RunMetadata.create(

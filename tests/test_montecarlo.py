@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -272,6 +273,32 @@ class TestRunCell:
         # textbook sort swaps least.
         assert means["textbook_interchanges"] < means["exchange_interchanges"]
         assert means["exchange_interchanges"] < means["inversions"]
+
+    @pytest.mark.parametrize(
+        "cell_seed, error, message",
+        [
+            (1.5, TypeError, "cell_seed must be an int, got float"),
+            (True, TypeError, "cell_seed must be an int, got bool"),
+            ("7", TypeError, "cell_seed must be an int, got str"),
+            (-1, ValueError, "cell_seed must be a 64-bit unsigned integer, got -1"),
+            (2**64, ValueError, f"cell_seed must be a 64-bit unsigned integer, got {2**64}"),
+        ],
+        ids=["float", "bool", "str", "negative", "2**64"],
+    )
+    def test_bad_cell_seed_is_refused_before_any_draw(
+        self, monkeypatch, cell_seed, error, message
+    ):
+        def no_draws(*args):
+            raise AssertionError("hashed or drew for a refused cell")
+
+        monkeypatch.setattr(montecarlo, "_mix64_block", no_draws)
+        monkeypatch.setattr(montecarlo, "_draw_rows", no_draws)
+        config = ExperimentConfig(n=10, trials=3, p_values=(0.5,), master_seed=1)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_cell(config, 0.5, cell_seed)
+        # The p is checked first, as sample_block checks it.
+        with pytest.raises(ValueError, match=re.escape("p must be in (0,1], got 0.0")):
+            run_cell(config, 0.0, cell_seed)
 
 
 

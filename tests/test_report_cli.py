@@ -882,6 +882,32 @@ class TestCliFit:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "degree, passes, rc, err",
+        [
+            ("3", [3], 0, ""),
+            ("7", [7], 0, ""),
+            ("8", [], 1, "error: degree 8 needs at least 10 points (1 residual df), got 9\n"),
+            # 9 distinct p: the rank refusal would read "needs 10 distinct x values".
+            ("9", [], 1, "error: degree 9 needs at least 11 points (1 residual df), got 9\n"),
+        ],
+        ids=["degree-3", "degree-7", "degree-8", "degree-9"],
+    )
+    def test_one_least_squares_pass(self, monkeypatch, capsys, degree, passes, rc, err):
+        # The residual-df refusal is a count check, made before the report's
+        # one pass and in place of it.
+        fitted = []
+        least_squares = polyfit._least_squares
+
+        def counting_least_squares(points, degree):
+            fitted.append(degree)
+            return least_squares(points, degree)
+
+        monkeypatch.setattr(polyfit, "_least_squares", counting_least_squares)
+        assert main(["fit", "--use-fixture", "--degree", degree]) == rc
+        assert fitted == passes
+        assert capsys.readouterr().err == err
+
     def test_malformed_csv_exits_1_with_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(CSV_HEADER + "\n0.1,10,5,1.0,0.5,\nnot,a,row\n")

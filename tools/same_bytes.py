@@ -40,6 +40,8 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     # The fit command's edge: one residual df is the least it accepts.
     ["fit", "--use-fixture", "--degree", "7"],
     ["fit", "--use-fixture", "--degree", "8"],
+    # Refused for its residual df, not for its rank: the fixture has 9 distinct p.
+    ["fit", "--use-fixture", "--degree", "9"],
     ["fit", "--input", "tests/golden/exact/linear.csv", "--degree", "4",
      "--out-json", "{out}/fit.json"],
     ["select", "--use-fixture", "--out-json", "{out}/verdict.json"],
