@@ -11,9 +11,11 @@ downstream artifact is reproducible byte for byte whatever the
 scheduling.  Trial seeds are hashed into their ``SeedSequence`` words
 with array arithmetic (:func:`_seed_sequence_words`), so no trial pays
 for a ``SeedSequence``, and :func:`_draw_rows` draws a block from those
-words.  The pipeline calls the two itself, hashing the seeds of a whole
-share of trials at once (``sortlab.montecarlo``); ``sample_block`` is the
-same draw for one block.
+words.  :func:`_draw_blocks` is the one drawer: it hashes the seeds of a
+list of blocks at once and draws them one by one.  The pipeline
+(``sortlab.montecarlo``) hands it one hashing pass of at most
+``BLOCK_VALUES // 8`` trials at a time; ``sample_block`` is its
+one-block case.
 
 :class:`RandomSource` with :func:`sample_array` is the per-trial
 definition ``sample_block`` must match.  It leaves the seeding to numpy,
@@ -256,9 +258,10 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
 
     Row i is trial t = start + i: the inverse-CDF draws from numpy's
     ``PCG64(mix64(cell_seed, t))``, equal to ``sample_array`` on
-    ``RandomSource(mix64(cell_seed, t))``.  The trial seeds and their
-    ``SeedSequence`` words are computed for the whole block at once
-    (:func:`_seed_sequence_words`), and :func:`_draw_rows` has numpy seed
+    ``RandomSource(mix64(cell_seed, t))``.  It is the one-block case of
+    :func:`_draw_blocks`, the drawer ``run_experiment`` uses: the trial
+    seeds and their ``SeedSequence`` words are computed for the whole block
+    at once (:func:`_seed_sequence_words`), and :func:`_draw_rows` has numpy seed
     each trial's PCG64 from its words, so every draw still comes from
     numpy's PCG64 (about 8 bytes per value, output included, after a
     hashing peak of about 165 bytes per trial).  Refusals raise before
@@ -271,8 +274,26 @@ def sample_block(model: Geometric, n: int, cell_seed: int, start: int, stop: int
     """
     p = _inverse_p(model, n)
     cell_seed = _as_seed("cell_seed", cell_seed)
-    seeds = _mix64_block(cell_seed, _as_int("start", start), _as_int("stop", stop))
-    return _draw_rows(p, n, _seed_sequence_words(seeds))
+    return next(_draw_blocks(n, [(p, cell_seed, _as_int("start", start), _as_int("stop", stop))]))
+
+
+def _draw_blocks(n: int, blocks: list[tuple[float, int, int, int]]):
+    """Yield the (last - first, n) int64 rows of each (p, cell_seed, first,
+    last) block in `blocks`, in order: row i is trial first + i of the
+    cell, as :func:`sample_block` states.
+
+    Each p is :func:`_inverse_p`'s and each cell seed already checked.  The
+    trial seeds of every block are hashed in one
+    :func:`_seed_sequence_words` call before the first draw, so
+    :func:`_mix64_block`'s refusals come before any draw.  Each block is
+    then drawn by one :func:`_draw_rows` call when it is asked for, so the
+    generator holds one block's draws at a time.
+    """
+    # block[1:] is (cell_seed, first, last), _mix64_block's (seed, start, stop).
+    words = _seed_sequence_words(np.concatenate([_mix64_block(*block[1:]) for block in blocks]))
+    for p, _, first, last in blocks:
+        yield _draw_rows(p, n, words[: last - first])
+        words = words[last - first :]
 
 
 def _draw_rows(p: float, n: int, words: np.ndarray) -> np.ndarray:

@@ -16,12 +16,10 @@ cell's counts are reduced to exact integer sums, whose value does not
 depend on the order they are added in.  Output is therefore
 bit-identical however the trials are split between forked worker
 processes.
-Trial t of a cell draws from numpy's ``PCG64(mix64(cell_seed, t))``, as
-:func:`~sortlab.distributions.sample_block`'s docstring states.  A share
-hashes the seeds of all its trials into their ``SeedSequence`` words
-together, in passes of at most ``BLOCK_VALUES // 8`` trials, and draws
-each block from its slice of those words, so every row is the one
-``sample_block`` draws.
+Every row is the one :func:`~sortlab.distributions.sample_block` draws,
+as its docstring states: a share draws through the drawer that
+``sample_block`` is the one-block case of, one hashing pass of at most
+``BLOCK_VALUES // 8`` trials at a time.
 
 The grid's trials form one cell-major sequence: grid trial g is trial
 ``g % trials`` of cell ``g // trials``.  A run fans out by a direct fork,
@@ -41,14 +39,12 @@ import math
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .algorithms import count_inversions_batch, exchange_sort_batch, textbook_sort_batch
 from .blocks import BLOCK_VALUES, BYTES_PER_VALUE
-from .distributions import _as_int, _as_seed, _draw_rows, _inverse_p, _mix64_block
-from .distributions import _seed_sequence_words, geometric, mix64
+from .distributions import _as_int, _as_seed, _draw_blocks, _inverse_p, geometric, mix64
 
 __all__ = [
     "COUNTER_MODES",
@@ -127,7 +123,9 @@ class TrialSummary:
     def __post_init__(self):
         for name in ("p", "mean_c", "sd_c", "cv_c"):
             value = getattr(self, name)
-            if not ((name == "cv_c" and value is None) or math.isfinite(value)):
+            # Finite by comparison, which also refuses an int past the float range
+            # (math.isfinite raises OverflowError on one).
+            if not ((name == "cv_c" and value is None) or abs(value) <= sys.float_info.max):
                 raise ValueError(f"{name} must be finite, got {value}")
             if name != "p" and value is not None:
                 object.__setattr__(self, name, float(value))
@@ -229,12 +227,11 @@ def _run_share(
     `ExperimentConfig` or by :func:`run_cell`): each p is drawn with as it
     is given.  Returns one (cell index, sum of the counts, sum of their
     squares) per cell the range meets, in cell order.  The range is hashed
-    in passes of at most BLOCK_VALUES // 8 trials: the trial seeds of every
-    cell part a pass meets go through one
-    :func:`~sortlab.distributions._seed_sequence_words` call.  Each part is
-    then drawn and counted in trial order, in blocks of at most
-    BLOCK_VALUES values (at least one trial each), every block from its
-    slice of the pass's words.
+    in passes of at most BLOCK_VALUES // 8 trials: each pass lists its
+    blocks of at most BLOCK_VALUES values (at least one trial each, none
+    across a cell's end) for one
+    :func:`~sortlab.distributions._draw_blocks` call, and counts each
+    block it yields, in trial order.
     """
     kernel = _KERNELS[config.counter_mode]
     n, trials = config.n, config.trials
@@ -243,24 +240,18 @@ def _run_share(
     sums = {}
     for head in range(start, stop, per_pass):
         tail = min(head + per_pass, stop)
-        # (cell index, first trial, last trial + 1) of each cell the pass meets.
-        parts = [
-            (index, max(head - index * trials, 0), min(tail - index * trials, trials))
-            for index in range(head // trials, (tail - 1) // trials + 1)
-        ]
-        seeds = [_mix64_block(cells[index][1], first, last) for index, first, last in parts]
-        words = _seed_sequence_words(np.concatenate(seeds))
-        row = 0
-        for index, first, last in parts:
+        owners, blocks = [], []  # the cell index and (p, cell seed, first, last) of each block
+        for index in range(head // trials, (tail - 1) // trials + 1):
+            first, last = max(head - index * trials, 0), min(tail - index * trials, trials)
+            for block in range(first, last, per_block):
+                owners.append(index)
+                blocks.append((*cells[index], block, min(block + per_block, last)))
+        for index, batch in zip(owners, _draw_blocks(n, blocks)):
             # Python ints: a count squared passes int64 once counts pass ~3.04e9.
             total, squares = sums.get(index, (0, 0))
-            for block in range(first, last, per_block):
-                size = min(per_block, last - block)
-                batch = _draw_rows(cells[index][0], n, words[row : row + size])
-                row += size
-                for count in kernel(batch).tolist():
-                    total += count
-                    squares += count * count
+            for count in kernel(batch).tolist():
+                total += count
+                squares += count * count
             sums[index] = total, squares
     return [(index, *cell_sums) for index, cell_sums in sums.items()]
 

@@ -26,6 +26,7 @@ not depend on which kernels the CPU selects.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -64,7 +65,9 @@ class DataPoint:
     y: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
+        # Finite by comparison, which also refuses an int past the float range
+        # (np.isfinite raises TypeError on one).
+        if not (abs(self.x) <= sys.float_info.max and abs(self.y) <= sys.float_info.max):
             raise ValueError(f"coordinates must be finite, got ({self.x!r}, {self.y!r})")
 
 
@@ -82,7 +85,7 @@ class PolyModel:
     def __post_init__(self):
         if not self.coefficients:
             raise ValueError("coefficients must be nonempty")
-        if not all(np.isfinite(c) for c in self.coefficients):
+        if not all(abs(c) <= sys.float_info.max for c in self.coefficients):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "degree", len(self.coefficients) - 1)
 

@@ -113,7 +113,7 @@ class TestExperimentConfig:
         def no_draws(*args, **kwargs):
             raise AssertionError("sampled before refusing")
 
-        monkeypatch.setattr(montecarlo, "_draw_rows", no_draws)
+        monkeypatch.setattr(distributions, "_draw_rows", no_draws)
         monkeypatch.setattr(montecarlo, "TRIAL_MEMORY_BUDGET", 100 * montecarlo.BYTES_PER_VALUE)
         ExperimentConfig(n=100, trials=5, p_values=(0.5,), master_seed=1)
         with pytest.raises(ValueError, match=r"n=101 is too large: .* bytes per value"):
@@ -146,6 +146,18 @@ class TestTrialSummary:
         cell = dict(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=0.1, cv_c=0.1)
         TrialSummary(**cell)
         with pytest.raises(error, match=f"^{field} must be"):
+            TrialSummary(**{**cell, field: value})
+
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+        ids=["nan", "inf", "-inf", "10**400", "-10**400"],
+    )
+    @pytest.mark.parametrize("field", ["p", "mean_c", "sd_c", "cv_c"])
+    def test_rejects_nonfinite(self, field, value):
+        # An int past the float range is refused like inf, not overflowed.
+        cell = dict(p=0.5, n=10, trials=5, mean_c=1.0, sd_c=0.1, cv_c=0.1)
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             TrialSummary(**{**cell, field: value})
 
     def test_pipeline_and_fixture_rows_construct(self):
@@ -291,8 +303,8 @@ class TestRunCell:
         def no_draws(*args):
             raise AssertionError("hashed or drew for a refused cell")
 
-        monkeypatch.setattr(montecarlo, "_mix64_block", no_draws)
-        monkeypatch.setattr(montecarlo, "_draw_rows", no_draws)
+        monkeypatch.setattr(distributions, "_mix64_block", no_draws)
+        monkeypatch.setattr(distributions, "_draw_rows", no_draws)
         config = ExperimentConfig(n=10, trials=3, p_values=(0.5,), master_seed=1)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             run_cell(config, 0.5, cell_seed)
@@ -490,14 +502,14 @@ def forked(monkeypatch):
 @pytest.fixture
 def hashed(monkeypatch):
     """The trial count of each _seed_sequence_words call this process makes."""
-    seed_sequence_words = montecarlo._seed_sequence_words
+    seed_sequence_words = distributions._seed_sequence_words
     hashed = []
 
     def counting_hash(seeds):
         hashed.append(len(seeds))
         return seed_sequence_words(seeds)
 
-    monkeypatch.setattr(montecarlo, "_seed_sequence_words", counting_hash)
+    monkeypatch.setattr(distributions, "_seed_sequence_words", counting_hash)
     return hashed
 
 
@@ -785,14 +797,14 @@ class TestTrialShares:
         # Each hashing call appends its process and trial count to one file,
         # in the process that makes it.
         log = tmp_path / "hashed"
-        seed_sequence_words = montecarlo._seed_sequence_words
+        seed_sequence_words = distributions._seed_sequence_words
 
         def hash_spy(seeds):
             with open(log, "a") as out:
                 out.write(f"{os.getpid()} {len(seeds)}\n")
             return seed_sequence_words(seeds)
 
-        monkeypatch.setattr(montecarlo, "_seed_sequence_words", hash_spy)
+        monkeypatch.setattr(distributions, "_seed_sequence_words", hash_spy)
         if block_values is not None:
             monkeypatch.setattr(montecarlo, "BLOCK_VALUES", block_values)
         p_values = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -816,17 +828,17 @@ class TestTrialShares:
         # was loaded at each fork, and at this process's first draw.
         code = (
             "import os, sys\n"
-            "from sortlab import montecarlo\n"
+            "from sortlab import distributions, montecarlo\n"
             "loaded = lambda: 'numpy.random' in sys.modules\n"
             "at_fork, at_draw = [], []\n"
-            "fork, draw = os.fork, montecarlo._draw_rows\n"
+            "fork, draw = os.fork, distributions._draw_rows\n"
             "def counting_fork():\n"
             "    at_fork.append(loaded())\n"
             "    return fork()\n"
             "def first_draw(*args):\n"
             "    at_draw.append(loaded())\n"
             "    return draw(*args)\n"
-            "os.fork, montecarlo._draw_rows = counting_fork, first_draw\n"
+            "os.fork, distributions._draw_rows = counting_fork, first_draw\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "config = montecarlo.ExperimentConfig(n=10, trials=4, p_values=(0.5,))\n"
             f"montecarlo.run_experiment(config, jobs={jobs})\n"

@@ -49,11 +49,17 @@ class TestTypes:
             DataPoint(float("nan"), 1.0)
         with pytest.raises(ValueError):
             DataPoint(1.0, float("inf"))
+        # Ints past the float range are refused, not overflowed.
+        for big in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match="^coordinates must be finite"):
+                DataPoint(big, 1.0)
+            with pytest.raises(ValueError, match="^coordinates must be finite"):
+                DataPoint(1.0, big)
 
     def test_polymodel_validation(self):
         with pytest.raises(ValueError, match="^coefficients must be nonempty$"):
             PolyModel(())
-        for bad in (float("nan"), float("inf"), float("-inf")):
+        for bad in (float("nan"), float("inf"), float("-inf"), 10**400, -(10**400)):
             with pytest.raises(ValueError, match="^coefficients must be finite$"):
                 PolyModel((1.0, bad))
 

@@ -21,6 +21,7 @@ import pytest
 
 import sortlab
 import sortlab.report.cli  # noqa: F401  (imports every module the targets name)
+from sortlab import montecarlo
 from sortlab.distributions import geometric, mix64, sample_block
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,7 +50,7 @@ def test_target_resolves_to_callable(target):
     assert callable(fn), f"{module_name}.{attr} does not resolve to a callable"
 
 
-def test_oracle_draws_the_pipeline_inputs():
+def test_oracle_draws_the_pipeline_inputs(monkeypatch):
     oracle = _load("oracle")
     seed, n, trials, p_values = 20261018, 7, 3, (0.3, 0.8)
     got = oracle.trial_arrays(seed, n, trials, p_values)
@@ -58,6 +59,18 @@ def test_oracle_draws_the_pipeline_inputs():
     ).T
     assert got.shape == (n, len(p_values) * trials)
     assert np.array_equal(got, want)
+    # The rows the pipeline itself counts, in the order it counts them.
+    counted = []
+    kernel = montecarlo._KERNELS["exchange_interchanges"]
+
+    def spy(batch):
+        counted.append(batch.copy())
+        return kernel(batch)
+
+    monkeypatch.setitem(montecarlo._KERNELS, "exchange_interchanges", spy)
+    config = montecarlo.ExperimentConfig(n=n, trials=trials, p_values=p_values, master_seed=seed)
+    montecarlo.run_experiment(config)
+    assert np.array_equal(got, np.concatenate(counted).T)
 
 
 _MODULES = [sortlab] + [

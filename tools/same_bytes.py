@@ -60,6 +60,10 @@ COMMANDS = [run + ["--jobs", jobs] for run in _RUNS for jobs in ("1", "2")] + [
     # Cells of several blocks (87 trials each at n = 3000), the second split mid-cell by two shares.
     ["simulate", "--n", "3000", "--trials", "200", "--p", "0.2,0.5,0.8", "--seed", "11",
      "--jobs", "2"],
+    # Hashing passes (BLOCK_VALUES // 8 = 32768 trials) that end inside a cell, in one share
+    # and in each of two.
+    *(["simulate", "--n", "8", "--trials", "40000", "--p", "0.3,0.6", "--seed", "13",
+       "--jobs", jobs] for jobs in ("1", "2")),
     # Trials wider than BLOCK_VALUES, one to a block, in every mode.
     *(["simulate", "--n", "300000", "--trials", "2", "--p", "0.3", "--seed", "9", "--mode", mode]
       for mode in ("exchange", "inversions", "textbook")),
